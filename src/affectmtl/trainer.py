@@ -50,6 +50,7 @@ from .losses import (
 from .metrics import MtlScore, mtl_score
 from .network import (
     BACKBONE_FIELDS,
+    ForwardCache,
     ModelConfig,
     PARAM_FIELDS,
     Params,
@@ -180,6 +181,7 @@ def batch_loss_and_grads(
     ss_rows: np.ndarray | None = None,
     confident: np.ndarray | None = None,
     pseudo_labels: np.ndarray | None = None,
+    cache_w: ForwardCache | None = None,
 ) -> tuple[LossBreakdown, Params]:
     """Loss value and exact parameter gradients for one batch.
 
@@ -188,9 +190,12 @@ def batch_loss_and_grads(
     function is a plain differentiable map from params to the total loss;
     strong_images carries one image per ss_row.  Supervised terms average
     over each task's valid subset; a task with nothing valid contributes 0.
+    cache_w, when given, must be forward_with_cache(params, weak_images);
+    passing it saves the weak forward pass a caller has already run.
     """
     lam_sup, lam_unsup, lam_cons = effective_lambdas(weights, mode)
-    cache_w = forward_with_cache(params, weak_images)
+    if cache_w is None:
+        cache_w = forward_with_cache(params, weak_images)
 
     exp_idx = np.flatnonzero(targets.exp_valid)
     l_sup = 0.0
@@ -344,6 +349,7 @@ def train_step(
             ss_rows=ss_rows,
             confident=part.confident,
             pseudo_labels=part.pseudo_labels,
+            cache_w=cache_probe,
         )
     except DivergenceError as exc:
         if exc.epoch is not None:
