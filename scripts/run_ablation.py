@@ -24,7 +24,6 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=5, help="number of seeds (from 0)")
     parser.add_argument("--epochs", type=int, default=30, help="training epochs")
-    parser.add_argument("--workers", type=int, default=1, help="augmentation threads")
     parser.add_argument(
         "--data-seed", type=int, default=0, help="seed for the synthetic data"
     )
@@ -48,7 +47,7 @@ def main(argv=None) -> int:
     for mode in MODES:
         for seed in range(args.seeds):
             config = RunConfig(mode=mode, seed=seed, epochs=args.epochs)
-            result = run_training(train, val, config, workers=args.workers)
+            result = run_training(train, val, config)
             best = result.reports[result.best_epoch].val_score
             scores[(mode, seed)] = best.p_exp
             print(f"{mode.value:13s} seed {seed}: expression macro-F1 {best.p_exp:.4f}")

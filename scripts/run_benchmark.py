@@ -28,7 +28,6 @@ def parse_args(argv):
     )
     parser.add_argument("--seed", type=int, default=0, help="training seed")
     parser.add_argument("--epochs", type=int, default=30, help="training epochs")
-    parser.add_argument("--workers", type=int, default=1, help="augmentation threads")
     parser.add_argument(
         "--data-seed", type=int, default=0, help="seed for the synthetic data"
     )
@@ -54,7 +53,7 @@ def main(argv=None) -> int:
     config = RunConfig(mode=TrainMode(args.mode), seed=args.seed, epochs=args.epochs)
     print(f"training {args.mode}, seed {args.seed}, {args.epochs} epochs")
     started = time.perf_counter()
-    result = run_training(train, val, config, workers=args.workers)
+    result = run_training(train, val, config)
     elapsed = time.perf_counter() - started
 
     print(f"{'epoch':>5} {'total':>8} {'conf%':>6} {'p_exp':>7} {'p_va':>7} {'p_au':>7} {'p_mtl':>7}")

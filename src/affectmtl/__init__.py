@@ -7,7 +7,7 @@ additionally train through confidence-gated pseudo-labels and a weak/strong
 consistency term.
 """
 
-from .augmentation import AugConfig, strong_augment, weak_augment
+from .augmentation import AugConfig, augment_views
 from .config import RunConfig, dump_run_config, parse_run_config
 from .data_model import (
     AnnotationSet,
@@ -44,6 +44,7 @@ __all__ = [
     "ThresholdConfig",
     "TrainMode",
     "adaptive_thresholds",
+    "augment_views",
     "au_macro_f1",
     "dataset_stats",
     "dump_run_config",
@@ -58,6 +59,4 @@ __all__ = [
     "partition_confident",
     "run_training",
     "serialize_manifest",
-    "strong_augment",
-    "weak_augment",
 ]

@@ -1,16 +1,17 @@
-"""Weak and strong image views with per-sample reproducible randomness.
+"""Weak and strong image views, built for a whole batch in array code.
 
 The weak view is pad-crop-flip; the strong view runs the same pipeline and
-then applies two photometric/geometric distortions drawn from a fixed menu.
-Every (seed, epoch, sample) triple owns two independent RNG streams, one per
-view, so the result is identical no matter how samples are batched, ordered,
-or spread across worker threads.
+then applies distinct distortions drawn from a fixed menu in random order.
+Every random draw is a counter-based hash of (seed, epoch, sample index,
+view, draw number), the idea behind Philox (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11) written with a splitmix64 finalizer.
+A sample's views therefore depend only on its own key and pixels: they are
+byte-identical however the samples are batched or ordered.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,22 @@ import numpy as np
 from .errors import ConfigError
 
 STRONG_OP_NAMES = ("brightness", "contrast", "rotation", "cutout")
+BRIGHTNESS, CONTRAST, ROTATION, CUTOUT = range(len(STRONG_OP_NAMES))
+
+WEAK_VIEW, STRONG_VIEW = 0, 1
+
+# Draw slots of one view.  The weak view reads the first three; the strong
+# view reads all of them, each op from its own slots whether picked or not.
+CROP_TOP, CROP_LEFT, FLIP = 0, 1, 2
+OP_ORDER = slice(3, 3 + len(STRONG_OP_NAMES))
+BRIGHTNESS_DRAW, CONTRAST_DRAW, ROTATION_DRAW = 7, 8, 9
+CUTOUT_DRAWS = slice(10, 14)  # height, width, top, left
+WEAK_DRAWS, STRONG_DRAWS = 3, 14
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_U64_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -50,94 +67,152 @@ class AugConfig:
             raise ConfigError("cutout_max_frac must lie in [0, 1]")
 
 
-def make_view_rngs(seed: int, epoch: int, sample_index: int):
-    """Two generators (weak, strong) owned by this sample at this epoch."""
-    root = np.random.SeedSequence(entropy=(seed, epoch, sample_index))
-    weak_seq, strong_seq = root.spawn(2)
-    return np.random.default_rng(weak_seq), np.random.default_rng(strong_seq)
+def _splitmix(z: np.ndarray) -> np.ndarray:
+    """splitmix64 step on a uint64 array; array ops wrap without warnings."""
+    z = z + _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
 
 
-def weak_augment(image: np.ndarray, rng, config: AugConfig) -> np.ndarray:
-    """Reflect-pad, random crop back to size, random horizontal flip."""
+def view_uniforms(seed: int, epoch: int, sample_indices, view: int, count: int) -> np.ndarray:
+    """(n, count) uniforms in [0, 1), one row per sample index.
+
+    Draw d of a row hashes (seed, epoch, sample index, view, d); its top 53
+    bits give a double with every value k / 2**53 equally likely.
+    """
+    key = _splitmix(np.full(1, int(seed) & _U64_MASK, dtype=np.uint64))
+    key = _splitmix(key ^ np.uint64(int(epoch) & _U64_MASK))
+    key = _splitmix(key ^ np.asarray(sample_indices, dtype=np.int64).astype(np.uint64))
+    key = _splitmix(key ^ np.uint64(view))
+    bits = _splitmix(key[:, None] ^ np.arange(count, dtype=np.uint64))
+    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _below(u: np.ndarray, count) -> np.ndarray:
+    """Integers uniform on 0..count-1 from uniforms u (count may vary by row)."""
+    return np.minimum((u * count).astype(np.int64), np.asarray(count) - 1)
+
+
+def weak_views(images: np.ndarray, draws: np.ndarray, config: AugConfig) -> np.ndarray:
+    """Reflect-pad, crop back to size at each row's offsets, flip some rows.
+
+    One gather serves the whole batch: the reflect padding is a map from
+    padded to source coordinates, each row reads its own crop window
+    through it, and the flip is folded into the column index.
+    """
+    n, height, width = images.shape
     pad = config.crop_padding
-    height, width = image.shape
-    padded = np.pad(image, pad, mode="reflect") if pad else image
-    top = int(rng.integers(0, 2 * pad + 1))
-    left = int(rng.integers(0, 2 * pad + 1))
-    out = padded[top : top + height, left : left + width]
-    if rng.random() < config.flip_prob:
-        out = out[:, ::-1]
-    return np.ascontiguousarray(out)
+    row_map = np.pad(np.arange(height), pad, mode="reflect")
+    col_map = np.pad(np.arange(width), pad, mode="reflect")
+    top = _below(draws[:, CROP_TOP], 2 * pad + 1)
+    left = _below(draws[:, CROP_LEFT], 2 * pad + 1)
+    flip = draws[:, FLIP] < config.flip_prob
+    cols = np.where(flip[:, None], np.arange(width - 1, -1, -1), np.arange(width))
+    rows = np.arange(n)[:, None] * height + row_map[top[:, None] + np.arange(height)]
+    index = rows[:, :, None] * width + col_map[left[:, None] + cols][:, None, :]
+    return images.reshape(-1)[index]
 
 
-def strong_augment(image: np.ndarray, rng, config: AugConfig) -> np.ndarray:
-    """Weak pipeline plus two distinct distortions, clipped back to [0, 1]."""
-    out = weak_augment(image, rng, config)
-    picks = rng.choice(
-        len(STRONG_OP_NAMES), size=config.strong_ops_per_image, replace=False
-    )
-    for op_index in picks:
-        name = STRONG_OP_NAMES[int(op_index)]
-        if name == "brightness":
-            delta = rng.uniform(-config.brightness_delta, config.brightness_delta)
-            out = out + delta
-        elif name == "contrast":
-            factor = rng.uniform(config.contrast_low, config.contrast_high)
-            out = 0.5 + factor * (out - 0.5)
-        elif name == "rotation":
-            angle = rng.uniform(-config.rotation_max_deg, config.rotation_max_deg)
-            out = rotate_bilinear(out, angle)
-        else:
-            out = _cutout(out, rng, config.cutout_max_frac)
+def strong_op_order(draws: np.ndarray, config: AugConfig) -> np.ndarray:
+    """(n, strong_ops_per_image) distinct op indices per row, in apply order.
+
+    The argsort of independent uniforms is a uniformly random permutation;
+    its first k entries are k distinct ops in random order.
+    """
+    return np.argsort(draws[:, OP_ORDER], axis=1, kind="stable")[
+        :, : config.strong_ops_per_image
+    ]
+
+
+def strong_views(images: np.ndarray, draws: np.ndarray, config: AugConfig) -> np.ndarray:
+    """Weak pipeline plus distinct distortions, clipped back to [0, 1].
+
+    Op slot j applies, for each op, that op to the rows that picked it in
+    slot j, so every row sees its ops in its own order.
+    """
+    out = weak_views(images, draws, config)
+    order = strong_op_order(draws, config)
+    delta = config.brightness_delta * (2.0 * draws[:, BRIGHTNESS_DRAW] - 1.0)
+    factor = config.contrast_low + (config.contrast_high - config.contrast_low) * draws[
+        :, CONTRAST_DRAW
+    ]
+    angle = config.rotation_max_deg * (2.0 * draws[:, ROTATION_DRAW] - 1.0)
+    for slot in range(order.shape[1]):
+        for op in range(len(STRONG_OP_NAMES)):
+            rows = np.flatnonzero(order[:, slot] == op)
+            if not len(rows):
+                continue
+            if op == BRIGHTNESS:
+                out[rows] = out[rows] + delta[rows, None, None]
+            elif op == CONTRAST:
+                out[rows] = 0.5 + factor[rows, None, None] * (out[rows] - 0.5)
+            elif op == ROTATION:
+                out[rows] = rotate_bilinear(out[rows], angle[rows])
+            else:
+                out[rows] = cutout(out[rows], draws[rows, CUTOUT_DRAWS], config.cutout_max_frac)
     return np.clip(out, 0.0, 1.0)
 
 
-def rotate_bilinear(image: np.ndarray, degrees: float) -> np.ndarray:
-    """Rotate about the image center, bilinear interpolation, fill 0."""
-    height, width = image.shape
-    theta = math.radians(degrees)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
+def rotate_bilinear(images: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Rotate each image about its center by its angle; bilinear, fill 0.
+
+    Source coordinates are computed for the whole (n, h, w) batch.  The
+    batch gets a one-pixel zero border, so clipping a corner's index onto
+    the border reads the fill; each of the four corners is one gather.
+    """
+    n, height, width = images.shape
+    # libm per angle: a vectorised sin/cos may round differently in SIMD
+    # lanes and loop tails, and a row's view must not depend on its batch.
+    theta = [math.radians(float(d)) for d in degrees]
+    cos_t = np.array([math.cos(t) for t in theta]).reshape(-1, 1, 1)
+    sin_t = np.array([math.sin(t) for t in theta]).reshape(-1, 1, 1)
     cy, cx = (height - 1) / 2.0, (width - 1) / 2.0
-    yy, xx = np.meshgrid(
-        np.arange(height, dtype=np.float64),
-        np.arange(width, dtype=np.float64),
-        indexing="ij",
-    )
-    dy, dx = yy - cy, xx - cx
+    dy = (np.arange(height, dtype=np.float64) - cy)[None, :, None]
+    dx = (np.arange(width, dtype=np.float64) - cx)[None, None, :]
     src_y = cos_t * dy + sin_t * dx + cy
     src_x = -sin_t * dy + cos_t * dx + cx
-    y0 = np.floor(src_y).astype(np.int64)
-    x0 = np.floor(src_x).astype(np.int64)
+    y0 = np.floor(src_y)
+    x0 = np.floor(src_x)
     wy = src_y - y0
     wx = src_x - x0
-    out = np.zeros_like(image)
-    for oy, ox, weight in (
-        (0, 0, (1 - wy) * (1 - wx)),
-        (0, 1, (1 - wy) * wx),
-        (1, 0, wy * (1 - wx)),
-        (1, 1, wy * wx),
-    ):
-        ys, xs = y0 + oy, x0 + ox
-        inside = (ys >= 0) & (ys < height) & (xs >= 0) & (xs < width)
-        values = np.where(inside, image[ys.clip(0, height - 1), xs.clip(0, width - 1)], 0.0)
-        out += weight * values
-    return out
+    # Corner rows and columns in the bordered batch, out-of-range ones on the border.
+    y_top = np.clip(y0.astype(np.int64) + 1, 0, height + 1)
+    y_bottom = np.clip(y0.astype(np.int64) + 2, 0, height + 1)
+    x_left = np.clip(x0.astype(np.int64) + 1, 0, width + 1)
+    x_right = np.clip(x0.astype(np.int64) + 2, 0, width + 1)
+    bordered = np.zeros((n, height + 2, width + 2))
+    bordered[:, 1:-1, 1:-1] = images
+    bordered = bordered.reshape(-1)
+    base = np.arange(n).reshape(-1, 1, 1) * (height + 2)
+    row_top = (base + y_top) * (width + 2)
+    row_bottom = (base + y_bottom) * (width + 2)
+    upper = (1 - wx) * bordered[row_top + x_left] + wx * bordered[row_top + x_right]
+    lower = (1 - wx) * bordered[row_bottom + x_left] + wx * bordered[row_bottom + x_right]
+    return (1 - wy) * upper + wy * lower
 
 
-def _cutout(image: np.ndarray, rng, max_frac: float) -> np.ndarray:
-    """Zero a random rectangle covering at most max_frac of the area."""
-    height, width = image.shape
+def cutout(images: np.ndarray, draws: np.ndarray, max_frac: float) -> np.ndarray:
+    """Zero one box per image covering at most max_frac of its area.
+
+    draws is (n, 4): box height, width, top and left, as uniforms.
+    """
+    _, height, width = images.shape
     # Capping each side at sqrt(max_frac) of its dimension bounds the area.
     side = math.sqrt(max_frac)
-    max_h = max(1, int(height * side))
-    max_w = max(1, int(width * side))
-    cut_h = int(rng.integers(1, max_h + 1))
-    cut_w = int(rng.integers(1, max_w + 1))
-    top = int(rng.integers(0, height - cut_h + 1))
-    left = int(rng.integers(0, width - cut_w + 1))
-    out = image.copy()
-    out[top : top + cut_h, left : left + cut_w] = 0.0
-    return out
+    cut_h = 1 + _below(draws[:, 0], max(1, int(height * side)))
+    cut_w = 1 + _below(draws[:, 1], max(1, int(width * side)))
+    top = _below(draws[:, 2], height - cut_h + 1)
+    left = _below(draws[:, 3], width - cut_w + 1)
+    ys = np.arange(height)[None, :, None]
+    xs = np.arange(width)[None, None, :]
+    box = (
+        (ys >= top[:, None, None])
+        & (ys < (top + cut_h)[:, None, None])
+        & (xs >= left[:, None, None])
+        & (xs < (left + cut_w)[:, None, None])
+    )
+    return np.where(box, 0.0, images)
 
 
 def augment_views(
@@ -147,37 +222,26 @@ def augment_views(
     epoch: int,
     config: AugConfig,
     want_strong=None,
-    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weak view for every row, strong view where want_strong marks it.
 
     batch_images is (n, h, w); sample_indices gives each row's position in
-    the dataset, which keys its RNG streams.  Rows without a requested
-    strong view are left at zero in the returned strong array.  The output
-    is bit-identical for any worker count because row i touches only its
-    own streams and its own output slices.
+    the dataset, which keys its draws.  Rows without a requested strong
+    view are left at exactly zero in the returned strong array.
     """
-    n = batch_images.shape[0]
     sample_indices = np.asarray(sample_indices)
-    if want_strong is None:
-        want_strong = np.zeros(n, dtype=bool)
-    weak = np.zeros_like(batch_images)
+    weak = weak_views(
+        batch_images,
+        view_uniforms(seed, epoch, sample_indices, WEAK_VIEW, WEAK_DRAWS),
+        config,
+    )
     strong = np.zeros_like(batch_images)
-
-    def fill(row_range):
-        for row in row_range:
-            weak_rng, strong_rng = make_view_rngs(
-                seed, epoch, int(sample_indices[row])
+    if want_strong is not None:
+        rows = np.flatnonzero(want_strong)
+        if len(rows):
+            strong[rows] = strong_views(
+                batch_images[rows],
+                view_uniforms(seed, epoch, sample_indices[rows], STRONG_VIEW, STRONG_DRAWS),
+                config,
             )
-            weak[row] = weak_augment(batch_images[row], weak_rng, config)
-            if want_strong[row]:
-                strong[row] = strong_augment(batch_images[row], strong_rng, config)
-
-    workers = max(1, int(workers))
-    if workers == 1 or n <= 1:
-        fill(range(n))
-    else:
-        chunks = np.array_split(np.arange(n), min(workers, n))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, chunks))
     return weak, strong

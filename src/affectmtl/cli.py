@@ -1,9 +1,9 @@
 """Command-line driver: synthesize data, train, evaluate, export curves.
 
 Exit codes: 0 success, 1 usage error, 2 bad data or configuration,
-3 training divergence.  The optional SSMTL_THREADS environment variable
-caps augmentation worker threads (default: machine parallelism); results
-are identical for any value.
+3 training divergence.  `train` and `curves` write each output to a
+temporary file and rename it into place, so a failed command leaves no
+partial file at an output path.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import os
 import sys
 
+from .atomic import atomic_open
 from .config import (
     config_hash,
     dump_run_config,
@@ -27,7 +28,7 @@ from .data_model import (
     load_manifest,
     write_dataset,
 )
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import DataError, DivergenceError
 from .network import load_checkpoint, save_checkpoint
 from .trainer import (
     evaluate_packed,
@@ -48,16 +49,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _workers() -> int:
-    value = os.environ.get("SSMTL_THREADS")
-    if value is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(value)
-    except ValueError:
-        raise ConfigError(f"SSMTL_THREADS must be an integer, got {value!r}") from None
-    if n < 1:
-        raise ConfigError(f"SSMTL_THREADS must be >= 1, got {n}")
-    return n
+    """Threads `train` uses: always 1.
+
+    Kept only because the benchmark's tracer (perfbench/spans.py) binds this
+    name and reports it as cli.workers; delete it together with that binding.
+    """
+    return 1
 
 
 def _read_text(path) -> str:
@@ -96,12 +93,12 @@ def cmd_train(args) -> int:
     val_packed = _load_split(args.data, "val.csv")
     result = run_training(train_packed, val_packed, run_config, workers=_workers())
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "log.jsonl"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_epoch_log(result.reports))
-    with open(
-        os.path.join(args.out, "config_resolved.txt"), "w", encoding="utf-8", newline="\n"
-    ) as fh:
-        fh.write(dump_run_config(run_config))
+    for name, text in (
+        ("log.jsonl", format_epoch_log(result.reports)),
+        ("config_resolved.txt", dump_run_config(run_config)),
+    ):
+        with atomic_open(os.path.join(args.out, name), encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     save_checkpoint(
         os.path.join(args.out, "checkpoint.npz"),
         result.best_params,
@@ -174,7 +171,7 @@ def cmd_curves(args) -> int:
             ]
         )
         lines.append(",".join(row))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(args.out, encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0
 

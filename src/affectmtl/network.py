@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ConfigError, DataError, DivergenceError
 
 FEATURE_NORM_EPS = 1e-8
@@ -250,9 +251,12 @@ def sigmoid(logits: np.ndarray) -> np.ndarray:
 
 
 def save_checkpoint(path, params: Params, config: ModelConfig, config_hash: str) -> None:
-    """Versioned npz with every parameter array, model shape, config hash."""
+    """Versioned npz with every parameter array, model shape, config hash.
+
+    Written to a temporary file and renamed onto path, never half-written.
+    """
     arrays = {f"param_{name}": getattr(params, name) for name in PARAM_FIELDS}
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         np.savez(
             fh,
             version=np.int64(CHECKPOINT_VERSION),

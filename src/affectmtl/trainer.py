@@ -12,8 +12,7 @@ Samples invalid for every task are skipped by every term, supervised and
 semi-supervised alike, so they contribute exactly zero gradient.
 
 Determinism contract: given a seed, the epoch schedule, every augmented
-view, every loss, and the final parameters are identical across runs and
-across worker-thread counts.
+view, every loss, and the final parameters are identical across runs.
 """
 
 from __future__ import annotations
@@ -303,7 +302,6 @@ def train_step(
     w_au: np.ndarray,
     epoch: int,
     batch_number: int,
-    workers: int = 1,
 ) -> tuple[TrainState, LossBreakdown, StepInfo]:
     """One optimization step over one scheduled batch."""
     targets = slice_targets(packed, batch_indices)
@@ -321,7 +319,6 @@ def train_step(
             epoch,
             config.augment,
             want_strong=ss_mask,
-            workers=workers,
         )
 
         cache_probe = forward_with_cache(state.params, weak)
@@ -414,10 +411,13 @@ def run_training(
 
     Deterministic given config.seed.  The best epoch maximizes the combined
     validation score; ties keep the earliest epoch.  Divergence aborts with
-    epoch/batch context.
+    epoch/batch context.  workers is accepted and ignored; it is kept
+    because the benchmark harness, perfbench/run.py, passes workers=1.
     """
     if len(train_packed) == 0:
         raise DataError("training set is empty")
+    if len(val_packed) == 0:
+        raise DataError("validation set is empty")
     height, width = train_packed.images.shape[1:]
     model_config = ModelConfig(
         image_height=height, image_width=width, hidden_width=config.hidden_width
@@ -448,8 +448,7 @@ def run_training(
         for batch_number, start in enumerate(range(0, len(schedule), config.batch_size)):
             batch = schedule[start : start + config.batch_size]
             state, breakdown, info = train_step(
-                state, train_packed, batch, config, w_exp, w_au,
-                epoch, batch_number, workers=workers,
+                state, train_packed, batch, config, w_exp, w_au, epoch, batch_number
             )
             sums += (
                 breakdown.l_exp_sup, breakdown.l_exp_unsup, breakdown.l_exp_cons,
@@ -460,7 +459,10 @@ def run_training(
             confident_total += info.n_confident
             thresholds = info.thresholds
         means = sums / n_batches
-        val_score = evaluate_packed(state.params, val_packed)
+        try:
+            val_score = evaluate_packed(state.params, val_packed)
+        except DivergenceError as exc:
+            raise DivergenceError(f"validation: {exc.args[0]}", epoch=epoch) from None
         report = EpochReport(
             epoch=epoch,
             losses=LossBreakdown(*means),

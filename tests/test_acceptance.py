@@ -15,8 +15,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from affectmtl.augmentation import augment_views
 from affectmtl.config import RunConfig, SynthFileConfig, TrainMode
-from affectmtl.data_model import SynthConfig, generate_synthetic
+from affectmtl.data_model import SynthConfig, expression_class_weights, generate_synthetic
 from affectmtl.losses import (
     LossWeights,
     ccc,
@@ -47,6 +48,7 @@ from affectmtl.trainer import (
     BatchTargets,
     batch_loss_and_grads,
     format_epoch_log,
+    make_epoch_schedule,
     pack_dataset,
     run_training,
 )
@@ -552,7 +554,9 @@ def test_criterion_5_masking(capsys):
 
 # ---------------------------------------------------------------------------
 # criterion 6: full 20-epoch runs with the same seed produce bit-identical
-# epoch logs, independent of the worker-thread count.
+# epoch logs, and a sample's augmented views do not depend on the batch it
+# is drawn in: augmenting a whole epoch in one call equals concatenating
+# the per-batch calls in schedule order.
 # ---------------------------------------------------------------------------
 
 
@@ -575,18 +579,37 @@ def test_criterion_6_determinism(capsys):
     train = pack_dataset(train_ds, train_images)
     val = pack_dataset(val_ds, val_images)
     config = RunConfig(epochs=20, seed=5)
-    logs = [
-        format_epoch_log(run_training(train, val, config, workers=w).reports)
-        for w in (1, 1, 3)
-    ]
+    logs = [format_epoch_log(run_training(train, val, config).reports) for _ in range(2)]
     if logs[0] != logs[1]:
         failures.append("repeat run with identical settings changed the log")
-    if logs[0] != logs[2]:
-        failures.append("changing worker threads 1 -> 3 changed the log")
     n_lines = logs[0].count("\n")
     if n_lines != 20:
         failures.append(f"expected 20 log lines, got {n_lines}")
-    _verdict(capsys, 6, "determinism", failures, f"{n_lines} epochs x 3 runs, logs byte-identical")
+
+    w_exp = expression_class_weights(train.stats)
+    want = (~train.exp_valid) & (train.exp_valid | train.au_valid | train.va_valid)
+    for epoch in (0, config.epochs - 1):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, epoch)))
+        schedule = make_epoch_schedule(train, config.imbalance, rng, w_exp)
+        whole = augment_views(
+            train.images[schedule], schedule, config.seed, epoch, config.augment, want[schedule]
+        )
+        batches = [
+            augment_views(
+                train.images[batch], batch, config.seed, epoch, config.augment, want[batch]
+            )
+            for batch in np.split(
+                schedule, range(config.batch_size, len(schedule), config.batch_size)
+            )
+        ]
+        for part, name in ((0, "weak"), (1, "strong")):
+            joined = np.concatenate([views[part] for views in batches])
+            if joined.tobytes() != whole[part].tobytes():
+                failures.append(f"epoch {epoch}: per-batch {name} views differ from one call")
+    _verdict(
+        capsys, 6, "determinism", failures,
+        f"{n_lines} epochs x 2 runs, logs byte-identical; views batch-invariant",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +633,7 @@ def bench_runs():
     for mode in (TrainMode.SEMI, TrainMode.SUPERVISED, TrainMode.SEMI_NO_KL):
         for seed in range(5):
             t0 = time.perf_counter()
-            result = run_training(train, val, RunConfig(mode=mode, seed=seed), workers=1)
+            result = run_training(train, val, RunConfig(mode=mode, seed=seed))
             seconds = time.perf_counter() - t0
             score = result.reports[result.best_epoch].val_score
             runs[(mode, seed)] = (score, seconds)

@@ -158,26 +158,35 @@ class TestTrain:
             assert record["l_exp_cons"] == 0.0
             assert record["l_exp"] == record["l_exp_sup"]
 
-    def test_thread_env_does_not_change_results(self, data_dir, tmp_path, monkeypatch):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("epochs=1\nbatch_size=16\nhidden_width=4\n")
-        logs = []
-        for name, threads in (("t1", "1"), ("t3", "3")):
-            monkeypatch.setenv("SSMTL_THREADS", threads)
-            assert run_cli("train", "--data", data_dir, "--config", cfg,
-                           "--out", tmp_path / name) == 0
-            logs.append((tmp_path / name / "log.jsonl").read_bytes())
-        assert logs[0] == logs[1]
-        a, _, _ = load_checkpoint(tmp_path / "t1/checkpoint.npz")
-        b, _, _ = load_checkpoint(tmp_path / "t3/checkpoint.npz")
-        for f in PARAM_FIELDS:
-            assert np.array_equal(getattr(a, f), getattr(b, f))
+    def test_empty_validation_split_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("train_count=30\nval_count=0\nimage_size=8\n")
+        assert run_cli("synth", "--out", tmp_path / "d", "--config", cfg) == 0
+        run_cfg = tmp_path / "run.cfg"
+        run_cfg.write_text(SMALL_RUN)
+        capsys.readouterr()
+        assert run_cli("train", "--data", tmp_path / "d", "--config", run_cfg,
+                       "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "validation set is empty" in err
+        assert "Traceback" not in err
 
-    def test_invalid_thread_env_exits_2(self, data_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("SSMTL_THREADS", "zero")
-        assert run_cli("train", "--data", data_dir, "--out", tmp_path / "out") == 2
-        monkeypatch.setenv("SSMTL_THREADS", "0")
-        assert run_cli("train", "--data", data_dir, "--out", tmp_path / "out") == 2
+    def test_failed_checkpoint_write_leaves_no_partial_file(
+        self, data_dir, tmp_path, monkeypatch
+    ):
+        import affectmtl.network as network
+
+        def torn_savez(fh, **arrays):
+            fh.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(network.np, "savez", torn_savez)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_RUN)
+        out = tmp_path / "out"
+        assert run_cli("train", "--data", data_dir, "--config", cfg, "--out", out) == 2
+        assert not (out / "checkpoint.npz").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["config_resolved.txt", "log.jsonl"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_3(self, data_dir, tmp_path, capsys):

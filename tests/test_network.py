@@ -221,3 +221,20 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import affectmtl.network as network
+
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, init_params(MC, 1), MC, "old")
+        before = path.read_bytes()
+
+        def torn_savez(fh, **arrays):
+            fh.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(network.np, "savez", torn_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, init_params(MC, 2), MC, "new")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from affectmtl.augmentation import augment_views
 from affectmtl.config import RunConfig
 from affectmtl.data_model import (
     SynthConfig,
@@ -309,13 +312,33 @@ class TestRunTraining:
             assert r_semi.losses.l_exp_unsup == 0.0
             assert r_semi.losses.l_exp_cons == 0.0
 
-    def test_worker_count_does_not_change_results(self):
-        train = small_packed(count=24, seed=0)
-        val = small_packed(count=10, seed=1)
-        a = run_training(train, val, self.config(), workers=1)
-        b = run_training(train, val, self.config(), workers=4)
-        assert params_equal(a.final_params, b.final_params)
-        assert format_epoch_log(a.reports) == format_epoch_log(b.reports)
+    @pytest.mark.parametrize("imbalance", ["reweight", "resample"])
+    def test_whole_dataset_views_match_per_batch_views(self, imbalance):
+        # The trainer augments one scheduled batch at a time; a sample's
+        # views must not depend on which batch it landed in.
+        train = small_packed(count=50, seed=0)
+        config = self.config(imbalance=imbalance)
+        w_exp = expression_class_weights(train.stats)
+        want = ~train.exp_valid
+        for epoch in range(2):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, epoch)))
+            schedule = make_epoch_schedule(train, imbalance, rng, w_exp)
+            whole = augment_views(
+                train.images[schedule], schedule, config.seed, epoch,
+                config.augment, want[schedule],
+            )
+            batches = [
+                augment_views(
+                    train.images[batch], batch, config.seed, epoch,
+                    config.augment, want[batch],
+                )
+                for batch in np.split(
+                    schedule, range(config.batch_size, len(schedule), config.batch_size)
+                )
+            ]
+            for part in (0, 1):
+                joined = np.concatenate([views[part] for views in batches])
+                assert joined.tobytes() == whole[part].tobytes()
 
     def test_zero_epochs(self):
         train = small_packed(count=12, seed=0)
@@ -353,6 +376,24 @@ class TestRunTraining:
         assert exc.epoch is not None and exc.batch is not None
         assert f"epoch {exc.epoch}" in str(exc)
         assert f"batch {exc.batch}" in str(exc)
+
+    def test_validation_divergence_carries_epoch(self):
+        train = small_packed(count=24, seed=0)
+        val = small_packed(count=10, seed=1)
+        poisoned = replace(val, images=np.full_like(val.images, np.nan))
+        with pytest.raises(DivergenceError) as excinfo:
+            run_training(train, poisoned, self.config(epochs=2))
+        exc = excinfo.value
+        assert exc.epoch == 0 and exc.batch is None
+        assert "validation" in str(exc) and "epoch 0" in str(exc)
+
+    def test_empty_validation_set_rejected(self):
+        from affectmtl.data_model import Dataset
+
+        train = small_packed(count=24, seed=0)
+        empty = pack_dataset(Dataset(samples=()), np.zeros((0, 0, 0)))
+        with pytest.raises(DataError, match="validation set is empty"):
+            run_training(train, empty, self.config())
 
     def test_confident_fraction_bounds(self):
         train = small_packed(count=30, seed=4)
