@@ -116,6 +116,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     params, model_config, _ = load_checkpoint(args.checkpoint)
     packed = _load_split(args.data, args.manifest)
+    if len(packed) == 0:
+        raise DataError(f"manifest {args.manifest} has no samples")
     if packed.images.shape[1:] != (model_config.image_height, model_config.image_width):
         raise DataError(
             f"images are {packed.images.shape[1:]} but the checkpoint expects "

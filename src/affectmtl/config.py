@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass, replace
 
 from .augmentation import AugConfig
-from .data_model import N_EXPRESSION_CLASSES, SynthConfig
+from .data_model import N_EXPRESSION_CLASSES, UNIFORM_PRIORS, SynthConfig
 from .errors import ConfigError
 from .losses import LossWeights, TrainMode
 from .pseudo_label import ThresholdConfig
@@ -181,7 +181,6 @@ def config_hash(config: RunConfig) -> str:
 # labeled examples once masking is applied) evaluated on a balanced
 # validation set, the usual protocol for imbalance-aware methods.
 LONG_TAIL_PRIORS = (0.30, 0.22, 0.15, 0.10, 0.07, 0.06, 0.05, 0.05)
-UNIFORM_PRIORS = tuple([1.0 / N_EXPRESSION_CLASSES] * N_EXPRESSION_CLASSES)
 
 
 @dataclass(frozen=True)

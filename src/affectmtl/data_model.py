@@ -260,23 +260,11 @@ def au_positive_weights(stats: DatasetStats) -> np.ndarray:
     return weights
 
 
-@dataclass(frozen=True, eq=False)
-class DatasetWeights:
-    w_exp: np.ndarray
-    w_au: np.ndarray
-
-
-def dataset_weights(stats: DatasetStats) -> DatasetWeights:
-    return DatasetWeights(
-        w_exp=expression_class_weights(stats), w_au=au_positive_weights(stats)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Synthetic data
 # ---------------------------------------------------------------------------
 
-_UNIFORM_PRIORS = tuple([1.0 / N_EXPRESSION_CLASSES] * N_EXPRESSION_CLASSES)
+UNIFORM_PRIORS = tuple([1.0 / N_EXPRESSION_CLASSES] * N_EXPRESSION_CLASSES)
 
 # Class-conditioned action-unit activation pattern (fixed across seeds).
 _AU_PATTERN = (
@@ -300,7 +288,7 @@ class SynthConfig:
 
     count: int = 2000
     image_size: int = 16
-    class_priors: tuple[float, ...] = _UNIFORM_PRIORS
+    class_priors: tuple[float, ...] = UNIFORM_PRIORS
     exp_mask_rate: float = 0.4
     va_mask_rate: float = 0.2
     au_mask_rate: float = 0.2
@@ -430,7 +418,3 @@ def format_stats(stats: DatasetStats) -> str:
     ]
     return "\n".join(lines)
 
-
-def va_center(label: int) -> np.ndarray:
-    """The injective class -> valence/arousal map used by the generator."""
-    return _VA_CENTERS[label].copy()

@@ -279,17 +279,32 @@ def consistency_loss(
 def consistency_loss_grad(
     weak_probs: np.ndarray, strong_probs: np.ndarray, mask: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
+    """consistency_loss with its gradients; each masked row matches symmetric_kl_grad."""
     idx = np.flatnonzero(mask)
     d_weak = np.zeros_like(weak_probs)
     d_strong = np.zeros_like(strong_probs)
     if len(idx) == 0:
         return 0.0, d_weak, d_strong
+    p = np.asarray(weak_probs[idx], dtype=np.float64)
+    q = np.asarray(strong_probs[idx], dtype=np.float64)
+    p_floored = np.maximum(p, PROB_FLOOR)
+    q_floored = np.maximum(q, PROB_FLOOR)
+    p_sum = p_floored.sum(axis=1, keepdims=True)
+    q_sum = q_floored.sum(axis=1, keepdims=True)
+    pn = p_floored / p_sum
+    qn = q_floored / q_sum
+    log_ratio = np.log(pn) - np.log(qn)
+    values = np.sum(pn * log_ratio, axis=1) - np.sum(qn * log_ratio, axis=1)
+    g_p = log_ratio + 1.0 - qn / pn
+    g_q = -log_ratio + 1.0 - pn / qn
+    d_p = (p > PROB_FLOOR) * (g_p - np.sum(g_p * pn, axis=1, keepdims=True)) / p_sum
+    d_q = (q > PROB_FLOOR) * (g_q - np.sum(g_q * qn, axis=1, keepdims=True)) / q_sum
+    # Added one row at a time, in row order, as the per-row definition does.
     total = 0.0
-    for i in idx:
-        value, d_p, d_q = symmetric_kl_grad(weak_probs[i], strong_probs[i])
+    for value in values.tolist():
         total += value
-        d_weak[i] = d_p / len(idx)
-        d_strong[i] = d_q / len(idx)
+    d_weak[idx] = d_p / len(idx)
+    d_strong[idx] = d_q / len(idx)
     return total / len(idx), d_weak, d_strong
 
 

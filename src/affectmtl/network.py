@@ -11,11 +11,18 @@ forward_with_cache keeps every intermediate needed by backward, which
 implements reverse mode by hand, including the normalization and tanh
 Jacobians.  Gradients are exact (finite-difference verified in the tests),
 not approximated.
+
+Parameters live in one flat float64 buffer, Params.flat, laid out in
+PARAM_FIELDS order (backbone first); each named field is a reshaped view
+of its slice.  backward writes every gradient into views of one zeroed
+buffer, so summing gradients or stepping the optimizer is whole-buffer
+arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,6 +52,13 @@ class ModelConfig:
 
 @dataclass(frozen=True, eq=False)
 class Params:
+    """The 14 parameter arrays, each a view into the flat buffer `flat`.
+
+    The constructor (and so dataclasses.replace) copies the given arrays
+    into a fresh buffer; Params.wrap views an existing buffer without
+    copying.
+    """
+
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -59,11 +73,31 @@ class Params:
     b_va1: np.ndarray
     w_va2: np.ndarray
     b_va2: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        arrays = [np.asarray(getattr(self, name), dtype=np.float64) for name in PARAM_FIELDS]
+        flat = np.concatenate([a.ravel() for a in arrays])
+        self._bind(flat, [a.shape for a in arrays])
+
+    def _bind(self, flat: np.ndarray, shapes) -> None:
+        object.__setattr__(self, "flat", flat)
+        offset = 0
+        for name, shape in zip(PARAM_FIELDS, shapes):
+            end = offset + math.prod(shape)
+            object.__setattr__(self, name, flat[offset:end].reshape(shape))
+            offset = end
+
+    @classmethod
+    def wrap(cls, flat: np.ndarray, like: Params) -> Params:
+        """Params viewing flat (not copied), with the field shapes of like."""
+        params = cls.__new__(cls)
+        params._bind(flat, [getattr(like, name).shape for name in PARAM_FIELDS])
+        return params
 
 
-PARAM_FIELDS = tuple(f.name for f in fields(Params))
+PARAM_FIELDS = tuple(f.name for f in fields(Params) if f.init)
 BACKBONE_FIELDS = ("w1", "b1", "w2", "b2")
-HEAD_FIELDS = tuple(name for name in PARAM_FIELDS if name not in BACKBONE_FIELDS)
 
 
 def map_params(fn, *param_sets) -> Params:
@@ -77,7 +111,7 @@ def map_params(fn, *param_sets) -> Params:
 
 
 def zeros_like_params(params: Params) -> Params:
-    return map_params(lambda _, a: np.zeros_like(a), params)
+    return Params.wrap(np.zeros_like(params.flat), params)
 
 
 def init_params(config: ModelConfig, seed: int) -> Params:
@@ -180,33 +214,33 @@ def backward(
     """Exact gradients of a scalar loss given its head-output gradients.
 
     Any head whose upstream gradient is None contributes nothing.  d_va is
-    the gradient at the tanh output.
+    the gradient at the tanh output.  The result views one fresh buffer.
     """
-    grads = {name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS}
+    grads = zeros_like_params(params)
     d_features = np.zeros_like(cache.features)
 
     if d_exp_logits is not None:
-        grads["w_exp2"] = cache.h_exp.T @ d_exp_logits
-        grads["b_exp2"] = d_exp_logits.sum(axis=0)
+        np.matmul(cache.h_exp.T, d_exp_logits, out=grads.w_exp2)
+        d_exp_logits.sum(axis=0, out=grads.b_exp2)
         d_h_exp = d_exp_logits @ params.w_exp2.T
         d_a_exp = d_h_exp * (cache.a_exp > 0)
-        grads["w_exp1"] = cache.features.T @ d_a_exp
-        grads["b_exp1"] = d_a_exp.sum(axis=0)
+        np.matmul(cache.features.T, d_a_exp, out=grads.w_exp1)
+        d_a_exp.sum(axis=0, out=grads.b_exp1)
         d_features += d_a_exp @ params.w_exp1.T
 
     if d_au_logits is not None:
-        grads["w_au"] = cache.features.T @ d_au_logits
-        grads["b_au"] = d_au_logits.sum(axis=0)
+        np.matmul(cache.features.T, d_au_logits, out=grads.w_au)
+        d_au_logits.sum(axis=0, out=grads.b_au)
         d_features += d_au_logits @ params.w_au.T
 
     if d_va is not None:
         d_va_pre = d_va * (1.0 - cache.va * cache.va)
-        grads["w_va2"] = cache.h_va.T @ d_va_pre
-        grads["b_va2"] = d_va_pre.sum(axis=0)
+        np.matmul(cache.h_va.T, d_va_pre, out=grads.w_va2)
+        d_va_pre.sum(axis=0, out=grads.b_va2)
         d_h_va = d_va_pre @ params.w_va2.T
         d_a_va = d_h_va * (cache.a_va > 0)
-        grads["w_va1"] = cache.features.T @ d_a_va
-        grads["b_va1"] = d_a_va.sum(axis=0)
+        np.matmul(cache.features.T, d_a_va, out=grads.w_va1)
+        d_a_va.sum(axis=0, out=grads.b_va1)
         d_features += d_a_va @ params.w_va1.T
 
     # Through f = z / norm(z): dz = g/norm - z * (g . z) / norm^3.
@@ -214,17 +248,17 @@ def backward(
     dot = np.sum(d_features * cache.z2, axis=1)
     d_z2 = d_features * inv_norm[:, None] - cache.z2 * (dot * inv_norm**3)[:, None]
 
-    grads["w2"] = cache.h1.T @ d_z2
-    grads["b2"] = d_z2.sum(axis=0)
+    np.matmul(cache.h1.T, d_z2, out=grads.w2)
+    d_z2.sum(axis=0, out=grads.b2)
     d_h1 = d_z2 @ params.w2.T
     d_a1 = d_h1 * (cache.a1 > 0)
-    grads["w1"] = cache.x.T @ d_a1
-    grads["b1"] = d_a1.sum(axis=0)
-    return Params(**grads)
+    np.matmul(cache.x.T, d_a1, out=grads.w1)
+    d_a1.sum(axis=0, out=grads.b1)
+    return grads
 
 
 def add_grads(a: Params, b: Params) -> Params:
-    return map_params(lambda _, x, y: x + y, a, b)
+    return Params.wrap(a.flat + b.flat, a)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -286,22 +320,21 @@ def load_checkpoint(path) -> tuple[Params, ModelConfig, str]:
             missing = [n for n in PARAM_FIELDS if f"param_{n}" not in data]
             if missing:
                 raise DataError(f"checkpoint missing parameters: {missing}")
-            params = Params(**{n: data[f"param_{n}"] for n in PARAM_FIELDS})
+            arrays = {n: data[f"param_{n}"] for n in PARAM_FIELDS}
             config_hash = str(data["config_hash"])
     except (OSError, ValueError, KeyError) as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from None
-    for name in PARAM_FIELDS:
-        arr = getattr(params, name)
+    for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
             raise DataError(f"checkpoint parameter {name} has non-finite values")
     expected = init_shapes(config)
-    for name in PARAM_FIELDS:
-        if getattr(params, name).shape != expected[name]:
+    for name, arr in arrays.items():
+        if arr.shape != expected[name]:
             raise DataError(
                 f"checkpoint parameter {name} has shape "
-                f"{getattr(params, name).shape}, expected {expected[name]}"
+                f"{arr.shape}, expected {expected[name]}"
             )
-    return params, config, config_hash
+    return Params(**arrays), config, config_hash
 
 
 def init_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:

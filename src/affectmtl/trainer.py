@@ -8,6 +8,11 @@ pseudo-label cross entropy, the rest a weak/strong symmetric KL.  Gradients
 flow through both forward passes; the backbone and the heads update with
 separate Adam learning rates.
 
+Adam runs over the flat parameter buffer (see network.Params): its moments
+are flat arrays updated in place, block by block, with one scalar rate per
+run of adjacent fields (backbone, then heads); each step returns its
+parameters in a fresh buffer, so a kept best-epoch Params never changes.
+
 Samples invalid for every task are skipped by every term, supervised and
 semi-supervised alike, so they contribute exactly zero gradient.
 
@@ -57,11 +62,9 @@ from .network import (
     backward,
     forward_with_cache,
     init_params,
-    map_params,
     sigmoid,
     softmax,
     softmax_backward,
-    zeros_like_params,
 )
 from .pseudo_label import (
     ClassStatAccumulator,
@@ -238,15 +241,40 @@ def batch_loss_and_grads(
     return breakdown, grads
 
 
+# Elements per Adam block.  Adam makes about a dozen passes over each
+# block; a block of each array it touches (256 KB) stays in a 2 MB L2
+# cache between passes, where a flat array at width 256 (268,822 elements,
+# 2.1 MB) does not.  On a 2-vCPU Xeon a width-256 step took 3.2 ms in
+# blocks of 2^15, 3.6 ms at 2^13 and 3.8 ms as whole-array passes.
+ADAM_BLOCK = 1 << 15
+
+
 @dataclass(frozen=True, eq=False)
 class AdamState:
-    m: Params
-    v: Params
+    """First and second moments, flat and laid out like Params.flat."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int
 
 
 def adam_init(params: Params) -> AdamState:
-    return AdamState(m=zeros_like_params(params), v=zeros_like_params(params), t=0)
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), t=0)
+
+
+def _rate_runs(params: Params, lr_by_field: dict[str, float]):
+    """(start, stop, rate) over maximal runs of adjacent fields sharing a rate."""
+    runs = []
+    start = 0
+    for name in PARAM_FIELDS:
+        stop = start + getattr(params, name).size
+        rate = lr_by_field[name]
+        if runs and runs[-1][2] == rate:
+            runs[-1][1] = stop
+        else:
+            runs.append([start, stop, rate])
+        start = stop
+    return runs
 
 
 def adam_step(
@@ -258,17 +286,45 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[Params, AdamState]:
-    """Bias-corrected Adam with a per-parameter-group learning rate."""
+    """Bias-corrected Adam with a per-parameter-group learning rate.
+
+    The moments of state are updated in place, so the state passed in is
+    consumed: use only the returned one afterwards.  params and grads are
+    never written; the new parameters live in a fresh buffer, so callers
+    may keep earlier Params.  Each formula keeps the operation order of
+    the elementwise textbook form, block by block over the flat buffer.
+    """
     t = state.t + 1
-    m = map_params(lambda _, mo, g: beta1 * mo + (1 - beta1) * g, state.m, grads)
-    v = map_params(lambda _, vo, g: beta2 * vo + (1 - beta2) * g * g, state.v, grads)
     corr1 = 1.0 - beta1**t
     corr2 = 1.0 - beta2**t
-
-    def update(name, p, mn, vn):
-        return p - lr_by_field[name] * (mn / corr1) / (np.sqrt(vn / corr2) + eps)
-
-    return map_params(update, params, m, v), AdamState(m=m, v=v, t=t)
+    new = np.empty_like(params.flat)
+    scratch = np.empty(min(ADAM_BLOCK, new.size))
+    for start, stop, lr in _rate_runs(params, lr_by_field):
+        for lo in range(start, stop, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, stop)
+            g = grads.flat[lo:hi]
+            m = state.m[lo:hi]
+            v = state.v[lo:hi]
+            s = scratch[: hi - lo]
+            out = new[lo:hi]
+            # m' = beta1*m + (1-beta1)*g
+            np.multiply(m, beta1, out=m)
+            np.multiply(g, 1 - beta1, out=s)
+            np.add(m, s, out=m)
+            # v' = beta2*v + ((1-beta2)*g)*g
+            np.multiply(v, beta2, out=v)
+            np.multiply(g, 1 - beta2, out=s)
+            np.multiply(s, g, out=s)
+            np.add(v, s, out=v)
+            # p' = p - (lr*(m'/c1)) / (sqrt(v'/c2) + eps)
+            np.divide(v, corr2, out=s)
+            np.sqrt(s, out=s)
+            np.add(s, eps, out=s)
+            np.divide(m, corr1, out=out)
+            np.multiply(out, lr, out=out)
+            np.divide(out, s, out=out)
+            np.subtract(params.flat[lo:hi], out, out=out)
+    return Params.wrap(new, params), AdamState(m=state.m, v=state.v, t=t)
 
 
 def lr_map(config: RunConfig) -> dict[str, float]:

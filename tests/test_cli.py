@@ -256,6 +256,17 @@ class TestEvaluate:
         assert run_cli("evaluate", "--data", tmp_path / "d12",
                        "--checkpoint", run_dir / "checkpoint.npz") == 2
 
+    def test_empty_manifest_exits_2(self, run_dir, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("train_count=5\nval_count=0\nimage_size=8\n")
+        assert run_cli("synth", "--out", tmp_path / "d", "--config", cfg) == 0
+        capsys.readouterr()
+        assert run_cli("evaluate", "--data", tmp_path / "d",
+                       "--checkpoint", run_dir / "checkpoint.npz") == 2
+        err = capsys.readouterr().err
+        assert "manifest val.csv has no samples" in err
+        assert "expects" not in err and "Traceback" not in err
+
     def test_missing_checkpoint_exits_2(self, data_dir, tmp_path):
         assert run_cli("evaluate", "--data", data_dir,
                        "--checkpoint", tmp_path / "nope.npz") == 2

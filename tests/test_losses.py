@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affectmtl.errors import DataError
 from affectmtl.losses import (
+    PROB_FLOOR,
     LossWeights,
     TrainMode,
     ccc,
@@ -338,6 +339,54 @@ class TestConsistency:
         assert value == consistency_loss(weak, strong, mask)
         fd_check(lambda a: consistency_loss(a, strong, mask), weak, d_w, atol=1e-5)
         fd_check(lambda b: consistency_loss(weak, b, mask), strong, d_s, atol=1e-5)
+
+
+def _consistency_rows(weak, strong, mask):
+    """consistency_loss_grad by its definition: symmetric_kl_grad per masked row."""
+    idx = np.flatnonzero(mask)
+    d_weak = np.zeros_like(weak)
+    d_strong = np.zeros_like(strong)
+    if len(idx) == 0:
+        return 0.0, d_weak, d_strong
+    total = 0.0
+    for i in idx:
+        value, d_p, d_q = symmetric_kl_grad(weak[i], strong[i])
+        total += value
+        d_weak[i] = d_p / len(idx)
+        d_strong[i] = d_q / len(idx)
+    return total / len(idx), d_weak, d_strong
+
+
+FLOOR_VALUES = (0.0, PROB_FLOOR / 2, PROB_FLOOR, 2 * PROB_FLOOR)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 24),
+    mask_bits=st.integers(0, 2**24 - 1),
+    floored=st.lists(
+        st.tuples(
+            st.integers(0, 1), st.integers(0, 23), st.integers(0, 7),
+            st.sampled_from(FLOOR_VALUES),
+        ),
+        max_size=8,
+    ),
+)
+@example(seed=0, n=1, mask_bits=1, floored=[(0, 0, 3, PROB_FLOOR), (1, 0, 5, 0.0)])
+@example(seed=1, n=4, mask_bits=0, floored=[])
+@example(seed=2, n=24, mask_bits=2**24 - 1, floored=[])
+def test_consistency_matches_per_row_reference_bitwise(seed, n, mask_bits, floored):
+    rng = np.random.default_rng(seed)
+    views = [rng.dirichlet(np.full(8, 0.5), size=n) for _ in range(2)]
+    for view, row, col, value in floored:
+        views[view][row % n, col] = value
+    mask = (mask_bits >> np.arange(n)) & 1 == 1
+    value, d_w, d_s = consistency_loss_grad(views[0], views[1], mask)
+    ref_value, ref_w, ref_s = _consistency_rows(views[0], views[1], mask)
+    assert value == ref_value
+    assert d_w.tobytes() == ref_w.tobytes()
+    assert d_s.tobytes() == ref_s.tobytes()
 
 
 class TestOverallLoss:

@@ -182,6 +182,39 @@ def test_map_params_and_zeros(rng):
     assert np.array_equal(scaled.w1, 2 * params.w1)
 
 
+class TestFlatParams:
+    def test_fields_are_views_of_flat_in_field_order(self):
+        params = init_params(MC, 0)
+        assert params.flat.dtype == np.float64 and params.flat.ndim == 1
+        offset = 0
+        for name in PARAM_FIELDS:
+            arr = getattr(params, name)
+            assert np.shares_memory(arr, params.flat)
+            assert arr.ctypes.data == params.flat.ctypes.data + offset * 8
+            offset += arr.size
+        assert offset == params.flat.size
+
+    def test_constructor_and_replace_build_fresh_buffers(self):
+        params = init_params(MC, 0)
+        w1 = np.ones_like(params.w1)
+        changed = replace(params, w1=w1)
+        assert not np.shares_memory(changed.flat, params.flat)
+        assert not np.shares_memory(changed.w1, w1)
+        assert np.array_equal(changed.w1, w1)
+        for name in PARAM_FIELDS[1:]:
+            assert np.array_equal(getattr(changed, name), getattr(params, name))
+        rebuilt = Params(**{name: getattr(params, name) for name in PARAM_FIELDS})
+        assert not np.shares_memory(rebuilt.flat, params.flat)
+
+    def test_gradients_share_one_buffer(self, rng):
+        params = init_params(MC, 2)
+        cache = forward_with_cache(params, rng.random((3, 6, 6)))
+        grads = backward(params, cache, d_exp_logits=rng.normal(size=(3, 8)))
+        for name in PARAM_FIELDS:
+            assert np.shares_memory(getattr(grads, name), grads.flat)
+        assert not np.shares_memory(grads.flat, params.flat)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params = init_params(MC, 11)

@@ -13,8 +13,16 @@ from affectmtl.data_model import (
 )
 from affectmtl.errors import DataError, DivergenceError
 from affectmtl.losses import LossWeights, TrainMode
-from affectmtl.network import PARAM_FIELDS, ModelConfig, init_params, zeros_like_params
+from affectmtl.network import (
+    BACKBONE_FIELDS,
+    PARAM_FIELDS,
+    ModelConfig,
+    init_params,
+    map_params,
+    zeros_like_params,
+)
 from affectmtl.trainer import (
+    ADAM_BLOCK,
     LOG_FIELDS,
     AdamState,
     adam_init,
@@ -242,8 +250,6 @@ class TestAdam:
     def test_constant_gradient_unit_steps(self):
         # With a constant gradient the bias-corrected step size approaches
         # the learning rate per step, regardless of the gradient scale.
-        from affectmtl.network import map_params
-
         params = self.params
         state = adam_init(params)
         grads = map_params(lambda _, p: np.full_like(p, 3.7), params)
@@ -270,6 +276,46 @@ class TestAdam:
         # First bias-corrected step is lr * g/(|g| + eps') ~= lr.
         step = self.params.w1 - new_params.w1
         assert np.all(np.abs(step - 0.01) < 1e-6)
+
+    def test_matches_per_field_reference_bitwise(self):
+        # Width 256 on 16x16 images: both rate runs span several blocks and
+        # end on a partial one.
+        params = init_params(ModelConfig(16, 16, hidden_width=256), 0)
+        backbone_size = sum(getattr(params, f).size for f in BACKBONE_FIELDS)
+        assert backbone_size > ADAM_BLOCK and backbone_size % ADAM_BLOCK
+        assert (params.flat.size - backbone_size) % ADAM_BLOCK
+        rates = lr_map(RunConfig(lr_base=0.001, lr_heads=0.01))
+        rng = np.random.default_rng(5)
+        ref = {f: getattr(params, f).copy() for f in PARAM_FIELDS}
+        ref_m = {f: np.zeros_like(a) for f, a in ref.items()}
+        ref_v = {f: np.zeros_like(a) for f, a in ref.items()}
+        state = adam_init(params)
+        for t in range(1, 4):
+            grads = map_params(lambda _, p: rng.normal(0.0, 0.1, p.shape), params)
+            params, state = adam_step(params, grads, state, rates)
+            corr1, corr2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for f in PARAM_FIELDS:
+                g = getattr(grads, f)
+                ref_m[f] = 0.9 * ref_m[f] + (1 - 0.9) * g
+                ref_v[f] = 0.999 * ref_v[f] + (1 - 0.999) * g * g
+                ref[f] = ref[f] - rates[f] * (ref_m[f] / corr1) / (
+                    np.sqrt(ref_v[f] / corr2) + 1e-8
+                )
+        assert state.t == 3
+        for f in PARAM_FIELDS:
+            assert getattr(params, f).tobytes() == ref[f].tobytes()
+        for flat, ref_moment in ((state.m, ref_m), (state.v, ref_v)):
+            expected = np.concatenate([ref_moment[f].ravel() for f in PARAM_FIELDS])
+            assert flat.tobytes() == expected.tobytes()
+
+    def test_inputs_unchanged_and_result_fresh(self):
+        grads = map_params(lambda _, p: np.full_like(p, 0.5), self.params)
+        params_bytes, grads_bytes = self.params.flat.tobytes(), grads.flat.tobytes()
+        new_params, state = adam_step(self.params, grads, adam_init(self.params), self.lr)
+        assert self.params.flat.tobytes() == params_bytes
+        assert grads.flat.tobytes() == grads_bytes
+        for other in (self.params.flat, grads.flat, state.m, state.v):
+            assert not np.shares_memory(new_params.flat, other)
 
 
 class TestRunTraining:
@@ -363,6 +409,15 @@ class TestRunTraining:
         result = run_training(train, val, self.config(epochs=3))
         scores = [r.val_score.p_mtl for r in result.reports]
         assert result.best_epoch == int(np.argmax(scores))
+
+    def test_best_params_reproduce_logged_best_score(self):
+        train = small_packed(count=24, seed=0)
+        val = small_packed(count=10, seed=1)
+        result = run_training(train, val, self.config(epochs=3))
+        assert result.best_epoch < len(result.reports) - 1
+        assert not params_equal(result.best_params, result.final_params)
+        best = result.reports[result.best_epoch].val_score.p_mtl
+        assert evaluate_packed(result.best_params, val).p_mtl == best
 
     def test_divergence_carries_epoch_and_batch(self):
         train = small_packed(count=24, seed=0)
