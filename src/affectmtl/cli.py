@@ -9,7 +9,9 @@ partial file at an output path.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import operator
 import os
 import sys
 
@@ -21,16 +23,19 @@ from .config import (
     parse_synth_config,
 )
 from .data_model import (
+    N_EXPRESSION_CLASSES,
     dataset_stats,
     format_stats,
     generate_synthetic,
     load_images,
     load_manifest,
+    read_text,
     write_dataset,
 )
-from .errors import DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError
 from .network import load_checkpoint, save_checkpoint
 from .trainer import (
+    LOG_FIELDS,
     evaluate_packed,
     format_epoch_log,
     pack_dataset,
@@ -57,11 +62,6 @@ def _workers() -> int:
     return 1
 
 
-def _read_text(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_split(data_dir, manifest_name):
     dataset = load_manifest(os.path.join(data_dir, manifest_name))
     images = load_images(dataset, data_dir)
@@ -69,7 +69,9 @@ def _load_split(data_dir, manifest_name):
 
 
 def cmd_synth(args) -> int:
-    config = parse_synth_config(_read_text(args.config) if args.config else "")
+    config = parse_synth_config(read_text(args.config) if args.config else "")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     train_ds, train_images = generate_synthetic(config.train_config(), args.seed, prefix="train")
     val_ds, val_images = generate_synthetic(config.val_config(), args.seed + 1, prefix="val")
     write_dataset(args.out, "train.csv", train_ds, train_images)
@@ -88,7 +90,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
-    run_config = parse_run_config(_read_text(args.config) if args.config else "")
+    run_config = parse_run_config(read_text(args.config) if args.config else "")
     train_packed = _load_split(args.data, "train.csv")
     val_packed = _load_split(args.data, "val.csv")
     result = run_training(train_packed, val_packed, run_config, workers=_workers())
@@ -124,55 +126,43 @@ def cmd_evaluate(args) -> int:
             f"({model_config.image_height}, {model_config.image_width})"
         )
     score = evaluate_packed(params, packed)
-    print(
-        json.dumps(
-            {
-                "p_va": score.p_va,
-                "p_exp": score.p_exp,
-                "p_au": score.p_au,
-                "p_mtl": score.p_mtl,
-                "ccc_valence": score.ccc_valence,
-                "ccc_arousal": score.ccc_arousal,
-                "exp_f1": list(score.exp_f1),
-                "au_f1": list(score.au_f1),
-                "va_degenerate": score.va_degenerate,
-            }
-        )
-    )
+    print(json.dumps(dataclasses.asdict(score)))
     return 0
 
 
-CURVE_COLUMNS = (
-    ["epoch", "l_exp_sup", "l_exp_unsup", "l_exp_cons", "l_au", "l_va", "l_exp",
-     "l_total", "confident_fraction"]
-    + [f"T{c}" for c in range(8)]
-    + ["val_p_va", "val_p_exp", "val_p_au", "val_p_mtl"]
-)
+# LOG_FIELDS with the thresholds list expanded to one column per class.
+CURVE_COLUMNS = [
+    column
+    for name in LOG_FIELDS
+    for column in (
+        [f"T{c}" for c in range(N_EXPRESSION_CLASSES)] if name == "thresholds" else [name]
+    )
+]
+
+
+def _curve_row(record: dict) -> list[str]:
+    """One CSV row: the record's LOG_FIELDS values, thresholds expanded."""
+    thresholds = record["thresholds"]
+    if not isinstance(thresholds, list) or len(thresholds) != N_EXPRESSION_CLASSES:
+        raise DataError(f"expected a list of {N_EXPRESSION_CLASSES} thresholds")
+    row = []
+    for name in LOG_FIELDS:
+        if name == "epoch":
+            row.append(str(operator.index(record[name])))
+        elif name == "thresholds":
+            row.extend(repr(float(t)) for t in thresholds)
+        else:
+            row.append(repr(float(record[name])))
+    return row
 
 
 def cmd_curves(args) -> int:
-    records = parse_epoch_log(_read_text(args.log))
     lines = [",".join(CURVE_COLUMNS)]
-    for i, record in enumerate(records, start=1):
-        thresholds = record["thresholds"]
-        if len(thresholds) != 8:
-            raise DataError(f"log record {i}: expected 8 thresholds, got {len(thresholds)}")
-        row = (
-            [str(record["epoch"])]
-            + [
-                repr(float(record[k]))
-                for k in (
-                    "l_exp_sup", "l_exp_unsup", "l_exp_cons", "l_au", "l_va",
-                    "l_exp", "l_total", "confident_fraction",
-                )
-            ]
-            + [repr(float(t)) for t in thresholds]
-            + [
-                repr(float(record[k]))
-                for k in ("val_p_va", "val_p_exp", "val_p_au", "val_p_mtl")
-            ]
-        )
-        lines.append(",".join(row))
+    for i, record in enumerate(parse_epoch_log(read_text(args.log)), start=1):
+        try:
+            lines.append(",".join(_curve_row(record)))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{args.log}: log record {i}: {exc}") from None
     with atomic_open(args.out, encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0

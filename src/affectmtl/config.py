@@ -2,18 +2,22 @@
 
 One `key=value` pair per line; blank lines and `#` comments are ignored.
 Unknown or duplicate keys are rejected so a typo cannot silently fall back
-to a default.  dump_run_config materializes every default with repr floats,
-and parse(dump(config)) == config holds exactly; the sha256 of that dump
+to a default.  The keys are the config dataclasses' fields in declaration
+order, and each value parses as the type of its field's default.
+dump_run_config materializes every default with repr floats, and
+parse(dump(config)) == config holds exactly; the sha256 of that dump
 identifies the configuration inside checkpoints.
 """
 
 from __future__ import annotations
 
+import enum
 import hashlib
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 from .augmentation import AugConfig
-from .data_model import N_EXPRESSION_CLASSES, UNIFORM_PRIORS, SynthConfig
+from .data_model import UNIFORM_PRIORS, SynthConfig
 from .errors import ConfigError
 from .losses import LossWeights, TrainMode
 from .pseudo_label import ThresholdConfig
@@ -48,6 +52,8 @@ class RunConfig:
             )
         if self.hidden_width < 1:
             raise ConfigError(f"hidden_width must be >= 1, got {self.hidden_width}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -69,108 +75,73 @@ def parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-def _convert(key: str, value: str, kind):
+def _convert(key: str, value: str, default):
+    """Parse value as the type of the field's default: an enum or str
+    (both lower-cased), a tuple of floats, an int, or a finite float."""
+    kind = type(default)
+    if isinstance(default, enum.Enum):
+        try:
+            return kind(value.lower())
+        except ValueError:
+            raise ConfigError(
+                f"key {key!r}: {value!r} is not one of {[m.value for m in kind]}"
+            ) from None
+    if kind is str:
+        return value.lower()
+    if kind is tuple:
+        parts = value.split(",")
+        if len(parts) != len(default):
+            raise ConfigError(f"{key} needs {len(default)} comma-separated values")
+        return tuple(_convert(key, p.strip(), default[0]) for p in parts)
     try:
-        if kind is int:
-            return int(value)
-        if kind is float:
-            return float(value)
+        parsed = kind(value)
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse {value!r} as {kind.__name__}") from None
-    raise ConfigError(f"key {key!r}: unsupported type")
+    if kind is float and not math.isfinite(parsed):
+        raise ConfigError(f"key {key!r}: {value!r} is not a finite number")
+    return parsed
 
 
-_TOP_KEYS = {
-    "epochs": int,
-    "batch_size": int,
-    "lr_base": float,
-    "lr_heads": float,
-    "seed": int,
-    "hidden_width": int,
-}
-_WEIGHT_KEYS = {"lambda_sup": "sup", "lambda_unsup": "unsup", "lambda_cons": "cons"}
-_THRESHOLD_KEYS = {
-    "threshold_beta": "beta",
-    "threshold_gamma": "gamma",
-    "threshold_momentum": "momentum",
-}
-_AUG_KEYS = {
-    "crop_padding": int,
-    "flip_prob": float,
-    "strong_ops_per_image": int,
-    "brightness_delta": float,
-    "contrast_low": float,
-    "contrast_high": float,
-    "rotation_max_deg": float,
-    "cutout_max_frac": float,
-}
+# Key prefix of each nested config's fields in a run config file.
+_SECTIONS = {"loss_weights": "lambda_", "thresholds": "threshold_", "augment": ""}
+
+
+def _run_keys(config: RunConfig):
+    """(key, section, field name, value) per run config key, in dump order.
+
+    section is None for RunConfig's own fields.
+    """
+    for f in fields(RunConfig):
+        value = getattr(config, f.name)
+        if f.name in _SECTIONS:
+            for sub in fields(value):
+                key = _SECTIONS[f.name] + sub.name
+                yield key, f.name, sub.name, getattr(value, sub.name)
+        else:
+            yield f.name, None, f.name, value
 
 
 def parse_run_config(text: str) -> RunConfig:
-    pairs = parse_kv(text)
-    config = RunConfig()
-    weights = config.loss_weights
-    thresholds = config.thresholds
-    augment = config.augment
-    top: dict = {}
-    for key, value in pairs.items():
-        if key in _TOP_KEYS:
-            top[key] = _convert(key, value, _TOP_KEYS[key])
-        elif key == "mode":
-            try:
-                top["mode"] = TrainMode(value.strip().lower())
-            except ValueError:
-                raise ConfigError(
-                    f"key 'mode': {value!r} is not one of "
-                    f"{[m.value for m in TrainMode]}"
-                ) from None
-        elif key == "imbalance":
-            top["imbalance"] = value.strip().lower()
-        elif key in _WEIGHT_KEYS:
-            weights = replace(
-                weights, **{_WEIGHT_KEYS[key]: _convert(key, value, float)}
-            )
-        elif key in _THRESHOLD_KEYS:
-            thresholds = replace(
-                thresholds, **{_THRESHOLD_KEYS[key]: _convert(key, value, float)}
-            )
-        elif key in _AUG_KEYS:
-            augment = replace(augment, **{key: _convert(key, value, _AUG_KEYS[key])})
-        else:
+    defaults = RunConfig()
+    known = {key: (section, name, value) for key, section, name, value in _run_keys(defaults)}
+    updates: dict = {section: {} for section in (None, *_SECTIONS)}
+    for key, value in parse_kv(text).items():
+        if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-    return replace(
-        config, loss_weights=weights, thresholds=thresholds, augment=augment, **top
-    )
+        section, name, default = known[key]
+        updates[section][name] = _convert(key, value, default)
+    top = updates.pop(None)
+    for section, changes in updates.items():
+        top[section] = replace(getattr(defaults, section), **changes)
+    return replace(defaults, **top)
 
 
 def dump_run_config(config: RunConfig) -> str:
-    """Every key, defaults included, in a fixed order; floats via repr."""
-    w, t, a = config.loss_weights, config.thresholds, config.augment
-    lines = [
-        f"epochs={config.epochs}",
-        f"batch_size={config.batch_size}",
-        f"lr_base={config.lr_base!r}",
-        f"lr_heads={config.lr_heads!r}",
-        f"mode={config.mode.value}",
-        f"imbalance={config.imbalance}",
-        f"seed={config.seed}",
-        f"hidden_width={config.hidden_width}",
-        f"lambda_sup={w.sup!r}",
-        f"lambda_unsup={w.unsup!r}",
-        f"lambda_cons={w.cons!r}",
-        f"threshold_beta={t.beta!r}",
-        f"threshold_gamma={t.gamma!r}",
-        f"threshold_momentum={t.momentum!r}",
-        f"crop_padding={a.crop_padding}",
-        f"flip_prob={a.flip_prob!r}",
-        f"strong_ops_per_image={a.strong_ops_per_image}",
-        f"brightness_delta={a.brightness_delta!r}",
-        f"contrast_low={a.contrast_low!r}",
-        f"contrast_high={a.contrast_high!r}",
-        f"rotation_max_deg={a.rotation_max_deg!r}",
-        f"cutout_max_frac={a.cutout_max_frac!r}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Every key, defaults included, in field order; floats via repr."""
+    return "".join(
+        f"{key}={value.value if isinstance(value, enum.Enum) else value}\n"
+        for key, _, _, value in _run_keys(config)
+    )
 
 
 def config_hash(config: RunConfig) -> str:
@@ -201,18 +172,12 @@ class SynthFileConfig:
     val_class_priors: tuple[float, ...] = UNIFORM_PRIORS
 
     def _split_config(self, count: int, priors: tuple[float, ...]) -> SynthConfig:
-        return SynthConfig(
-            count=count,
-            image_size=self.image_size,
-            class_priors=priors,
-            exp_mask_rate=self.exp_mask_rate,
-            va_mask_rate=self.va_mask_rate,
-            au_mask_rate=self.au_mask_rate,
-            pixel_noise=self.pixel_noise,
-            va_noise=self.va_noise,
-            template_contrast=self.template_contrast,
-            au_flip_prob=self.au_flip_prob,
-        )
+        shared = {
+            f.name: getattr(self, f.name)
+            for f in fields(SynthConfig)
+            if f.name not in ("count", "class_priors")
+        }
+        return SynthConfig(count=count, class_priors=priors, **shared)
 
     def train_config(self) -> SynthConfig:
         return self._split_config(self.train_count, self.class_priors)
@@ -221,35 +186,13 @@ class SynthFileConfig:
         return self._split_config(self.val_count, self.val_class_priors)
 
 
-_SYNTH_INT_KEYS = ("train_count", "val_count", "image_size")
-_SYNTH_FLOAT_KEYS = (
-    "exp_mask_rate",
-    "va_mask_rate",
-    "au_mask_rate",
-    "pixel_noise",
-    "va_noise",
-    "template_contrast",
-    "au_flip_prob",
-)
-
-
 def parse_synth_config(text: str) -> SynthFileConfig:
-    pairs = parse_kv(text)
+    known = {f.name: f.default for f in fields(SynthFileConfig)}
     updates: dict = {}
-    for key, value in pairs.items():
-        if key in _SYNTH_INT_KEYS:
-            updates[key] = _convert(key, value, int)
-        elif key in _SYNTH_FLOAT_KEYS:
-            updates[key] = _convert(key, value, float)
-        elif key in ("class_priors", "val_class_priors"):
-            parts = [p.strip() for p in value.split(",")]
-            if len(parts) != N_EXPRESSION_CLASSES:
-                raise ConfigError(
-                    f"{key} needs {N_EXPRESSION_CLASSES} comma-separated values"
-                )
-            updates[key] = tuple(_convert(key, p, float) for p in parts)
-        else:
+    for key, value in parse_kv(text).items():
+        if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
+        updates[key] = _convert(key, value, known[key])
     config = SynthFileConfig(**updates)
     if config.train_count < 0 or config.val_count < 0:
         raise ConfigError("counts must be >= 0")

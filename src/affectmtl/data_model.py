@@ -143,6 +143,8 @@ def parse_manifest(text: str) -> Dataset:
         image_ref = fields[0].strip()
         if not image_ref:
             raise DataError(f"row {lineno}: empty image path")
+        if "\0" in image_ref:
+            raise DataError(f"row {lineno}: NUL byte in image path")
         if image_ref in seen_ids:
             raise DataError(f"row {lineno}: duplicate image path {image_ref!r}")
         seen_ids.add(image_ref)
@@ -311,8 +313,9 @@ class SynthConfig:
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {rate}")
         for name in ("pixel_noise", "va_noise", "template_contrast"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            # signbit also rejects -0.0, which numpy refuses as a noise scale.
+            if np.signbit(getattr(self, name)):
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def class_template(label: int, size: int, contrast: float) -> np.ndarray:
@@ -383,9 +386,21 @@ def write_dataset(root, manifest_name: str, dataset: Dataset, images: np.ndarray
         fh.write(serialize_manifest(dataset))
 
 
-def load_manifest(path) -> Dataset:
+def read_text(path) -> str:
+    """The UTF-8 text of a file; other bytes raise DataError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_manifest(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def load_manifest(path) -> Dataset:
+    text = read_text(path)
+    try:
+        return parse_manifest(text)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_images(dataset: Dataset, root) -> np.ndarray:

@@ -317,27 +317,16 @@ def overall_loss(
     weights: LossWeights,
     mode: TrainMode,
 ) -> LossBreakdown:
-    """Combine the five terms according to the training mode.
+    """Combine the five terms with the coefficients effective_lambdas gives.
 
-    Supervised mode keeps only the supervised CE (coefficient 1) and zeroes
-    the semi-supervised terms; the no-KL variant drops just the consistency
-    term; the full mode applies all three coefficients.
+    A term the mode drops (zero coefficient even at unit weights) is
+    reported as 0.
     """
-    mode = TrainMode(mode)
-    if mode is TrainMode.SUPERVISED:
-        l_exp_unsup = 0.0
-        l_exp_cons = 0.0
-        l_exp = l_exp_sup
-    elif mode is TrainMode.SEMI_NO_KL:
-        l_exp_cons = 0.0
-        l_exp = weights.sup * l_exp_sup + weights.unsup * l_exp_unsup
-    else:
-        l_exp = (
-            weights.sup * l_exp_sup
-            + weights.unsup * l_exp_unsup
-            + weights.cons * l_exp_cons
-        )
-    total = l_exp + l_au + l_va
+    lam_sup, lam_unsup, lam_cons = effective_lambdas(weights, mode)
+    _, keep_unsup, keep_cons = effective_lambdas(LossWeights(1.0, 1.0, 1.0), mode)
+    l_exp_unsup = l_exp_unsup if keep_unsup else 0.0
+    l_exp_cons = l_exp_cons if keep_cons else 0.0
+    l_exp = lam_sup * l_exp_sup + lam_unsup * l_exp_unsup + lam_cons * l_exp_cons
     return LossBreakdown(
         l_exp_sup=l_exp_sup,
         l_exp_unsup=l_exp_unsup,
@@ -345,7 +334,7 @@ def overall_loss(
         l_au=l_au,
         l_va=l_va,
         l_exp=l_exp,
-        total=total,
+        total=l_exp + l_au + l_va,
     )
 
 

@@ -22,6 +22,8 @@ arithmetic.
 from __future__ import annotations
 
 import math
+import zipfile
+import zlib
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -114,32 +116,31 @@ def zeros_like_params(params: Params) -> Params:
     return Params.wrap(np.zeros_like(params.flat), params)
 
 
+def init_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    h, d = config.hidden_width, config.input_dim
+    return {
+        "w1": (d, h), "b1": (h,), "w2": (h, h), "b2": (h,),
+        "w_exp1": (h, h), "b_exp1": (h,), "w_exp2": (h, 8), "b_exp2": (8,),
+        "w_au": (h, 12), "b_au": (12,),
+        "w_va1": (h, h), "b_va1": (h,), "w_va2": (h, 2), "b_va2": (2,),
+    }
+
+
 def init_params(config: ModelConfig, seed: int) -> Params:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
+    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases.
+
+    Weights are drawn in init_shapes order; reordering it changes the
+    initialisation of every seed.
+    """
     rng = np.random.default_rng(seed)
-    h = config.hidden_width
-    d = config.input_dim
-
-    def weight(fan_in, fan_out):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, (fan_in, fan_out))
-
-    return Params(
-        w1=weight(d, h),
-        b1=np.zeros(h),
-        w2=weight(h, h),
-        b2=np.zeros(h),
-        w_exp1=weight(h, h),
-        b_exp1=np.zeros(h),
-        w_exp2=weight(h, 8),
-        b_exp2=np.zeros(8),
-        w_au=weight(h, 12),
-        b_au=np.zeros(12),
-        w_va1=weight(h, h),
-        b_va1=np.zeros(h),
-        w_va2=weight(h, 2),
-        b_va2=np.zeros(2),
-    )
+    arrays = {}
+    for name, shape in init_shapes(config).items():
+        if name.startswith("w"):
+            bound = 1.0 / np.sqrt(shape[0])
+            arrays[name] = rng.uniform(-bound, bound, shape)
+        else:
+            arrays[name] = np.zeros(shape)
+    return Params(**arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,54 +295,52 @@ def save_checkpoint(path, params: Params, config: ModelConfig, config_hash: str)
         np.savez(
             fh,
             version=np.int64(CHECKPOINT_VERSION),
-            image_height=np.int64(config.image_height),
-            image_width=np.int64(config.image_width),
-            hidden_width=np.int64(config.hidden_width),
+            **{f.name: np.int64(getattr(config, f.name)) for f in fields(ModelConfig)},
             config_hash=np.str_(config_hash),
             **arrays,
         )
 
 
+def _int_field(data, key: str) -> int:
+    value = data[key]
+    if value.shape != () or value.dtype.kind not in "iu":
+        raise DataError(f"field {key} is not an integer scalar")
+    return int(value)
+
+
 def load_checkpoint(path) -> tuple[Params, ModelConfig, str]:
+    """Parameters, model shape and config hash saved by save_checkpoint.
+
+    A file that is not such a checkpoint raises DataError naming path.
+    """
     try:
-        with np.load(path) as data:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise DataError("not an npz archive")
+        with data:
             if "version" not in data:
-                raise DataError("checkpoint missing version field")
-            version = int(data["version"])
+                raise DataError("missing version field")
+            version = _int_field(data, "version")
             if version != CHECKPOINT_VERSION:
                 raise DataError(
                     f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}"
                 )
-            config = ModelConfig(
-                image_height=int(data["image_height"]),
-                image_width=int(data["image_width"]),
-                hidden_width=int(data["hidden_width"]),
-            )
+            config = ModelConfig(*(_int_field(data, f.name) for f in fields(ModelConfig)))
             missing = [n for n in PARAM_FIELDS if f"param_{n}" not in data]
             if missing:
-                raise DataError(f"checkpoint missing parameters: {missing}")
+                raise DataError(f"missing parameters: {missing}")
             arrays = {n: data[f"param_{n}"] for n in PARAM_FIELDS}
             config_hash = str(data["config_hash"])
-    except (OSError, ValueError, KeyError) as exc:
+        expected = init_shapes(config)
+        for name, arr in arrays.items():
+            if arr.dtype.kind not in "biuf":
+                raise DataError(f"parameter {name} is not real-valued (dtype {arr.dtype})")
+            if not np.all(np.isfinite(arr)):
+                raise DataError(f"parameter {name} has non-finite values")
+            if arr.shape != expected[name]:
+                raise DataError(
+                    f"parameter {name} has shape {arr.shape}, expected {expected[name]}"
+                )
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from None
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise DataError(f"checkpoint parameter {name} has non-finite values")
-    expected = init_shapes(config)
-    for name, arr in arrays.items():
-        if arr.shape != expected[name]:
-            raise DataError(
-                f"checkpoint parameter {name} has shape "
-                f"{arr.shape}, expected {expected[name]}"
-            )
     return Params(**arrays), config, config_hash
-
-
-def init_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    h, d = config.hidden_width, config.input_dim
-    return {
-        "w1": (d, h), "b1": (h,), "w2": (h, h), "b2": (h,),
-        "w_exp1": (h, h), "b_exp1": (h,), "w_exp2": (h, 8), "b_exp2": (8,),
-        "w_au": (h, 12), "b_au": (12,),
-        "w_va1": (h, h), "b_va1": (h,), "w_va2": (h, 2), "b_va2": (2,),
-    }

@@ -29,12 +29,12 @@ def read_pgm(path) -> np.ndarray:
     """Read a binary PGM into a float array in [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
-    magic, pos = _token(data, 0)
+    magic, pos = _token(data, 0, path)
     if magic != b"P5":
         raise DataError(f"{path}: not a binary PGM (magic {magic!r})")
     fields = []
     for name in ("width", "height", "maxval"):
-        tok, pos = _token(data, pos)
+        tok, pos = _token(data, pos, path)
         try:
             fields.append(int(tok))
         except ValueError:
@@ -52,7 +52,7 @@ def read_pgm(path) -> np.ndarray:
     return pixels.astype(np.float64) / 255.0
 
 
-def _token(data: bytes, pos: int) -> tuple[bytes, int]:
+def _token(data: bytes, pos: int, path) -> tuple[bytes, int]:
     while pos < len(data):
         char = data[pos]
         if char in _WHITESPACE:
@@ -66,5 +66,5 @@ def _token(data: bytes, pos: int) -> tuple[bytes, int]:
     while pos < len(data) and data[pos] not in _WHITESPACE:
         pos += 1
     if start == pos:
-        raise DataError("unexpected end of PGM header")
+        raise DataError(f"{path}: unexpected end of PGM header")
     return data[start:pos], pos

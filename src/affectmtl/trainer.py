@@ -23,7 +23,7 @@ view, every loss, and the final parameters are identical across runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -131,12 +131,7 @@ class BatchTargets:
 
 def slice_targets(packed: PackedDataset, indices: np.ndarray) -> BatchTargets:
     return BatchTargets(
-        gold_exp=packed.gold_exp[indices],
-        gold_au=packed.gold_au[indices],
-        gold_va=packed.gold_va[indices],
-        exp_valid=packed.exp_valid[indices],
-        au_valid=packed.au_valid[indices],
-        va_valid=packed.va_valid[indices],
+        **{f.name: getattr(packed, f.name)[indices] for f in fields(BatchTargets)}
     )
 
 
@@ -496,7 +491,7 @@ def run_training(
         schedule = make_epoch_schedule(
             train_packed, config.imbalance, schedule_rng, w_exp
         )
-        sums = np.zeros(7)
+        sums = np.zeros(len(fields(LossBreakdown)))
         n_batches = 0
         unlabeled_total = 0
         confident_total = 0
@@ -506,10 +501,7 @@ def run_training(
             state, breakdown, info = train_step(
                 state, train_packed, batch, config, w_exp, w_au, epoch, batch_number
             )
-            sums += (
-                breakdown.l_exp_sup, breakdown.l_exp_unsup, breakdown.l_exp_cons,
-                breakdown.l_au, breakdown.l_va, breakdown.l_exp, breakdown.total,
-            )
+            sums += astuple(breakdown)
             n_batches += 1
             unlabeled_total += info.n_unlabeled
             confident_total += info.n_confident
@@ -582,8 +574,10 @@ def parse_epoch_log(text: str) -> list[dict]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer too long to convert
             raise DataError(f"log line {lineno}: {exc}") from None
+        if not isinstance(record, dict):
+            raise DataError(f"log line {lineno}: expected a JSON object")
         missing = [f for f in LOG_FIELDS if f not in record]
         if missing:
             raise DataError(f"log line {lineno}: missing fields {missing}")

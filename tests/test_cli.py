@@ -324,3 +324,77 @@ class TestUsage:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "synth" in capsys.readouterr().out
+
+
+
+def _exits_2_naming(argv, named, capsys):
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert str(named) in err
+    assert "Traceback" not in err
+
+
+class TestCorruptInputs:
+    """Each bad input exits 2 with a message that names it, no traceback."""
+
+    @pytest.mark.parametrize(
+        "case", ["truncated", "string params", "complex params", "non-scalar version"]
+    )
+    def test_checkpoint(self, case, data_dir, run_dir, tmp_path, capsys):
+        good = run_dir / "checkpoint.npz"
+        bad = tmp_path / "bad.npz"
+        if case == "truncated":
+            bad.write_bytes(good.read_bytes()[:200])
+        else:
+            with np.load(good) as data:
+                arrays = dict(data)
+            w1 = arrays["param_w1"]
+            arrays.update({
+                "string params": {"param_w1": w1.astype(str)},
+                "complex params": {"param_w1": w1 + 1j},
+                "non-scalar version": {"version": np.array([1, 1])},
+            }[case])
+            with open(bad, "wb") as fh:
+                np.savez(fh, **arrays)
+        _exits_2_naming(["evaluate", "--data", data_dir, "--checkpoint", bad], bad, capsys)
+
+    @pytest.mark.parametrize("case", ["non-UTF-8", "NUL in image path"])
+    def test_manifest(self, case, data_dir, run_dir, tmp_path, capsys):
+        header, row, *_ = (data_dir / "val.csv").read_text().splitlines()
+        if case == "non-UTF-8":
+            row += "\xff"
+        else:
+            row = "images/a\0.pgm," + row.split(",", 1)[1]
+        (tmp_path / "val.csv").write_bytes(f"{header}\n{row}\n".encode("latin-1"))
+        (tmp_path / "images").symlink_to(data_dir / "images")
+        argv = ["evaluate", "--data", tmp_path, "--checkpoint", run_dir / "checkpoint.npz"]
+        _exits_2_naming(argv, tmp_path / "val.csv", capsys)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"l_va": "high"}, {"thresholds": 0.5}, {"val_p_au": 10**400}, {"epoch": "0,1"}],
+        ids=["non-numeric", "thresholds not a list", "overflowing number", "epoch not an int"],
+    )
+    def test_log_record(self, changes, run_dir, tmp_path, capsys):
+        first = json.loads((run_dir / "log.jsonl").read_text().splitlines()[0])
+        log = tmp_path / "log.jsonl"
+        log.write_text(json.dumps({**first, **changes}) + "\n")
+        _exits_2_naming(["curves", "--log", log, "--out", tmp_path / "c.csv"], log, capsys)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (b"\xfe\n", "run.cfg"),
+            (b"seed=-1\n", "seed"),
+            (b"rotation_max_deg=inf\n", "rotation_max_deg"),
+        ],
+    )
+    def test_run_config(self, text, named, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(SMALL_RUN.encode() + text)
+        argv = ["train", "--data", data_dir, "--config", cfg, "--out", tmp_path / "out"]
+        _exits_2_naming(argv, named, capsys)
+
+    def test_negative_synth_seed(self, tmp_path, capsys):
+        _exits_2_naming(["synth", "--out", tmp_path / "d", "--seed", "-1"], "--seed", capsys)

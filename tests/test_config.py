@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,10 @@ class TestRunConfig:
             "lambda_sup=-1\n",
             "threshold_gamma=1.0\n",
             "flip_prob=1.5\n",
+            "seed=-1\n",
+            "rotation_max_deg=inf\n",
+            "lr_base=nan\n",
+            "lambda_cons=nan\n",
         ],
     )
     def test_invalid_values_rejected(self, text):
@@ -185,6 +191,22 @@ class TestSynthFileConfig:
         with pytest.raises(ConfigError):
             parse_synth_config("exp_mask_rate=1.5\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "image_size=3\n",
+            "pixel_noise=nan\n",
+            "va_noise=inf\n",
+            "pixel_noise=-0.0\n",
+            "au_flip_prob=-inf\n",
+            "class_priors=nan,0.1,0.1,0.1,0.1,0.1,0.1,0.1\n",
+            "val_class_priors=1,1,1,1,1,1,1,inf\n",
+        ],
+    )
+    def test_invalid_values_rejected(self, text):
+        with pytest.raises(ConfigError):
+            parse_synth_config(text)
+
     def test_negative_count(self):
         with pytest.raises(ConfigError, match="counts"):
             parse_synth_config("train_count=-5\n")
@@ -198,3 +220,18 @@ class TestSynthFileConfig:
         assert train.class_priors == config.class_priors
         assert val.count == config.val_count
         assert val.class_priors == config.val_class_priors
+
+
+def _readme_block(title: str) -> dict[str, str]:
+    """key=value pairs of the code block under a README heading."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(rf"### {title}.*?```\n(.*?)```", readme, re.S).group(1)
+    return parse_kv("\n".join(block.split()))
+
+
+def test_readme_config_blocks_match_defaults():
+    run = _readme_block("Training config keys")
+    assert run == parse_kv(dump_run_config(RunConfig()))
+    synth = _readme_block("Generator config keys")
+    assert list(synth) == list(vars(SynthFileConfig()))
+    assert parse_synth_config("\n".join(f"{k}={v}" for k, v in synth.items())) == SynthFileConfig()
