@@ -6,9 +6,11 @@ annotations are marked with sentinels (-5 for valence/arousal, -1 for
 expression and action units) and always jointly: valence and arousal are
 missing together, and either all twelve action units are present or none is.
 
-This module parses/serializes the manifest CSV, computes per-task validity,
-dataset statistics and imbalance weights, and synthesizes seeded desk-scale
-datasets that stand in for real affect imagery.
+This module is the only place that reads sentinels: label_arrays decodes a
+dataset's annotations into one table of label arrays and per-task validity
+masks, which dataset statistics, training batches and scoring all use.  It
+also parses/serializes the manifest CSV, derives imbalance weights, and
+synthesizes seeded desk-scale datasets that stand in for real affect imagery.
 """
 
 from __future__ import annotations
@@ -70,44 +72,22 @@ class AnnotationSet:
 
 @dataclass(frozen=True)
 class Sample:
-    id: str
     image_ref: str
     annotations: AnnotationSet
 
 
 @dataclass(frozen=True)
-class TaskValidity:
-    va_valid: bool
-    exp_valid: bool
-    au_valid: bool
-
-    @property
-    def any_valid(self) -> bool:
-        return self.va_valid or self.exp_valid or self.au_valid
-
-
-def validity(sample) -> TaskValidity:
-    """Per-task validity flags for a Sample or a bare AnnotationSet."""
-    ann = getattr(sample, "annotations", sample)
-    return TaskValidity(
-        va_valid=ann.valence != VA_SENTINEL,
-        exp_valid=ann.expression != LABEL_SENTINEL,
-        au_valid=LABEL_SENTINEL not in ann.action_units,
-    )
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Immutable ordered collection of samples with unique ids."""
+    """Immutable ordered collection of samples with unique image paths."""
 
     samples: tuple[Sample, ...]
 
     def __post_init__(self):
         seen = set()
         for sample in self.samples:
-            if sample.id in seen:
-                raise DataError(f"duplicate sample id: {sample.id}")
-            seen.add(sample.id)
+            if sample.image_ref in seen:
+                raise DataError(f"duplicate image path: {sample.image_ref}")
+            seen.add(sample.image_ref)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -156,7 +136,7 @@ def parse_manifest(text: str) -> Dataset:
             annotations = AnnotationSet(valence, arousal, expression, units)
         except (ValueError, DataError) as exc:
             raise DataError(f"row {lineno}: {exc}") from None
-        samples.append(Sample(id=image_ref, image_ref=image_ref, annotations=annotations))
+        samples.append(Sample(image_ref, annotations))
     return Dataset(tuple(samples))
 
 
@@ -200,37 +180,68 @@ class DatasetStats:
     va_invalid_count: int
 
 
+@dataclass(frozen=True, eq=False)
+class LabelArrays:
+    """A dataset's labels as arrays, sentinels decoded into validity masks."""
+
+    gold_exp: np.ndarray    # (n,) int64, LABEL_SENTINEL where unlabeled
+    gold_au: np.ndarray     # (n, 12) int64, LABEL_SENTINEL where unlabeled
+    gold_va: np.ndarray     # (n, 2) float64, VA_SENTINEL where unlabeled
+    exp_valid: np.ndarray   # (n,) bool, one mask per task
+    au_valid: np.ndarray
+    va_valid: np.ndarray
+
+    @property
+    def any_valid(self) -> np.ndarray:
+        return self.exp_valid | self.au_valid | self.va_valid
+
+
+def label_arrays(dataset: Dataset) -> LabelArrays:
+    """Decode every sample's annotations in one pass."""
+    width = 3 + N_ACTION_UNITS
+    rows = np.fromiter(
+        (
+            value
+            for a in (s.annotations for s in dataset)
+            for value in (a.expression, a.valence, a.arousal, *a.action_units)
+        ),
+        dtype=np.float64,
+        count=len(dataset) * width,
+    ).reshape(len(dataset), width)
+    gold_exp = rows[:, 0].astype(np.int64)
+    gold_va = rows[:, 1:3].copy()
+    gold_au = rows[:, 3:].astype(np.int64)
+    return LabelArrays(
+        gold_exp=gold_exp,
+        gold_au=gold_au,
+        gold_va=gold_va,
+        exp_valid=gold_exp != LABEL_SENTINEL,
+        # AnnotationSet keeps the units missing jointly, so one column decides.
+        au_valid=gold_au[:, 0] != LABEL_SENTINEL,
+        va_valid=gold_va[:, 0] != VA_SENTINEL,
+    )
+
+
 def dataset_stats(dataset: Dataset) -> DatasetStats:
-    """Single-pass counts of valid annotations per task, class, and unit."""
-    exp_counts = [0] * N_EXPRESSION_CLASSES
-    au_pos = [0] * N_ACTION_UNITS
-    au_neg = [0] * N_ACTION_UNITS
-    exp_valid = au_valid = va_valid = 0
-    for sample in dataset:
-        flags = validity(sample)
-        ann = sample.annotations
-        if flags.exp_valid:
-            exp_valid += 1
-            exp_counts[ann.expression] += 1
-        if flags.au_valid:
-            au_valid += 1
-            for i, unit in enumerate(ann.action_units):
-                if unit == 1:
-                    au_pos[i] += 1
-                else:
-                    au_neg[i] += 1
-        if flags.va_valid:
-            va_valid += 1
+    """Counts of valid annotations per task, class, and unit."""
+    labels = label_arrays(dataset)
     total = len(dataset)
+    exp_valid = int(np.count_nonzero(labels.exp_valid))
+    au_valid = int(np.count_nonzero(labels.au_valid))
+    va_valid = int(np.count_nonzero(labels.va_valid))
+    exp_counts = np.bincount(
+        labels.gold_exp[labels.exp_valid], minlength=N_EXPRESSION_CLASSES
+    )
+    au_pos = np.count_nonzero(labels.gold_au[labels.au_valid] == 1, axis=0)
     return DatasetStats(
         total=total,
         exp_valid_count=exp_valid,
         exp_invalid_count=total - exp_valid,
-        exp_class_counts=tuple(exp_counts),
+        exp_class_counts=tuple(exp_counts.tolist()),
         au_valid_count=au_valid,
         au_invalid_count=total - au_valid,
-        au_pos_counts=tuple(au_pos),
-        au_neg_counts=tuple(au_neg),
+        au_pos_counts=tuple(au_pos.tolist()),
+        au_neg_counts=tuple((au_valid - au_pos).tolist()),
         va_valid_count=va_valid,
         va_invalid_count=total - va_valid,
     )
@@ -371,7 +382,7 @@ def generate_synthetic(
             else tuple(int(u) for u in units),
         )
         ref = f"images/{prefix}_{i:05d}.pgm"
-        samples.append(Sample(id=ref, image_ref=ref, annotations=annotations))
+        samples.append(Sample(ref, annotations))
     return Dataset(tuple(samples)), images
 
 

@@ -2,8 +2,10 @@
 
 The combined score sums three parts: mean concordance over the two affect
 dimensions, macro F1 over the 8 expression classes, and macro F1 over the
-12 action units.  Per-task validity masks exclude a sample only from the
-tasks it lacks labels for.
+12 action units.  Both F1 scores come from one per-column binary F1: the
+expression classes as the columns of one-hot labels, the action units as
+thresholded probabilities.  Per-task validity masks exclude a sample only
+from the tasks it lacks labels for.
 """
 
 from __future__ import annotations
@@ -12,25 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import N_ACTION_UNITS, N_EXPRESSION_CLASSES
+from .data_model import N_EXPRESSION_CLASSES
 from .errors import DataError
 from .losses import ccc
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    fn: int
+def column_f1(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Binary F1 of each column of two (n, k) boolean arrays.
 
-
-def f1_from_counts(counts: ConfusionCounts) -> float:
-    """2PR/(P+R) with any zero denominator collapsing that quantity to 0."""
-    precision = counts.tp / (counts.tp + counts.fp) if counts.tp + counts.fp else 0.0
-    recall = counts.tp / (counts.tp + counts.fn) if counts.tp + counts.fn else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    2PR/(P+R), with any zero denominator collapsing that quantity to 0.
+    """
+    tp = np.count_nonzero(pred & truth, axis=0)
+    fp = np.count_nonzero(pred & ~truth, axis=0)
+    fn = np.count_nonzero(~pred & truth, axis=0)
+    k = pred.shape[1]
+    precision = np.divide(tp, tp + fp, out=np.zeros(k), where=tp + fp > 0)
+    recall = np.divide(tp, tp + fn, out=np.zeros(k), where=tp + fn > 0)
+    both = precision + recall
+    return np.divide(2.0 * precision * recall, both, out=np.zeros(k), where=both > 0)
 
 
 def macro_f1(
@@ -45,12 +46,8 @@ def macro_f1(
         0 <= pred.min() and pred.max() < n_classes and 0 <= gold.min() and gold.max() < n_classes
     ):
         raise DataError(f"labels outside [0, {n_classes})")
-    per_class = np.zeros(n_classes)
-    for c in range(n_classes):
-        tp = int(np.count_nonzero((pred == c) & (gold == c)))
-        fp = int(np.count_nonzero((pred == c) & (gold != c)))
-        fn = int(np.count_nonzero((pred != c) & (gold == c)))
-        per_class[c] = f1_from_counts(ConfusionCounts(tp, fp, fn))
+    classes = np.arange(n_classes)
+    per_class = column_f1(pred.reshape(-1, 1) == classes, gold.reshape(-1, 1) == classes)
     return float(per_class.mean()), per_class
 
 
@@ -60,18 +57,10 @@ def au_macro_f1(
     """Binary F1 per unit (threshold 0.5, ties positive), averaged over units."""
     probs = np.asarray(probs, dtype=np.float64)
     gold = np.asarray(gold)
-    n = probs.shape[0]
     if mask is None:
-        mask = np.ones(n, dtype=bool)
+        mask = np.ones(probs.shape[0], dtype=bool)
     idx = np.flatnonzero(mask)
-    pred = probs[idx] >= 0.5
-    truth = gold[idx] == 1
-    per_unit = np.zeros(N_ACTION_UNITS)
-    for u in range(N_ACTION_UNITS):
-        tp = int(np.count_nonzero(pred[:, u] & truth[:, u]))
-        fp = int(np.count_nonzero(pred[:, u] & ~truth[:, u]))
-        fn = int(np.count_nonzero(~pred[:, u] & truth[:, u]))
-        per_unit[u] = f1_from_counts(ConfusionCounts(tp, fp, fn))
+    per_unit = column_f1(probs[idx] >= 0.5, gold[idx] == 1)
     return float(per_unit.mean()), per_unit
 
 

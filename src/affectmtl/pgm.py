@@ -45,9 +45,11 @@ def read_pgm(path) -> np.ndarray:
     if maxval != 255:
         raise DataError(f"{path}: only maxval 255 is supported, got {maxval}")
     pos += 1  # single whitespace byte separates the header from the payload
-    payload = data[pos : pos + width * height]
+    payload = data[pos:]
     if len(payload) != width * height:
-        raise DataError(f"{path}: truncated pixel data")
+        raise DataError(
+            f"{path}: expected {width * height} bytes of pixel data, got {len(payload)}"
+        )
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     return pixels.astype(np.float64) / 255.0
 

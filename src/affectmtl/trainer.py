@@ -30,13 +30,13 @@ import numpy as np
 from .augmentation import augment_views
 from .config import RunConfig
 from .data_model import (
-    LABEL_SENTINEL,
-    VA_SENTINEL,
     Dataset,
     DatasetStats,
+    LabelArrays,
     au_positive_weights,
     dataset_stats,
     expression_class_weights,
+    label_arrays,
 )
 from .errors import DataError, DivergenceError
 from .losses import (
@@ -75,16 +75,11 @@ from .pseudo_label import (
 
 
 @dataclass(frozen=True, eq=False)
-class PackedDataset:
-    """Dataset flattened to arrays for the training loop."""
+class PackedDataset(LabelArrays):
+    """Dataset flattened to arrays for the training loop: its label table,
+    its images and its annotation counts."""
 
     images: np.ndarray      # (n, h, w) in [0, 1]
-    gold_exp: np.ndarray    # (n,) with -1 where unlabeled
-    gold_au: np.ndarray     # (n, 12) with -1 where unlabeled
-    gold_va: np.ndarray     # (n, 2) with -5 where unlabeled
-    exp_valid: np.ndarray
-    au_valid: np.ndarray
-    va_valid: np.ndarray
     stats: DatasetStats
 
     def __len__(self) -> int:
@@ -95,43 +90,15 @@ def pack_dataset(dataset: Dataset, images: np.ndarray) -> PackedDataset:
     n = len(dataset)
     if images.shape[0] != n:
         raise DataError(f"{n} samples but {images.shape[0]} images")
-    gold_exp = np.full(n, LABEL_SENTINEL, dtype=np.int64)
-    gold_au = np.full((n, 12), LABEL_SENTINEL, dtype=np.int64)
-    gold_va = np.full((n, 2), VA_SENTINEL, dtype=np.float64)
-    for i, sample in enumerate(dataset):
-        ann = sample.annotations
-        gold_exp[i] = ann.expression
-        gold_au[i] = ann.action_units
-        gold_va[i] = (ann.valence, ann.arousal)
     return PackedDataset(
-        images=images,
-        gold_exp=gold_exp,
-        gold_au=gold_au,
-        gold_va=gold_va,
-        exp_valid=gold_exp != LABEL_SENTINEL,
-        au_valid=~np.any(gold_au == LABEL_SENTINEL, axis=1),
-        va_valid=gold_va[:, 0] != VA_SENTINEL,
-        stats=dataset_stats(dataset),
+        **vars(label_arrays(dataset)), images=images, stats=dataset_stats(dataset)
     )
 
 
-@dataclass(frozen=True, eq=False)
-class BatchTargets:
-    gold_exp: np.ndarray
-    gold_au: np.ndarray
-    gold_va: np.ndarray
-    exp_valid: np.ndarray
-    au_valid: np.ndarray
-    va_valid: np.ndarray
-
-    @property
-    def any_valid(self) -> np.ndarray:
-        return self.exp_valid | self.au_valid | self.va_valid
-
-
-def slice_targets(packed: PackedDataset, indices: np.ndarray) -> BatchTargets:
-    return BatchTargets(
-        **{f.name: getattr(packed, f.name)[indices] for f in fields(BatchTargets)}
+def slice_targets(packed: PackedDataset, indices: np.ndarray) -> LabelArrays:
+    """The label table of the samples at indices, in that order."""
+    return LabelArrays(
+        **{f.name: getattr(packed, f.name)[indices] for f in fields(LabelArrays)}
     )
 
 
@@ -169,7 +136,7 @@ def make_epoch_schedule(
 def batch_loss_and_grads(
     params: Params,
     weak_images: np.ndarray,
-    targets: BatchTargets,
+    targets: LabelArrays,
     w_exp: np.ndarray,
     w_au: np.ndarray,
     weights: LossWeights,

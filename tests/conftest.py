@@ -35,7 +35,7 @@ def annotation_sets(draw):
 def datasets(draw, min_size=0, max_size=8):
     anns = draw(st.lists(annotation_sets(), min_size=min_size, max_size=max_size))
     samples = tuple(
-        Sample(id=f"images/x_{i:05d}.pgm", image_ref=f"images/x_{i:05d}.pgm", annotations=a)
+        Sample(f"images/x_{i:05d}.pgm", a)
         for i, a in enumerate(anns)
     )
     return Dataset(samples)

@@ -17,7 +17,12 @@ import pytest
 
 from affectmtl.augmentation import augment_views
 from affectmtl.config import RunConfig, SynthFileConfig, TrainMode
-from affectmtl.data_model import SynthConfig, expression_class_weights, generate_synthetic
+from affectmtl.data_model import (
+    LabelArrays,
+    SynthConfig,
+    expression_class_weights,
+    generate_synthetic,
+)
 from affectmtl.losses import (
     LossWeights,
     ccc,
@@ -45,7 +50,6 @@ from affectmtl.pseudo_label import (
     partition_confident,
 )
 from affectmtl.trainer import (
-    BatchTargets,
     batch_loss_and_grads,
     format_epoch_log,
     make_epoch_schedule,
@@ -65,11 +69,11 @@ def _verdict(capsys, num: int, name: str, failures: list, detail: str = "") -> N
     assert not failures, f"criterion {num} {name}: " + "; ".join(str(f) for f in failures)
 
 
-def _make_targets(gold_exp, gold_au, gold_va) -> BatchTargets:
+def _make_targets(gold_exp, gold_au, gold_va) -> LabelArrays:
     gold_exp = np.asarray(gold_exp, dtype=np.int64)
     gold_au = np.asarray(gold_au, dtype=np.int64)
     gold_va = np.asarray(gold_va, dtype=np.float64)
-    return BatchTargets(
+    return LabelArrays(
         gold_exp=gold_exp,
         gold_au=gold_au,
         gold_va=gold_va,

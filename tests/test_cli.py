@@ -371,6 +371,16 @@ class TestCorruptInputs:
         argv = ["evaluate", "--data", tmp_path, "--checkpoint", run_dir / "checkpoint.npz"]
         _exits_2_naming(argv, tmp_path / "val.csv", capsys)
 
+    def test_image_with_trailing_bytes(self, data_dir, run_dir, tmp_path, capsys):
+        header, row, *_ = (data_dir / "val.csv").read_text().splitlines()
+        image = row.split(",", 1)[0]
+        (tmp_path / image).parent.mkdir(parents=True)
+        (tmp_path / image).write_bytes((data_dir / image).read_bytes() + b"junk")
+        (tmp_path / "val.csv").write_text(f"{header}\n{row}\n")
+        argv = ["evaluate", "--data", tmp_path, "--checkpoint", run_dir / "checkpoint.npz"]
+        named = f"{tmp_path / image}: expected 64 bytes of pixel data, got 68"
+        _exits_2_naming(argv, named, capsys)
+
     @pytest.mark.parametrize(
         "changes",
         [{"l_va": "high"}, {"thresholds": 0.5}, {"val_p_au": 10**400}, {"epoch": "0,1"}],

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from dataclasses import astuple
+
 from hypothesis import given, settings
 
 from affectmtl.data_model import (
@@ -10,17 +12,18 @@ from affectmtl.data_model import (
     VA_SENTINEL,
     AnnotationSet,
     Dataset,
+    DatasetStats,
     Sample,
     SynthConfig,
     au_positive_weights,
     dataset_stats,
     expression_class_weights,
     generate_synthetic,
+    label_arrays,
     load_images,
     load_manifest,
     parse_manifest,
     serialize_manifest,
-    validity,
     write_dataset,
 )
 from affectmtl.errors import ConfigError, DataError
@@ -69,11 +72,12 @@ class TestAnnotationInvariants:
             ann(units=tuple([0] * 11))  # wrong arity
 
     def test_validity_flags(self):
-        flags = validity(ann())
-        assert flags.va_valid and flags.exp_valid and flags.au_valid and flags.any_valid
         nothing = AnnotationSet(VA_SENTINEL, VA_SENTINEL, LABEL_SENTINEL, AU_NONE)
-        flags = validity(nothing)
-        assert not (flags.va_valid or flags.exp_valid or flags.au_valid or flags.any_valid)
+        labels = label_arrays(Dataset((Sample("a", ann()), Sample("b", nothing))))
+        assert labels.va_valid.tolist() == [True, False]
+        assert labels.exp_valid.tolist() == [True, False]
+        assert labels.au_valid.tolist() == [True, False]
+        assert labels.any_valid.tolist() == [True, False]
 
 
 class TestManifest:
@@ -93,13 +97,13 @@ class TestManifest:
 
     def test_wrong_column_count_names_row(self):
         text = serialize_manifest(
-            Dataset((Sample("a.pgm", "a.pgm", ann()),))
+            Dataset((Sample("a.pgm", ann()),))
         ) + "b.pgm,0.1,0.2\n"
         with pytest.raises(DataError, match="row 3"):
             parse_manifest(text)
 
     def test_duplicate_path_rejected(self):
-        sample = Sample("a.pgm", "a.pgm", ann())
+        sample = Sample("a.pgm", ann())
         text = serialize_manifest(Dataset((sample,)))
         text += text.splitlines()[1] + "\n"
         with pytest.raises(DataError, match="duplicate"):
@@ -131,7 +135,7 @@ class TestStatsAndWeights:
             AnnotationSet(VA_SENTINEL, VA_SENTINEL, LABEL_SENTINEL, AU_ZEROS),
         ]
         return Dataset(
-            tuple(Sample(f"s{i}.pgm", f"s{i}.pgm", a) for i, a in enumerate(rows))
+            tuple(Sample(f"s{i}.pgm", a) for i, a in enumerate(rows))
         )
 
     def test_counts(self):
@@ -141,6 +145,59 @@ class TestStatsAndWeights:
         assert stats.exp_class_counts[:3] == (2, 1, 1)
         assert stats.va_valid_count == 4
         assert stats.au_valid_count == 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(datasets())
+    def test_stats_and_labels_match_per_sample_reference(self, dataset):
+        n = len(dataset)
+        exp_counts = [0] * N_EXPRESSION_CLASSES
+        au_pos = [0] * N_ACTION_UNITS
+        au_neg = [0] * N_ACTION_UNITS
+        exp_valid, au_valid, va_valid = [], [], []
+        for sample in dataset:
+            a = sample.annotations
+            exp_valid.append(a.expression != LABEL_SENTINEL)
+            au_valid.append(LABEL_SENTINEL not in a.action_units)
+            va_valid.append(a.valence != VA_SENTINEL)
+            if exp_valid[-1]:
+                exp_counts[a.expression] += 1
+            if au_valid[-1]:
+                for u, unit in enumerate(a.action_units):
+                    if unit == 1:
+                        au_pos[u] += 1
+                    else:
+                        au_neg[u] += 1
+
+        labels = label_arrays(dataset)
+        anns = [s.annotations for s in dataset]
+        assert labels.gold_exp.dtype == np.int64 and labels.gold_exp.shape == (n,)
+        assert labels.gold_au.dtype == np.int64 and labels.gold_au.shape == (n, 12)
+        assert labels.gold_va.dtype == np.float64 and labels.gold_va.shape == (n, 2)
+        assert labels.gold_exp.tolist() == [a.expression for a in anns]
+        assert labels.gold_au.tolist() == [list(a.action_units) for a in anns]
+        assert labels.gold_va.tolist() == [[a.valence, a.arousal] for a in anns]
+        assert labels.exp_valid.tolist() == exp_valid
+        assert labels.au_valid.tolist() == au_valid
+        assert labels.va_valid.tolist() == va_valid
+        assert labels.any_valid.tolist() == [
+            e or u or v for e, u, v in zip(exp_valid, au_valid, va_valid)
+        ]
+
+        stats = dataset_stats(dataset)
+        assert stats == DatasetStats(
+            total=n,
+            exp_valid_count=sum(exp_valid),
+            exp_invalid_count=n - sum(exp_valid),
+            exp_class_counts=tuple(exp_counts),
+            au_valid_count=sum(au_valid),
+            au_invalid_count=n - sum(au_valid),
+            au_pos_counts=tuple(au_pos),
+            au_neg_counts=tuple(au_neg),
+            va_valid_count=sum(va_valid),
+            va_invalid_count=n - sum(va_valid),
+        )
+        flat = [x for v in astuple(stats) for x in (v if isinstance(v, tuple) else (v,))]
+        assert all(type(x) is int for x in flat)
 
     def test_expression_weights_inverse_frequency(self):
         stats = dataset_stats(self.make_dataset())
@@ -156,7 +213,7 @@ class TestStatsAndWeights:
             ann(units=(1,) + tuple([0] * 11)),
             ann(units=(0,) + tuple([0] * 11)),
         ]
-        ds = Dataset(tuple(Sample(f"s{i}", f"s{i}", a) for i, a in enumerate(rows)))
+        ds = Dataset(tuple(Sample(f"s{i}", a) for i, a in enumerate(rows)))
         weights = au_positive_weights(dataset_stats(ds))
         assert weights[0] == pytest.approx(1 / 2)
         # Units with no positives fall back to the neutral weight.
@@ -236,6 +293,6 @@ class TestDiskRoundTrip:
 
 
 def test_dataset_rejects_duplicate_ids():
-    sample = Sample("a", "a", ann())
+    sample = Sample("a", ann())
     with pytest.raises(DataError):
         Dataset((sample, sample))

@@ -5,13 +5,7 @@ from hypothesis import strategies as st
 
 from affectmtl.errors import DataError
 from affectmtl.losses import ccc_loss
-from affectmtl.metrics import (
-    ConfusionCounts,
-    au_macro_f1,
-    f1_from_counts,
-    macro_f1,
-    mtl_score,
-)
+from affectmtl.metrics import au_macro_f1, macro_f1, mtl_score
 
 
 def brute_force_f1(pred, gold, cls):
@@ -24,21 +18,6 @@ def brute_force_f1(pred, gold, cls):
     p = tp / (tp + fp) if tp + fp else 0.0
     r = tp / (tp + fn) if tp + fn else 0.0
     return 2 * p * r / (p + r) if p + r else 0.0
-
-
-class TestF1FromCounts:
-    def test_perfect(self):
-        assert f1_from_counts(ConfusionCounts(5, 0, 0)) == 1.0
-
-    def test_no_predictions_no_gold(self):
-        assert f1_from_counts(ConfusionCounts(0, 0, 0)) == 0.0
-
-    def test_only_false_positives(self):
-        assert f1_from_counts(ConfusionCounts(0, 3, 0)) == 0.0
-
-    def test_harmonic_mean(self):
-        # P = 2/3, R = 1 -> F1 = 0.8
-        assert f1_from_counts(ConfusionCounts(2, 1, 0)) == pytest.approx(0.8)
 
 
 class TestMacroF1:
@@ -62,6 +41,9 @@ class TestMacroF1:
         assert per_class[0] == per_class[1] == 1.0
         assert np.all(per_class[2:] == 0.0)
         assert mean == pytest.approx(0.25, abs=1e-12)
+        # Class 2 has only false positives, class 0 only a false negative.
+        _, per_class = macro_f1(np.array([2, 1]), np.array([0, 1]), 8)
+        assert per_class[0] == per_class[2] == 0.0 and per_class[1] == 1.0
 
     def test_perfect_all_classes(self):
         labels = np.arange(8)
@@ -108,8 +90,17 @@ class TestAuMacroF1:
         gold = np.zeros((3, 12), int)
         probs[:, 0] = [0.6, 0.4, 0.7]
         gold[:, 0] = [1, 0, 0]
+        # Units 1-4: perfect; no predictions and no gold (0/0/0); only false
+        # positives; tp=2, fp=1, fn=0, so P = 2/3, R = 1 and F1 = 0.8.
+        probs[:, 1], gold[:, 1] = [0.9, 0.9, 0.1], [1, 1, 0]
+        probs[:, 3], gold[:, 3] = [0.9, 0.9, 0.9], [0, 0, 0]
+        probs[:, 4], gold[:, 4] = [0.9, 0.9, 0.9], [1, 1, 0]
         _, per_unit = au_macro_f1(probs, gold)
         assert per_unit[0] == pytest.approx(2 / 3, abs=1e-12)
+        assert per_unit[1] == 1.0
+        assert per_unit[2] == 0.0
+        assert per_unit[3] == 0.0
+        assert per_unit[4] == pytest.approx(0.8)
 
     def test_half_probability_counts_positive(self):
         probs = np.full((2, 12), 0.5)

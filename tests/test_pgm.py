@@ -36,6 +36,7 @@ def test_header_comments_tolerated(tmp_path):
         b"P2\n2 2\n255\n" + bytes(4),          # wrong magic
         b"P5\n2 2\n16\n" + bytes(4),           # unsupported maxval
         b"P5\n2 2\n255\n" + bytes(3),          # truncated pixels
+        b"P5\n2 2\n255\n" + bytes(5),          # bytes after the pixels
         b"P5\n2\n255\n" + bytes(4),            # missing dimension
         b"P5\n0 2\n255\n",                     # zero dimension
     ],

@@ -6,6 +6,7 @@ import pytest
 from affectmtl.augmentation import augment_views
 from affectmtl.config import RunConfig
 from affectmtl.data_model import (
+    LabelArrays,
     SynthConfig,
     au_positive_weights,
     expression_class_weights,
@@ -174,9 +175,7 @@ class TestBatchLossAndGrads:
         images = packed.images[idx_valid]
         extra = np.concatenate([images, packed.images[:1]])
         targets_small = slice_targets(packed, idx_valid)
-        from affectmtl.trainer import BatchTargets
-
-        targets_big = BatchTargets(
+        targets_big = LabelArrays(
             gold_exp=np.concatenate([targets_small.gold_exp, [-1]]),
             gold_au=np.concatenate([targets_small.gold_au, -np.ones((1, 12), int)]),
             gold_va=np.concatenate([targets_small.gold_va, [[-5.0, -5.0]]]),
