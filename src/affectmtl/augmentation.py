@@ -31,9 +31,9 @@ BRIGHTNESS_DRAW, CONTRAST_DRAW, ROTATION_DRAW = 7, 8, 9
 CUTOUT_DRAWS = slice(10, 14)  # height, width, top, left
 WEAK_DRAWS, STRONG_DRAWS = 3, 14
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _U64_MASK = (1 << 64) - 1
 
 
@@ -69,21 +69,31 @@ class AugConfig:
 
 def _splitmix(z: np.ndarray) -> np.ndarray:
     """splitmix64 step on a uint64 array; array ops wrap without warnings."""
-    z = z + _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    z = z + np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
+
+
+def _splitmix_int(z: int) -> int:
+    """The same splitmix64 step on a Python int in [0, 2**64)."""
+    z = (z + _GOLDEN) & _U64_MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _U64_MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _U64_MASK
+    return z ^ (z >> 31)
 
 
 def view_uniforms(seed: int, epoch: int, sample_indices, view: int, count: int) -> np.ndarray:
     """(n, count) uniforms in [0, 1), one row per sample index.
 
     Draw d of a row hashes (seed, epoch, sample index, view, d); its top 53
-    bits give a double with every value k / 2**53 equally likely.
+    bits give a double with every value k / 2**53 equally likely.  The
+    (seed, epoch) prefix is shared by every row and hashed in Python ints.
     """
-    key = _splitmix(np.full(1, int(seed) & _U64_MASK, dtype=np.uint64))
-    key = _splitmix(key ^ np.uint64(int(epoch) & _U64_MASK))
-    key = _splitmix(key ^ np.asarray(sample_indices, dtype=np.int64).astype(np.uint64))
+    prefix = _splitmix_int(_splitmix_int(int(seed) & _U64_MASK) ^ (int(epoch) & _U64_MASK))
+    key = _splitmix(
+        np.uint64(prefix) ^ np.asarray(sample_indices, dtype=np.int64).astype(np.uint64)
+    )
     key = _splitmix(key ^ np.uint64(view))
     bits = _splitmix(key[:, None] ^ np.arange(count, dtype=np.uint64))
     return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -92,6 +102,21 @@ def view_uniforms(seed: int, epoch: int, sample_indices, view: int, count: int) 
 def _below(u: np.ndarray, count) -> np.ndarray:
     """Integers uniform on 0..count-1 from uniforms u (count may vary by row)."""
     return np.minimum((u * count).astype(np.int64), np.asarray(count) - 1)
+
+
+def reflect_map(size: int, pad: int) -> np.ndarray:
+    """np.pad(np.arange(size), pad, mode="reflect"), without np.pad's overhead.
+
+    Reflection that does not repeat the edge has period 2 * (size - 1), so
+    any pad, even one wider than size, folds onto 0..size-1; a size-1 axis
+    maps everything to 0.
+    """
+    index = np.arange(-pad, size + pad)
+    if size == 1:
+        return np.zeros_like(index)
+    period = 2 * (size - 1)
+    index %= period
+    return np.minimum(index, period - index)
 
 
 def weak_views(images: np.ndarray, draws: np.ndarray, config: AugConfig) -> np.ndarray:
@@ -103,8 +128,8 @@ def weak_views(images: np.ndarray, draws: np.ndarray, config: AugConfig) -> np.n
     """
     n, height, width = images.shape
     pad = config.crop_padding
-    row_map = np.pad(np.arange(height), pad, mode="reflect")
-    col_map = np.pad(np.arange(width), pad, mode="reflect")
+    row_map = reflect_map(height, pad)
+    col_map = reflect_map(width, pad)
     top = _below(draws[:, CROP_TOP], 2 * pad + 1)
     left = _below(draws[:, CROP_LEFT], 2 * pad + 1)
     flip = draws[:, FLIP] < config.flip_prob

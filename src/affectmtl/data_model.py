@@ -38,6 +38,11 @@ MANIFEST_COLUMNS = ("image", "valence", "arousal", "expression") + tuple(
 )
 
 
+def _is_integer_type(kind: type) -> bool:
+    """Python and NumPy integer types; bool, although an int subclass, is not one."""
+    return kind is not bool and issubclass(kind, (int, np.integer))
+
+
 @dataclass(frozen=True)
 class AnnotationSet:
     """Labels of one sample; sentinel values mark a task as unannotated."""
@@ -55,6 +60,12 @@ class AnnotationSet:
                 raise DataError(
                     f"valence/arousal outside [-1, 1]: ({self.valence}, {self.arousal})"
                 )
+        # Checked once per distinct type: this runs for every sample loaded.
+        if not all(map(_is_integer_type, {type(self.expression), *map(type, self.action_units)})):
+            raise DataError(
+                "expression and action units must be integers, got "
+                f"{self.expression!r} and {self.action_units!r}"
+            )
         if self.expression != LABEL_SENTINEL and not (
             0 <= self.expression < N_EXPRESSION_CLASSES
         ):
@@ -63,10 +74,10 @@ class AnnotationSet:
             raise DataError(
                 f"expected {N_ACTION_UNITS} action units, got {len(self.action_units)}"
             )
-        missing = [unit == LABEL_SENTINEL for unit in self.action_units]
-        if any(missing) and not all(missing):
+        values = set(self.action_units)
+        if LABEL_SENTINEL in values and values != {LABEL_SENTINEL}:
             raise DataError("action units must be missing jointly")
-        if not all(unit in (0, 1, LABEL_SENTINEL) for unit in self.action_units):
+        if not values <= {0, 1, LABEL_SENTINEL}:
             raise DataError(f"action unit values must be 0/1/{LABEL_SENTINEL}")
 
 

@@ -196,7 +196,7 @@ def forward_with_cache(params: Params, images: np.ndarray) -> ForwardCache:
         ("action-unit logits", au_logits),
         ("valence-arousal output", va),
     ):
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DivergenceError(f"non-finite {name} in forward pass")
     return ForwardCache(
         x=x, a1=a1, h1=h1, z2=z2, norm=norm, features=features,
@@ -259,7 +259,10 @@ def backward(
 
 
 def add_grads(a: Params, b: Params) -> Params:
-    return Params.wrap(a.flat + b.flat, a)
+    """Add b into a in place and return a; a's buffer is overwritten, b is
+    not written.  The sum is elementwise a.flat + b.flat, bit for bit."""
+    np.add(a.flat, b.flat, out=a.flat)
+    return a
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -81,12 +81,12 @@ def update_class_stats(
     mean_prob = acc.mean_prob.copy()
     seen = acc.seen.copy()
     correct = pred == gold_labels
-    for c in range(N_EXPRESSION_CLASSES):
+    hit_counts = np.bincount(gold_labels[correct], minlength=N_EXPRESSION_CLASSES)
+    for c in np.flatnonzero(hit_counts).tolist():
         hits = correct & (gold_labels == c)
-        if np.any(hits):
-            batch_mean = float(weak_probs[hits, c].mean())
-            mean_prob[c] = momentum * mean_prob[c] + (1.0 - momentum) * batch_mean
-            seen[c] = True
+        batch_mean = float(weak_probs[hits, c].mean())
+        mean_prob[c] = momentum * mean_prob[c] + (1.0 - momentum) * batch_mean
+        seen[c] = True
     return ClassStatAccumulator(mean_prob=mean_prob, seen=seen)
 
 

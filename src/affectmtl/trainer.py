@@ -23,7 +23,7 @@ view, every loss, and the final parameters are identical across runs.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -451,6 +451,7 @@ def run_training(
     best_epoch = -1
     best_score = -np.inf
     reports: list[EpochReport] = []
+    loss_names = [f.name for f in fields(LossBreakdown)]
     for epoch in range(config.epochs):
         schedule_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=(config.seed, epoch))
@@ -458,7 +459,7 @@ def run_training(
         schedule = make_epoch_schedule(
             train_packed, config.imbalance, schedule_rng, w_exp
         )
-        sums = np.zeros(len(fields(LossBreakdown)))
+        sums = np.zeros(len(loss_names))
         n_batches = 0
         unlabeled_total = 0
         confident_total = 0
@@ -468,7 +469,7 @@ def run_training(
             state, breakdown, info = train_step(
                 state, train_packed, batch, config, w_exp, w_au, epoch, batch_number
             )
-            sums += astuple(breakdown)
+            sums += [getattr(breakdown, name) for name in loss_names]
             n_batches += 1
             unlabeled_total += info.n_unlabeled
             confident_total += info.n_confident

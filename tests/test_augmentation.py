@@ -15,6 +15,7 @@ from affectmtl.augmentation import (
     AugConfig,
     augment_views,
     cutout,
+    reflect_map,
     rotate_bilinear,
     strong_op_order,
     strong_views,
@@ -170,6 +171,43 @@ def test_uniforms_lie_in_unit_interval_without_warnings():
     assert u.min() >= 0.0 and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 0.005
     assert np.all(u * 2.0**53 == np.floor(u * 2.0**53))
+
+
+# view_uniforms output for a few keys, as the integers k of k / 2**53.
+# Every augmented view, and so every seeded run's log, depends on these
+# bits: a rewrite of the hash must reproduce them.
+FROZEN_UNIFORMS = (
+    ((0, 0, [0, 1, 1999], WEAK_VIEW, 3), [
+        [4246087670787066, 5834484120467236, 175450147269942],
+        [2143862671120412, 8129623159541848, 132913160624284],
+        [7120766377011375, 3071356411473962, 8689914601492996],
+    ]),
+    ((2**64 - 1, 2**40, [7], STRONG_VIEW, 4), [
+        [3334887575400656, 7659429765167926, 5247626030224385, 7769380629187390],
+    ]),
+    ((2**64 - 1, 2**40, [3], WEAK_VIEW, 3), [
+        [7023216116073536, 4689200984360643, 840785070921941],
+    ]),
+    ((123456789, 29, [0, 2**40], STRONG_VIEW, 2), [
+        [6093034003630613, 7000791747461251],
+        [1635854664032460, 6689813442847606],
+    ]),
+)
+
+
+@pytest.mark.parametrize("key, expected", FROZEN_UNIFORMS)
+def test_view_uniforms_frozen(key, expected):
+    u = view_uniforms(*key)
+    assert u.tobytes() == (np.array(expected, dtype=np.float64) * 2.0**-53).tobytes()
+
+
+def test_reflect_map_matches_np_pad():
+    for size in range(1, 21):
+        for pad in range(0, 3 * size + 1):
+            expected = np.pad(np.arange(size), pad, mode="reflect")
+            got = reflect_map(size, pad)
+            assert got.dtype == expected.dtype, (size, pad)
+            assert np.array_equal(got, expected), (size, pad)
 
 
 def test_augment_views_order_independent(rng):

@@ -3,6 +3,7 @@ import pytest
 from dataclasses import astuple
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affectmtl.data_model import (
     LABEL_SENTINEL,
@@ -71,6 +72,20 @@ class TestAnnotationInvariants:
         with pytest.raises(DataError):
             ann(units=tuple([0] * 11))  # wrong arity
 
+    @pytest.mark.parametrize(
+        "expression", [2.5, 3.0, np.float64(3.0), True, np.bool_(True), "3", None]
+    )
+    def test_non_integer_expression_rejected(self, expression):
+        with pytest.raises(DataError, match="expression and action units must be integers"):
+            ann(expression=expression)
+
+    @pytest.mark.parametrize(
+        "unit", [1.0, 0.0, -1.0, 0.5, True, False, np.float64(1.0), np.bool_(False), "1"]
+    )
+    def test_non_integer_action_unit_rejected(self, unit):
+        with pytest.raises(DataError, match="expression and action units must be integers"):
+            ann(units=AU_ZEROS[:5] + (unit,) + AU_ZEROS[6:])
+
     def test_validity_flags(self):
         nothing = AnnotationSet(VA_SENTINEL, VA_SENTINEL, LABEL_SENTINEL, AU_NONE)
         labels = label_arrays(Dataset((Sample("a", ann()), Sample("b", nothing))))
@@ -90,6 +105,23 @@ class TestManifest:
     def test_round_trip_exact(self, dataset):
         again = parse_manifest(serialize_manifest(dataset))
         assert again == dataset
+
+    @settings(max_examples=50, deadline=None)
+    @given(datasets(), st.sampled_from([np.int8, np.int16, np.int32, np.int64, int]))
+    def test_numpy_integer_labels_round_trip(self, dataset, int_type):
+        """Labels given as NumPy integers are accepted and survive the manifest."""
+        converted = Dataset(tuple(
+            Sample(s.image_ref, AnnotationSet(
+                s.annotations.valence,
+                s.annotations.arousal,
+                int_type(s.annotations.expression),
+                tuple(int_type(u) for u in s.annotations.action_units),
+            ))
+            for s in dataset
+        ))
+        again = parse_manifest(serialize_manifest(converted))
+        assert again == converted
+        assert serialize_manifest(again) == serialize_manifest(converted)
 
     def test_bad_header(self):
         with pytest.raises(DataError, match="row 1"):

@@ -182,6 +182,17 @@ def test_map_params_and_zeros(rng):
     assert np.array_equal(scaled.w1, 2 * params.w1)
 
 
+def test_add_grads_writes_into_first_argument(rng):
+    a = map_params(lambda _, p: rng.normal(size=p.shape), init_params(MC, 0))
+    b = map_params(lambda _, p: rng.normal(size=p.shape), init_params(MC, 1))
+    expected = a.flat + b.flat
+    b_bytes = b.flat.tobytes()
+    total = add_grads(a, b)
+    assert total is a
+    assert a.flat.tobytes() == expected.tobytes()
+    assert b.flat.tobytes() == b_bytes
+
+
 class TestFlatParams:
     def test_fields_are_views_of_flat_in_field_order(self):
         params = init_params(MC, 0)

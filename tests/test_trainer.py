@@ -1,8 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import affectmtl.trainer
 from affectmtl.augmentation import augment_views
 from affectmtl.config import RunConfig
 from affectmtl.data_model import (
@@ -18,14 +20,17 @@ from affectmtl.network import (
     BACKBONE_FIELDS,
     PARAM_FIELDS,
     ModelConfig,
+    backward,
     init_params,
     map_params,
     zeros_like_params,
 )
+from affectmtl.pseudo_label import ClassStatAccumulator
 from affectmtl.trainer import (
     ADAM_BLOCK,
     LOG_FIELDS,
     AdamState,
+    TrainState,
     adam_init,
     adam_step,
     batch_loss_and_grads,
@@ -38,6 +43,7 @@ from affectmtl.trainer import (
     parse_epoch_log,
     run_training,
     slice_targets,
+    train_step,
 )
 
 
@@ -231,6 +237,34 @@ class TestBatchLossAndGrads:
         assert loss.l_exp_cons == 0.0
         assert loss.l_exp_unsup > 0.0
 
+    def test_strong_gradients_added_bitwise(self, monkeypatch):
+        """The result is the weak-view and strong-view backward passes,
+        each taken as returned, summed elementwise."""
+        returned = []
+
+        def recording_backward(*args, **kwargs):
+            grads = backward(*args, **kwargs)
+            returned.append(grads.flat.copy())
+            return grads
+
+        monkeypatch.setattr(affectmtl.trainer, "backward", recording_backward)
+        idx = np.arange(12)
+        targets = slice_targets(self.packed, idx)
+        ss_rows = np.flatnonzero(~targets.exp_valid & targets.any_valid)
+        assert len(ss_rows) >= 2
+        rng = np.random.default_rng(3)
+        _, grads = batch_loss_and_grads(
+            self.params, self.packed.images[idx], targets, self.w_exp, self.w_au,
+            LossWeights(), TrainMode.SEMI,
+            strong_images=rng.random((len(ss_rows), 6, 6)),
+            ss_rows=ss_rows,
+            confident=np.arange(len(ss_rows)) % 2 == 0,
+            pseudo_labels=np.arange(len(ss_rows)) % 8,
+        )
+        assert len(returned) == 2
+        assert not np.array_equal(returned[1], np.zeros_like(returned[1]))
+        assert grads.flat.tobytes() == (returned[0] + returned[1]).tobytes()
+
 
 class TestAdam:
     def setup_method(self):
@@ -315,6 +349,33 @@ class TestAdam:
         assert grads.flat.tobytes() == grads_bytes
         for other in (self.params.flat, grads.flat, state.m, state.v):
             assert not np.shares_memory(new_params.flat, other)
+
+
+def test_semi_supervised_step_peak_allocation():
+    """A semi-supervised step at width 256 allocates at most 3.5 parameter
+    buffers' worth at its peak.  The peak holds the weak and strong gradients
+    and the forward caches; one more parameter-sized temporary exceeds it."""
+    packed = small_packed(count=64, size=16, seed=0)
+    config = RunConfig(hidden_width=256)
+    params = init_params(ModelConfig(16, 16, 256), 0)
+    state = TrainState(params, adam_init(params), ClassStatAccumulator.fresh())
+    w_exp = expression_class_weights(packed.stats)
+    w_au = au_positive_weights(packed.stats)
+    batch = np.arange(64)
+    assert np.count_nonzero(~packed.exp_valid & packed.any_valid) > 0
+    state, _, _ = train_step(state, packed, batch, config, w_exp, w_au, 0, 0)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        train_step(state, packed, batch, config, w_exp, w_au, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 3.5 * params.flat.nbytes, peak / params.flat.nbytes
 
 
 class TestRunTraining:
