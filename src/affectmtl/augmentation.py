@@ -202,10 +202,11 @@ def rotate_bilinear(images: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     wy = src_y - y0
     wx = src_x - x0
     # Corner rows and columns in the bordered batch, out-of-range ones on the border.
-    y_top = np.clip(y0.astype(np.int64) + 1, 0, height + 1)
-    y_bottom = np.clip(y0.astype(np.int64) + 2, 0, height + 1)
-    x_left = np.clip(x0.astype(np.int64) + 1, 0, width + 1)
-    x_right = np.clip(x0.astype(np.int64) + 2, 0, width + 1)
+    # np.minimum(np.maximum(...)) equals np.clip on integers and is cheaper.
+    y_top = np.minimum(np.maximum(y0.astype(np.int64) + 1, 0), height + 1)
+    y_bottom = np.minimum(np.maximum(y0.astype(np.int64) + 2, 0), height + 1)
+    x_left = np.minimum(np.maximum(x0.astype(np.int64) + 1, 0), width + 1)
+    x_right = np.minimum(np.maximum(x0.astype(np.int64) + 2, 0), width + 1)
     bordered = np.zeros((n, height + 2, width + 2))
     bordered[:, 1:-1, 1:-1] = images
     bordered = bordered.reshape(-1)

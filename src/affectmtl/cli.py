@@ -27,6 +27,7 @@ from .data_model import (
     dataset_stats,
     format_stats,
     generate_synthetic,
+    label_arrays,
     load_images,
     load_manifest,
     read_text,
@@ -77,15 +78,15 @@ def cmd_synth(args) -> int:
     write_dataset(args.out, "train.csv", train_ds, train_images)
     write_dataset(args.out, "val.csv", val_ds, val_images)
     print("train:")
-    print(format_stats(dataset_stats(train_ds)))
+    print(format_stats(dataset_stats(label_arrays(train_ds))))
     print("val:")
-    print(format_stats(dataset_stats(val_ds)))
+    print(format_stats(dataset_stats(label_arrays(val_ds))))
     return 0
 
 
 def cmd_stats(args) -> int:
     dataset = load_manifest(args.manifest)
-    print(format_stats(dataset_stats(dataset)))
+    print(format_stats(dataset_stats(label_arrays(dataset))))
     return 0
 
 

@@ -233,10 +233,9 @@ def label_arrays(dataset: Dataset) -> LabelArrays:
     )
 
 
-def dataset_stats(dataset: Dataset) -> DatasetStats:
+def dataset_stats(labels: LabelArrays) -> DatasetStats:
     """Counts of valid annotations per task, class, and unit."""
-    labels = label_arrays(dataset)
-    total = len(dataset)
+    total = len(labels.gold_exp)
     exp_valid = int(np.count_nonzero(labels.exp_valid))
     au_valid = int(np.count_nonzero(labels.au_valid))
     va_valid = int(np.count_nonzero(labels.va_valid))

@@ -4,9 +4,11 @@ Supervised pieces: class-weighted cross entropy (expressions), positive-
 weighted binary cross entropy (action units), and a concordance loss on
 valence/arousal.  Semi-supervised pieces: unweighted cross entropy against
 pseudo labels and a symmetric KL between weak- and strong-view expression
-distributions.  Every loss has a *_grad twin returning the same value plus
-exact gradients with respect to its prediction inputs; the twins drive the
-hand-written backward pass and are finite-difference checked in the tests.
+distributions.  Each term is one *_grad function that returns the loss
+value together with its exact gradients with respect to the prediction
+inputs; these drive the hand-written backward pass.  The tests check each
+value against an independent oracle and each gradient by finite
+differences.
 
 Absent-term convention used throughout: a loss over an empty selection is 0
 with zero gradient, so a batch with nothing valid for some task simply
@@ -77,22 +79,10 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> None:
         raise DataError(f"class label outside [0, {n_classes}): {labels}")
 
 
-def weighted_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray, class_weights: np.ndarray
-) -> float:
-    """Mean over rows of class_weights[label] * (-log softmax(logits)[label])."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        return 0.0
-    _check_labels(labels, logits.shape[-1])
-    logp = _log_softmax(logits)
-    picked = logp[np.arange(len(labels)), labels]
-    return float(np.mean(-np.asarray(class_weights)[labels] * picked))
-
-
 def weighted_cross_entropy_grad(
     logits: np.ndarray, labels: np.ndarray, class_weights: np.ndarray
 ) -> tuple[float, np.ndarray]:
+    """Mean over rows of class_weights[label] * (-log softmax(logits)[label])."""
     labels = np.asarray(labels)
     if labels.size == 0:
         return 0.0, np.zeros_like(logits)
@@ -111,27 +101,17 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def weighted_bce(
-    logits: np.ndarray,
-    labels: np.ndarray,
-    pos_weights: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> float:
-    """Per-unit binary cross entropy, positives scaled by pos_weights.
-
-    Mean over (masked-in sample, unit) pairs, computed in the softplus form
-    so extreme logits stay finite.
-    """
-    value, _ = weighted_bce_grad(logits, labels, pos_weights, mask)
-    return value
-
-
 def weighted_bce_grad(
     logits: np.ndarray,
     labels: np.ndarray,
     pos_weights: np.ndarray,
     mask: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
+    """Per-unit binary cross entropy, positives scaled by pos_weights.
+
+    Mean over (masked-in sample, unit) pairs, computed in the softplus form
+    so extreme logits stay finite.
+    """
     n, n_units = logits.shape
     if mask is None:
         mask = np.ones(n, dtype=bool)
@@ -187,19 +167,14 @@ def _ccc_rho_grad(pred: np.ndarray, gold: np.ndarray) -> tuple[float, np.ndarray
     return terms.rho, grad
 
 
-def ccc_loss(pred_va: np.ndarray, gold_va: np.ndarray, mask: np.ndarray | None = None) -> float:
+def ccc_loss_grad(
+    pred_va: np.ndarray, gold_va: np.ndarray, mask: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
     """Mean of (1 - rho) over valence and arousal on the masked-in rows.
 
     Fewer than two valid rows make both coefficients undefined; the term is
     then absent (0).
     """
-    value, _ = ccc_loss_grad(pred_va, gold_va, mask)
-    return value
-
-
-def ccc_loss_grad(
-    pred_va: np.ndarray, gold_va: np.ndarray, mask: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
     n = pred_va.shape[0]
     if mask is None:
         mask = np.ones(n, dtype=bool)
@@ -215,47 +190,10 @@ def ccc_loss_grad(
     return total / 2.0, d_pred
 
 
-def _floor_normalize(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Clamp below at PROB_FLOOR and renormalize; returns (p', active, sum)."""
-    floored = np.maximum(p, PROB_FLOOR)
-    total = float(floored.sum())
-    return floored / total, p > PROB_FLOOR, total
-
-
-def symmetric_kl(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p||q) + KL(q||p) after flooring both at 1e-8 and renormalizing."""
-    pn, _, _ = _floor_normalize(np.asarray(p, dtype=np.float64))
-    qn, _, _ = _floor_normalize(np.asarray(q, dtype=np.float64))
-    log_ratio = np.log(pn) - np.log(qn)
-    return float(np.sum(pn * log_ratio) - np.sum(qn * log_ratio))
-
-
-def symmetric_kl_grad(p: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    pn, p_active, p_sum = _floor_normalize(np.asarray(p, dtype=np.float64))
-    qn, q_active, q_sum = _floor_normalize(np.asarray(q, dtype=np.float64))
-    log_ratio = np.log(pn) - np.log(qn)
-    value = float(np.sum(pn * log_ratio) - np.sum(qn * log_ratio))
-    # d/dp' of [sum p' log(p'/q') + sum q' log(q'/p')]
-    g_p = log_ratio + 1.0 - qn / pn
-    g_q = -log_ratio + 1.0 - pn / qn
-    # Through renormalization x' = max(x, floor) / sum: entries at the floor
-    # are locally constant in x.
-    d_p = p_active * (g_p - float(np.sum(g_p * pn))) / p_sum
-    d_q = q_active * (g_q - float(np.sum(g_q * qn))) / q_sum
-    return value, d_p, d_q
-
-
-def unsupervised_ce(
-    strong_logits: np.ndarray, pseudo_labels: np.ndarray, mask: np.ndarray
-) -> float:
-    """Unweighted mean CE of strong-view logits against pseudo labels."""
-    value, _ = unsupervised_ce_grad(strong_logits, pseudo_labels, mask)
-    return value
-
-
 def unsupervised_ce_grad(
     strong_logits: np.ndarray, pseudo_labels: np.ndarray, mask: np.ndarray
 ) -> tuple[float, np.ndarray]:
+    """Unweighted mean CE of strong-view logits against pseudo labels."""
     idx = np.flatnonzero(mask)
     d_logits = np.zeros_like(strong_logits)
     if len(idx) == 0:
@@ -268,18 +206,15 @@ def unsupervised_ce_grad(
     return value, d_logits
 
 
-def consistency_loss(
-    weak_probs: np.ndarray, strong_probs: np.ndarray, mask: np.ndarray
-) -> float:
-    """Mean symmetric KL between the two view distributions, masked rows only."""
-    value, _, _ = consistency_loss_grad(weak_probs, strong_probs, mask)
-    return value
-
-
 def consistency_loss_grad(
     weak_probs: np.ndarray, strong_probs: np.ndarray, mask: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """consistency_loss with its gradients; each masked row matches symmetric_kl_grad."""
+    """Mean symmetric KL between the two view distributions, masked rows only.
+
+    Per row, KL(p||q) + KL(q||p) after flooring both at PROB_FLOOR and
+    renormalizing; an entry at or below the floor is locally constant, so its
+    gradient is 0.
+    """
     idx = np.flatnonzero(mask)
     d_weak = np.zeros_like(weak_probs)
     d_strong = np.zeros_like(strong_probs)
@@ -319,13 +254,10 @@ def overall_loss(
 ) -> LossBreakdown:
     """Combine the five terms with the coefficients effective_lambdas gives.
 
-    A term the mode drops (zero coefficient even at unit weights) is
-    reported as 0.
+    Terms are reported as given: batch_loss_and_grads never computes a term
+    the mode drops, so it passes 0 for it.
     """
     lam_sup, lam_unsup, lam_cons = effective_lambdas(weights, mode)
-    _, keep_unsup, keep_cons = effective_lambdas(LossWeights(1.0, 1.0, 1.0), mode)
-    l_exp_unsup = l_exp_unsup if keep_unsup else 0.0
-    l_exp_cons = l_exp_cons if keep_cons else 0.0
     l_exp = lam_sup * l_exp_sup + lam_unsup * l_exp_unsup + lam_cons * l_exp_cons
     return LossBreakdown(
         l_exp_sup=l_exp_sup,

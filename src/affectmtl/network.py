@@ -102,16 +102,6 @@ PARAM_FIELDS = tuple(f.name for f in fields(Params) if f.init)
 BACKBONE_FIELDS = ("w1", "b1", "w2", "b2")
 
 
-def map_params(fn, *param_sets) -> Params:
-    """Apply fn elementwise over corresponding arrays of the given Params."""
-    return Params(
-        **{
-            name: fn(name, *[getattr(ps, name) for ps in param_sets])
-            for name in PARAM_FIELDS
-        }
-    )
-
-
 def zeros_like_params(params: Params) -> Params:
     return Params.wrap(np.zeros_like(params.flat), params)
 

@@ -46,14 +46,10 @@ class ClassStatAccumulator:
     """
 
     mean_prob: np.ndarray
-    seen: np.ndarray
 
     @staticmethod
     def fresh() -> "ClassStatAccumulator":
-        return ClassStatAccumulator(
-            mean_prob=np.full(N_EXPRESSION_CLASSES, 0.5),
-            seen=np.zeros(N_EXPRESSION_CLASSES, dtype=bool),
-        )
+        return ClassStatAccumulator(mean_prob=np.full(N_EXPRESSION_CLASSES, 0.5))
 
 
 def update_class_stats(
@@ -79,15 +75,13 @@ def update_class_stats(
         raise DataError(f"gold labels outside [0, {N_EXPRESSION_CLASSES})")
     pred = np.argmax(weak_probs, axis=1)
     mean_prob = acc.mean_prob.copy()
-    seen = acc.seen.copy()
     correct = pred == gold_labels
     hit_counts = np.bincount(gold_labels[correct], minlength=N_EXPRESSION_CLASSES)
     for c in np.flatnonzero(hit_counts).tolist():
         hits = correct & (gold_labels == c)
         batch_mean = float(weak_probs[hits, c].mean())
         mean_prob[c] = momentum * mean_prob[c] + (1.0 - momentum) * batch_mean
-        seen[c] = True
-    return ClassStatAccumulator(mean_prob=mean_prob, seen=seen)
+    return ClassStatAccumulator(mean_prob=mean_prob)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,9 +9,10 @@ flow through both forward passes; the backbone and the heads update with
 separate Adam learning rates.
 
 Adam runs over the flat parameter buffer (see network.Params): its moments
-are flat arrays updated in place, block by block, with one scalar rate per
-run of adjacent fields (backbone, then heads); each step returns its
-parameters in a fresh buffer, so a kept best-epoch Params never changes.
+are flat arrays updated in place, block by block.  The backbone fields come
+first in the buffer, so the step applies lr_base to the slice before the
+backbone size and lr_heads to the rest.  Each step returns its parameters
+in a fresh buffer, so a kept best-epoch Params never changes.
 
 Samples invalid for every task are skipped by every term, supervised and
 semi-supervised alike, so they contribute exactly zero gradient.
@@ -56,7 +57,6 @@ from .network import (
     BACKBONE_FIELDS,
     ForwardCache,
     ModelConfig,
-    PARAM_FIELDS,
     Params,
     add_grads,
     backward,
@@ -90,9 +90,8 @@ def pack_dataset(dataset: Dataset, images: np.ndarray) -> PackedDataset:
     n = len(dataset)
     if images.shape[0] != n:
         raise DataError(f"{n} samples but {images.shape[0]} images")
-    return PackedDataset(
-        **vars(label_arrays(dataset)), images=images, stats=dataset_stats(dataset)
-    )
+    labels = label_arrays(dataset)
+    return PackedDataset(**vars(labels), images=images, stats=dataset_stats(labels))
 
 
 def slice_targets(packed: PackedDataset, indices: np.ndarray) -> LabelArrays:
@@ -224,31 +223,17 @@ def adam_init(params: Params) -> AdamState:
     return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), t=0)
 
 
-def _rate_runs(params: Params, lr_by_field: dict[str, float]):
-    """(start, stop, rate) over maximal runs of adjacent fields sharing a rate."""
-    runs = []
-    start = 0
-    for name in PARAM_FIELDS:
-        stop = start + getattr(params, name).size
-        rate = lr_by_field[name]
-        if runs and runs[-1][2] == rate:
-            runs[-1][1] = stop
-        else:
-            runs.append([start, stop, rate])
-        start = stop
-    return runs
-
-
 def adam_step(
     params: Params,
     grads: Params,
     state: AdamState,
-    lr_by_field: dict[str, float],
+    lr_base: float,
+    lr_heads: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[Params, AdamState]:
-    """Bias-corrected Adam with a per-parameter-group learning rate.
+    """Bias-corrected Adam: lr_base on the backbone, lr_heads on the heads.
 
     The moments of state are updated in place, so the state passed in is
     consumed: use only the returned one afterwards.  params and grads are
@@ -261,7 +246,8 @@ def adam_step(
     corr2 = 1.0 - beta2**t
     new = np.empty_like(params.flat)
     scratch = np.empty(min(ADAM_BLOCK, new.size))
-    for start, stop, lr in _rate_runs(params, lr_by_field):
+    split = sum(getattr(params, name).size for name in BACKBONE_FIELDS)
+    for start, stop, lr in ((0, split, lr_base), (split, new.size, lr_heads)):
         for lo in range(start, stop, ADAM_BLOCK):
             hi = min(lo + ADAM_BLOCK, stop)
             g = grads.flat[lo:hi]
@@ -287,14 +273,6 @@ def adam_step(
             np.divide(out, s, out=out)
             np.subtract(params.flat[lo:hi], out, out=out)
     return Params.wrap(new, params), AdamState(m=state.m, v=state.v, t=t)
-
-
-def lr_map(config: RunConfig) -> dict[str, float]:
-    """Backbone fields at the base rate, every head at the head rate."""
-    return {
-        name: config.lr_base if name in BACKBONE_FIELDS else config.lr_heads
-        for name in PARAM_FIELDS
-    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,7 +352,9 @@ def train_step(
         raise DivergenceError(
             f"non-finite loss {breakdown.total}", epoch=epoch, batch=batch_number
         )
-    params, adam = adam_step(state.params, grads, state.adam, lr_map(config))
+    params, adam = adam_step(
+        state.params, grads, state.adam, config.lr_base, config.lr_heads
+    )
     info = StepInfo(
         n_unlabeled=int(len(ss_rows)),
         n_confident=int(np.count_nonzero(part.confident)),

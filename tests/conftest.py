@@ -12,6 +12,7 @@ from affectmtl.data_model import (
     Dataset,
     Sample,
 )
+from affectmtl.network import PARAM_FIELDS, Params
 
 finite_va = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -39,6 +40,11 @@ def datasets(draw, min_size=0, max_size=8):
         for i, a in enumerate(anns)
     )
     return Dataset(samples)
+
+
+def map_fields(fn, params: Params) -> Params:
+    """Params whose every field is fn(that field), built in PARAM_FIELDS order."""
+    return Params(**{name: fn(getattr(params, name)) for name in PARAM_FIELDS})
 
 
 @pytest.fixture

@@ -1,0 +1,55 @@
+"""Independent value oracles for the loss tests.
+
+Plain per-definition forms of the cross entropy and the symmetric KL.  The
+package computes these terms only inside its *_grad functions; the tests
+compare those values against these oracles, check the gradients by finite
+differences of the oracles, and hold criterion 2's hand values.
+"""
+
+import numpy as np
+
+from affectmtl.losses import PROB_FLOOR
+
+
+def weighted_cross_entropy(
+    logits: np.ndarray, labels: np.ndarray, class_weights: np.ndarray
+) -> float:
+    """Mean over rows of class_weights[label] * (-log softmax(logits)[label])."""
+    labels = np.asarray(labels)
+    if labels.size == 0:
+        return 0.0
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    picked = logp[np.arange(len(labels)), labels]
+    return float(np.mean(-np.asarray(class_weights)[labels] * picked))
+
+
+def _floor_normalize(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Clamp below at PROB_FLOOR and renormalize; returns (p', active, sum)."""
+    floored = np.maximum(p, PROB_FLOOR)
+    total = float(floored.sum())
+    return floored / total, p > PROB_FLOOR, total
+
+
+def symmetric_kl(p: np.ndarray, q: np.ndarray) -> float:
+    """KL(p||q) + KL(q||p) after flooring both at 1e-8 and renormalizing."""
+    pn, _, _ = _floor_normalize(np.asarray(p, dtype=np.float64))
+    qn, _, _ = _floor_normalize(np.asarray(q, dtype=np.float64))
+    log_ratio = np.log(pn) - np.log(qn)
+    return float(np.sum(pn * log_ratio) - np.sum(qn * log_ratio))
+
+
+def symmetric_kl_grad(p: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """symmetric_kl with its gradients with respect to p and q."""
+    pn, p_active, p_sum = _floor_normalize(np.asarray(p, dtype=np.float64))
+    qn, q_active, q_sum = _floor_normalize(np.asarray(q, dtype=np.float64))
+    log_ratio = np.log(pn) - np.log(qn)
+    value = float(np.sum(pn * log_ratio) - np.sum(qn * log_ratio))
+    # d/dp' of [sum p' log(p'/q') + sum q' log(q'/p')]
+    g_p = log_ratio + 1.0 - qn / pn
+    g_q = -log_ratio + 1.0 - pn / qn
+    # Through renormalization x' = max(x, floor) / sum: entries at the floor
+    # are locally constant in x.
+    d_p = p_active * (g_p - float(np.sum(g_p * pn))) / p_sum
+    d_q = q_active * (g_q - float(np.sum(g_q * qn))) / q_sum
+    return value, d_p, d_q

@@ -26,13 +26,12 @@ from affectmtl.data_model import (
 from affectmtl.losses import (
     LossWeights,
     ccc,
-    ccc_loss,
-    consistency_loss,
+    ccc_loss_grad,
+    consistency_loss_grad,
     overall_loss,
-    symmetric_kl,
-    unsupervised_ce,
-    weighted_bce,
-    weighted_cross_entropy,
+    unsupervised_ce_grad,
+    weighted_bce_grad,
+    weighted_cross_entropy_grad,
 )
 from affectmtl.metrics import macro_f1, mtl_score
 from affectmtl.network import (
@@ -40,7 +39,6 @@ from affectmtl.network import (
     ModelConfig,
     forward_with_cache,
     init_params,
-    map_params,
     softmax,
 )
 from affectmtl.pseudo_label import (
@@ -56,6 +54,8 @@ from affectmtl.trainer import (
     pack_dataset,
     run_training,
 )
+from conftest import map_fields
+from oracles import symmetric_kl
 
 LN2 = math.log(2.0)
 LN8 = math.log(8.0)
@@ -117,7 +117,7 @@ def test_criterion_1_gradients(capsys):
     for draw in range(20):
         rng = np.random.default_rng(4000 + draw)
         params = init_params(mc, seed=draw)
-        params = map_params(lambda _, a: a + rng.normal(0.0, 0.05, a.shape), params)
+        params = map_fields(lambda a: a + rng.normal(0.0, 0.05, a.shape), params)
         weak = rng.uniform(0.0, 1.0, (3, 6, 6))
         rows = [
             _random_row(rng, True, True, True),
@@ -227,32 +227,34 @@ def test_criterion_2_loss_values(capsys):
     cases = [
         (
             "weighted CE uniform -> ln 8",
-            weighted_cross_entropy(np.zeros((2, 8)), np.array([0, 3]), np.ones(8)),
+            weighted_cross_entropy_grad(np.zeros((2, 8)), np.array([0, 3]), np.ones(8))[0],
             LN8,
         ),
         (
             "weighted CE confident -> 0",
-            weighted_cross_entropy(confident_logits, np.array([2]), np.ones(8)),
+            weighted_cross_entropy_grad(confident_logits, np.array([2]), np.ones(8))[0],
             0.0,
         ),
         (
             "weighted CE half prob, class weight 2 -> 2 ln 2",
-            weighted_cross_entropy(np.zeros((1, 2)), np.array([0]), np.array([2.0, 1.0])),
+            weighted_cross_entropy_grad(
+                np.zeros((1, 2)), np.array([0]), np.array([2.0, 1.0])
+            )[0],
             2.0 * LN2,
         ),
         (
             "BCE sigmoid ~1, positive -> 0",
-            weighted_bce(np.array([[40.0]]), np.array([[1]]), np.array([1.0])),
+            weighted_bce_grad(np.array([[40.0]]), np.array([[1]]), np.array([1.0]))[0],
             0.0,
         ),
         (
             "BCE sigmoid 0.5, positive, weight 3 -> 3 ln 2",
-            weighted_bce(np.array([[0.0]]), np.array([[1]]), np.array([3.0])),
+            weighted_bce_grad(np.array([[0.0]]), np.array([[1]]), np.array([3.0]))[0],
             3.0 * LN2,
         ),
         (
             "BCE sigmoid 0.5, negative, weight ignored -> ln 2",
-            weighted_bce(np.array([[0.0]]), np.array([[0]]), np.array([7.0])),
+            weighted_bce_grad(np.array([[0.0]]), np.array([[0]]), np.array([7.0]))[0],
             LN2,
         ),
         ("concordance perfect -> 1", ccc(np.array([1.0, -1.0]), np.array([1.0, -1.0])).rho, 1.0),
@@ -262,47 +264,47 @@ def test_criterion_2_loss_values(capsys):
             0.0,
         ),
         ("concordance 3-point -> 32/43", ccc(three_x, three_y).rho, 32.0 / 43.0),
-        ("concordance loss perfect -> 0", ccc_loss(perfect_va, perfect_va), 0.0),
+        ("concordance loss perfect -> 0", ccc_loss_grad(perfect_va, perfect_va)[0], 0.0),
         (
             "concordance loss mixed dims -> 11/86",
-            ccc_loss(mixed_pred, mixed_gold),
+            ccc_loss_grad(mixed_pred, mixed_gold)[0],
             11.0 / 86.0,
         ),
         (
             "concordance loss empty mask -> 0",
-            ccc_loss(perfect_va, perfect_va, np.zeros(3, dtype=bool)),
+            ccc_loss_grad(perfect_va, perfect_va, np.zeros(3, dtype=bool))[0],
             0.0,
         ),
         ("symmetric KL equal -> 0", symmetric_kl(q2, q2), 0.0),
         ("symmetric KL two-point pair", symmetric_kl(p2, q2), skl_expected),
         (
             "pseudo-label CE empty mask -> 0",
-            unsupervised_ce(np.zeros((1, 8)), np.array([0]), np.zeros(1, dtype=bool)),
+            unsupervised_ce_grad(np.zeros((1, 8)), np.array([0]), np.zeros(1, dtype=bool))[0],
             0.0,
         ),
         (
             "pseudo-label CE confident match -> 0",
-            unsupervised_ce(confident_logits, np.array([2]), np.ones(1, dtype=bool)),
+            unsupervised_ce_grad(confident_logits, np.array([2]), np.ones(1, dtype=bool))[0],
             0.0,
         ),
         (
             "pseudo-label CE uniform -> ln 8",
-            unsupervised_ce(np.zeros((1, 8)), np.array([5]), np.ones(1, dtype=bool)),
+            unsupervised_ce_grad(np.zeros((1, 8)), np.array([5]), np.ones(1, dtype=bool))[0],
             LN8,
         ),
         (
             "consistency identical views -> 0",
-            consistency_loss(pw8, pw8, np.ones(1, dtype=bool)),
+            consistency_loss_grad(pw8, pw8, np.ones(1, dtype=bool))[0],
             0.0,
         ),
         (
             "consistency embedded two-point pair",
-            consistency_loss(pw8, ps8, np.ones(1, dtype=bool)),
+            consistency_loss_grad(pw8, ps8, np.ones(1, dtype=bool))[0],
             skl_expected,
         ),
         (
             "consistency empty mask -> 0",
-            consistency_loss(pw8, ps8, np.zeros(1, dtype=bool)),
+            consistency_loss_grad(pw8, ps8, np.zeros(1, dtype=bool))[0],
             0.0,
         ),
     ]
@@ -423,17 +425,13 @@ def test_criterion_3_metric_oracles(capsys):
 def test_criterion_4_threshold_rules(capsys):
     failures = []
     cfg = ThresholdConfig()
-    acc = ClassStatAccumulator(
-        mean_prob=np.full(8, 0.8), seen=np.ones(8, dtype=bool)
-    )
+    acc = ClassStatAccumulator(mean_prob=np.full(8, 0.8))
     t0 = adaptive_thresholds(acc, 0, cfg)
     if abs(t0[0] - 0.38) > 1e-9:
         failures.append(f"epoch-0 value {t0[0]!r} differs from 0.38 by > 1e-9")
 
     rng = np.random.default_rng(44)
-    stats = ClassStatAccumulator(
-        mean_prob=rng.uniform(0.0, 1.0, 8), seen=np.ones(8, dtype=bool)
-    )
+    stats = ClassStatAccumulator(mean_prob=rng.uniform(0.0, 1.0, 8))
     series = [adaptive_thresholds(stats, e, cfg) for e in range(60)]
     for e in range(59):
         if np.any(series[e + 1] < series[e]):
@@ -475,7 +473,7 @@ def test_criterion_5_masking(capsys):
     rng = np.random.default_rng(55)
     mc = ModelConfig(image_height=6, image_width=6, hidden_width=4)
     params = init_params(mc, seed=9)
-    params = map_params(lambda _, a: a + rng.normal(0.0, 0.05, a.shape), params)
+    params = map_fields(lambda a: a + rng.normal(0.0, 0.05, a.shape), params)
     weights = LossWeights()
     w_exp = rng.uniform(0.5, 3.0, 8)
     w_au = rng.uniform(0.5, 3.0, 12)

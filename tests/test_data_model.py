@@ -171,7 +171,7 @@ class TestStatsAndWeights:
         )
 
     def test_counts(self):
-        stats = dataset_stats(self.make_dataset())
+        stats = dataset_stats(label_arrays(self.make_dataset()))
         assert stats.total == 5
         assert stats.exp_valid_count == 4 and stats.exp_invalid_count == 1
         assert stats.exp_class_counts[:3] == (2, 1, 1)
@@ -215,7 +215,7 @@ class TestStatsAndWeights:
             e or u or v for e, u, v in zip(exp_valid, au_valid, va_valid)
         ]
 
-        stats = dataset_stats(dataset)
+        stats = dataset_stats(labels)
         assert stats == DatasetStats(
             total=n,
             exp_valid_count=sum(exp_valid),
@@ -232,7 +232,7 @@ class TestStatsAndWeights:
         assert all(type(x) is int for x in flat)
 
     def test_expression_weights_inverse_frequency(self):
-        stats = dataset_stats(self.make_dataset())
+        stats = dataset_stats(label_arrays(self.make_dataset()))
         weights = expression_class_weights(stats)
         assert weights[0] == 4 / 2
         assert weights[1] == 4.0 and weights[2] == 4.0
@@ -246,7 +246,7 @@ class TestStatsAndWeights:
             ann(units=(0,) + tuple([0] * 11)),
         ]
         ds = Dataset(tuple(Sample(f"s{i}", a) for i, a in enumerate(rows)))
-        weights = au_positive_weights(dataset_stats(ds))
+        weights = au_positive_weights(dataset_stats(label_arrays(ds)))
         assert weights[0] == pytest.approx(1 / 2)
         # Units with no positives fall back to the neutral weight.
         assert all(weights[u] == 1.0 for u in range(1, 12))
@@ -275,7 +275,7 @@ class TestSynthetic:
         cfg = SynthConfig(count=1500, image_size=4, exp_mask_rate=0.4,
                           va_mask_rate=0.2, au_mask_rate=0.2)
         dataset, _ = generate_synthetic(cfg, 5)
-        stats = dataset_stats(dataset)
+        stats = dataset_stats(label_arrays(dataset))
         assert abs(stats.exp_invalid_count / 1500 - 0.4) < 0.05
         assert abs(stats.va_invalid_count / 1500 - 0.2) < 0.05
         assert abs(stats.au_invalid_count / 1500 - 0.2) < 0.05

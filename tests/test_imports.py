@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+module-level definition of the package is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,67 @@ def test_detector_finds_dead_imports():
 )
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def defined_names(source: str) -> list[str]:
+    """Module-level functions, classes and constants that source defines."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [name for name in names if name != "__all__"]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names source reads: loaded names, attribute names and __all__ entries.
+
+    A definition is not a read, so a name only defined here is absent.
+    """
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """module.name for each module-level definition no module reads.
+
+    Reads are matched by name across the whole package, so a definition
+    that only tests (or only outside tooling) call is reported.
+    """
+    used = set().union(*(referenced_names(s) for s in sources.values()))
+    return sorted(
+        f"{module}.{name}"
+        for module, source in sources.items()
+        for name in defined_names(source)
+        if name not in used
+    )
+
+
+def test_detector_finds_unreferenced_definitions():
+    sources = {
+        "a": (
+            "import numpy as np\nLIMIT = 3\nUNUSED = 4\n__all__ = ['exported']\n"
+            "def exported(): pass\ndef helper(): return LIMIT\n"
+            "class Box:\n    def wrap(self): pass\n"
+        ),
+        "b": "from .a import helper, Box\nhelper()\nBox.wrap\n",
+        "c": "def only_attr(): pass\nclass Dead: pass\n",
+        "d": "import c\nc.only_attr()\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.UNUSED", "c.Dead"]
+
+
+def test_package_defines_nothing_only_tests_use():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert unreferenced_definitions(sources) == []

@@ -28,14 +28,12 @@ class TestClassStats:
     def test_fresh_state(self):
         acc = ClassStatAccumulator.fresh()
         assert np.all(acc.mean_prob == 0.5)
-        assert not acc.seen.any()
 
     def test_single_correct_sample_momentum(self):
         acc = ClassStatAccumulator.fresh()
         probs = one_hot_probs([(2, 0.9)])
         updated = update_class_stats(acc, probs, np.array([2]), momentum=0.9)
         assert updated.mean_prob[2] == pytest.approx(0.54, abs=1e-12)
-        assert updated.seen[2]
 
     def test_second_batch_compounds(self):
         acc = ClassStatAccumulator.fresh()
@@ -55,7 +53,6 @@ class TestClassStats:
         probs = one_hot_probs([(0, 0.9)])
         updated = update_class_stats(acc, probs, np.array([1]))
         assert np.all(updated.mean_prob == 0.5)
-        assert not updated.seen.any()
 
     def test_classes_update_in_isolation(self):
         acc = ClassStatAccumulator.fresh()
@@ -63,14 +60,12 @@ class TestClassStats:
         updated = update_class_stats(acc, probs, np.array([3]))
         others = [c for c in range(8) if c != 3]
         assert np.all(updated.mean_prob[others] == 0.5)
-        assert not updated.seen[others].any()
-        assert updated.seen[3]
+        assert updated.mean_prob[3] == pytest.approx(0.9 * 0.5 + 0.1 * 0.7, abs=1e-12)
 
     def test_input_accumulator_not_mutated(self):
         acc = ClassStatAccumulator.fresh()
         update_class_stats(acc, one_hot_probs([(0, 0.99)]), np.array([0]))
         assert np.all(acc.mean_prob == 0.5)
-        assert not acc.seen.any()
 
     def test_empty_batch_is_identity(self):
         acc = ClassStatAccumulator.fresh()
@@ -101,9 +96,7 @@ class TestAdaptiveThresholds:
     CONFIG = ThresholdConfig()
 
     def acc_with(self, value):
-        return ClassStatAccumulator(
-            mean_prob=np.full(8, value), seen=np.ones(8, bool)
-        )
+        return ClassStatAccumulator(mean_prob=np.full(8, value))
 
     def test_epoch_zero_halves(self):
         t = adaptive_thresholds(self.acc_with(0.8), 0, self.CONFIG)

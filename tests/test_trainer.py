@@ -22,7 +22,6 @@ from affectmtl.network import (
     ModelConfig,
     backward,
     init_params,
-    map_params,
     zeros_like_params,
 )
 from affectmtl.pseudo_label import ClassStatAccumulator
@@ -37,7 +36,6 @@ from affectmtl.trainer import (
     epoch_record,
     evaluate_packed,
     format_epoch_log,
-    lr_map,
     make_epoch_schedule,
     pack_dataset,
     parse_epoch_log,
@@ -45,6 +43,7 @@ from affectmtl.trainer import (
     slice_targets,
     train_step,
 )
+from conftest import map_fields
 
 
 def small_packed(count=24, size=8, seed=0, exp_mask=0.4, va_mask=0.2, au_mask=0.2):
@@ -153,7 +152,7 @@ class TestSchedule:
         assert np.all(np.abs(share[present] - 0.5) < 0.02)
 
     def test_empty_dataset_rejected(self):
-        from affectmtl.data_model import Dataset, dataset_stats
+        from affectmtl.data_model import Dataset
 
         packed_empty = pack_dataset(
             Dataset(samples=()), np.zeros((0, 8, 8))
@@ -270,12 +269,12 @@ class TestAdam:
     def setup_method(self):
         self.mc = ModelConfig(image_height=4, image_width=4, hidden_width=3)
         self.params = init_params(self.mc, 0)
-        self.lr = {name: 0.01 for name in PARAM_FIELDS}
+        self.lr = (0.01, 0.01)  # lr_base, lr_heads
 
     def test_zero_gradient_keeps_params(self):
         state = adam_init(self.params)
         new_params, new_state = adam_step(
-            self.params, zeros_like_params(self.params), state, self.lr
+            self.params, zeros_like_params(self.params), state, *self.lr
         )
         assert params_equal(new_params, self.params)
         assert new_state.t == 1
@@ -285,47 +284,45 @@ class TestAdam:
         # the learning rate per step, regardless of the gradient scale.
         params = self.params
         state = adam_init(params)
-        grads = map_params(lambda _, p: np.full_like(p, 3.7), params)
+        grads = map_fields(lambda p: np.full_like(p, 3.7), params)
         for _ in range(1000):
-            params, state = adam_step(params, grads, state, self.lr)
+            params, state = adam_step(params, grads, state, *self.lr)
         drop = self.params.w1[0, 0] - params.w1[0, 0]
         assert drop == pytest.approx(1000 * 0.01, rel=0.01)
 
-    def test_learning_rate_ratio_exact(self):
-        config = RunConfig()
-        rates = lr_map(config)
-        assert rates["w1"] == rates["b1"] == rates["w2"] == rates["b2"] == 0.001
-        head_fields = [f for f in PARAM_FIELDS if f not in ("w1", "b1", "w2", "b2")]
-        for f in head_fields:
-            assert rates[f] == 0.01
-            assert rates[f] / rates["w1"] == pytest.approx(10.0)
-
     def test_first_step_magnitude(self):
-        from affectmtl.network import map_params
-
         state = adam_init(self.params)
-        grads = map_params(lambda _, p: np.full_like(p, 2.0), self.params)
-        new_params, _ = adam_step(self.params, grads, state, self.lr)
+        grads = map_fields(lambda p: np.full_like(p, 2.0), self.params)
+        new_params, _ = adam_step(self.params, grads, state, *self.lr)
         # First bias-corrected step is lr * g/(|g| + eps') ~= lr.
         step = self.params.w1 - new_params.w1
         assert np.all(np.abs(step - 0.01) < 1e-6)
 
-    def test_matches_per_field_reference_bitwise(self):
+    @pytest.mark.parametrize("equal_rates", [False, True], ids=["defaults", "equal"])
+    def test_matches_per_field_reference_bitwise(self, equal_rates):
+        # The default heads rate is exactly ten times the backbone rate.
+        config = RunConfig()
+        assert (config.lr_base, config.lr_heads) == (0.001, 0.01)
+        if equal_rates:
+            config = replace(config, lr_heads=config.lr_base)
         # Width 256 on 16x16 images: both rate runs span several blocks and
         # end on a partial one.
         params = init_params(ModelConfig(16, 16, hidden_width=256), 0)
         backbone_size = sum(getattr(params, f).size for f in BACKBONE_FIELDS)
         assert backbone_size > ADAM_BLOCK and backbone_size % ADAM_BLOCK
         assert (params.flat.size - backbone_size) % ADAM_BLOCK
-        rates = lr_map(RunConfig(lr_base=0.001, lr_heads=0.01))
+        rates = {
+            f: config.lr_base if f in ("w1", "b1", "w2", "b2") else config.lr_heads
+            for f in PARAM_FIELDS
+        }
         rng = np.random.default_rng(5)
         ref = {f: getattr(params, f).copy() for f in PARAM_FIELDS}
         ref_m = {f: np.zeros_like(a) for f, a in ref.items()}
         ref_v = {f: np.zeros_like(a) for f, a in ref.items()}
         state = adam_init(params)
         for t in range(1, 4):
-            grads = map_params(lambda _, p: rng.normal(0.0, 0.1, p.shape), params)
-            params, state = adam_step(params, grads, state, rates)
+            grads = map_fields(lambda p: rng.normal(0.0, 0.1, p.shape), params)
+            params, state = adam_step(params, grads, state, config.lr_base, config.lr_heads)
             corr1, corr2 = 1.0 - 0.9**t, 1.0 - 0.999**t
             for f in PARAM_FIELDS:
                 g = getattr(grads, f)
@@ -342,9 +339,9 @@ class TestAdam:
             assert flat.tobytes() == expected.tobytes()
 
     def test_inputs_unchanged_and_result_fresh(self):
-        grads = map_params(lambda _, p: np.full_like(p, 0.5), self.params)
+        grads = map_fields(lambda p: np.full_like(p, 0.5), self.params)
         params_bytes, grads_bytes = self.params.flat.tobytes(), grads.flat.tobytes()
-        new_params, state = adam_step(self.params, grads, adam_init(self.params), self.lr)
+        new_params, state = adam_step(self.params, grads, adam_init(self.params), *self.lr)
         assert self.params.flat.tobytes() == params_bytes
         assert grads.flat.tobytes() == grads_bytes
         for other in (self.params.flat, grads.flat, state.m, state.v):
