@@ -172,10 +172,13 @@ class TestBackward:
             )
 
 
-def test_adding_zero_grads_keeps_params():
+def test_map_params_and_zeros():
     params = init_params(MC, 5)
     expected = params.flat.tobytes()
     assert add_grads(params, zeros_like_params(params)).flat.tobytes() == expected
+    scaled = map_fields(lambda a: 2 * a, params)
+    assert np.array_equal(scaled.w1, 2 * params.w1)
+    assert not np.shares_memory(scaled.flat, params.flat)
 
 
 def test_add_grads_writes_into_first_argument(rng):

@@ -298,13 +298,29 @@ class TestAdam:
         step = self.params.w1 - new_params.w1
         assert np.all(np.abs(step - 0.01) < 1e-6)
 
-    @pytest.mark.parametrize("equal_rates", [False, True], ids=["defaults", "equal"])
-    def test_matches_per_field_reference_bitwise(self, equal_rates):
-        # The default heads rate is exactly ten times the backbone rate.
+    def test_learning_rate_ratio_exact(self):
+        # Defaults: backbone 0.001, heads exactly ten times that.  With a
+        # constant gradient the first step moves every entry by about its
+        # rate, so each field shows which of the two rates it got.
         config = RunConfig()
         assert (config.lr_base, config.lr_heads) == (0.001, 0.01)
-        if equal_rates:
-            config = replace(config, lr_heads=config.lr_base)
+        assert config.lr_heads / config.lr_base == pytest.approx(10.0)
+        grads = map_fields(lambda p: np.full_like(p, 2.0), self.params)
+        new_params, _ = adam_step(
+            self.params, grads, adam_init(self.params), config.lr_base, config.lr_heads
+        )
+        for f in PARAM_FIELDS:
+            rate = config.lr_base if f in ("w1", "b1", "w2", "b2") else config.lr_heads
+            step = getattr(self.params, f) - getattr(new_params, f)
+            assert np.all(np.abs(step - rate) < 1e-6), f
+
+    def test_matches_per_field_reference_bitwise(self):
+        self._check_per_field_reference(lr_base=0.001, lr_heads=0.01)
+
+    def test_matches_per_field_reference_bitwise_equal_rates(self):
+        self._check_per_field_reference(lr_base=0.001, lr_heads=0.001)
+
+    def _check_per_field_reference(self, lr_base, lr_heads):
         # Width 256 on 16x16 images: both rate runs span several blocks and
         # end on a partial one.
         params = init_params(ModelConfig(16, 16, hidden_width=256), 0)
@@ -312,7 +328,7 @@ class TestAdam:
         assert backbone_size > ADAM_BLOCK and backbone_size % ADAM_BLOCK
         assert (params.flat.size - backbone_size) % ADAM_BLOCK
         rates = {
-            f: config.lr_base if f in ("w1", "b1", "w2", "b2") else config.lr_heads
+            f: lr_base if f in ("w1", "b1", "w2", "b2") else lr_heads
             for f in PARAM_FIELDS
         }
         rng = np.random.default_rng(5)
@@ -322,7 +338,7 @@ class TestAdam:
         state = adam_init(params)
         for t in range(1, 4):
             grads = map_fields(lambda p: rng.normal(0.0, 0.1, p.shape), params)
-            params, state = adam_step(params, grads, state, config.lr_base, config.lr_heads)
+            params, state = adam_step(params, grads, state, lr_base, lr_heads)
             corr1, corr2 = 1.0 - 0.9**t, 1.0 - 0.999**t
             for f in PARAM_FIELDS:
                 g = getattr(grads, f)
