@@ -7,10 +7,19 @@ view, draw number), the idea behind Philox (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11) written with a splitmix64 finalizer.
 A sample's views therefore depend only on its own key and pixels: they are
 byte-identical however the samples are batched or ordered.
+
+The draws come in as arrays, one view_uniforms row per image, so a caller
+can draw a whole epoch's rows in one call and hand each batch its slice.
+The weak view is one gather through crop maps cached per (height, width,
+padding), with the flip folded into the column maps.  Every strong op acts
+on one row alone, so a batch rotates once: the ops each row picked before
+its rotation run slot by slot, then every rotating row turns in one call,
+then the ops picked after it run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,11 +77,22 @@ class AugConfig:
 
 
 def _splitmix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 step on a uint64 array; array ops wrap without warnings."""
+    """splitmix64 step on a uint64 array; array ops wrap without warnings.
+
+    After the first add it works in place on one scratch array, so an
+    epoch-wide draw table holds two table-sized arrays at a time; that
+    keeps a run's peak memory where per-batch draws left it.
+    """
     z = z + np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= np.uint64(_MIX1)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(_MIX2)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def _splitmix_int(z: int) -> int:
@@ -96,7 +116,10 @@ def view_uniforms(seed: int, epoch: int, sample_indices, view: int, count: int) 
     )
     key = _splitmix(key ^ np.uint64(view))
     bits = _splitmix(key[:, None] ^ np.arange(count, dtype=np.uint64))
-    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    bits >>= np.uint64(11)
+    uniforms = bits.astype(np.float64)
+    uniforms *= 2.0**-53
+    return uniforms
 
 
 def _below(u: np.ndarray, count) -> np.ndarray:
@@ -119,23 +142,41 @@ def reflect_map(size: int, pad: int) -> np.ndarray:
     return np.minimum(index, period - index)
 
 
+@functools.lru_cache(maxsize=8)
+def _crop_maps(height: int, width: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat-index maps of every crop offset: rows[t] and cols[flip, l].
+
+    rows[t] is the source row of each output row at crop offset t, times
+    width; cols[0, l] is the source column of each output column at offset
+    l, and cols[1, l] the same read right to left.  Both are read-only and
+    hold (2 * pad + 1) * (height + 2 * width) integers.
+    """
+    offsets = np.arange(2 * pad + 1)[:, None]
+    rows = reflect_map(height, pad)[offsets + np.arange(height)] * width
+    col_map = reflect_map(width, pad)
+    cols = np.stack(
+        [col_map[offsets + np.arange(width)], col_map[offsets + np.arange(width - 1, -1, -1)]]
+    )
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def weak_views(images: np.ndarray, draws: np.ndarray, config: AugConfig) -> np.ndarray:
     """Reflect-pad, crop back to size at each row's offsets, flip some rows.
 
     One gather serves the whole batch: the reflect padding is a map from
     padded to source coordinates, each row reads its own crop window
-    through it, and the flip is folded into the column index.
+    through it, and the flip is folded into the column maps.
     """
     n, height, width = images.shape
     pad = config.crop_padding
-    row_map = reflect_map(height, pad)
-    col_map = reflect_map(width, pad)
+    rows, cols = _crop_maps(height, width, pad)
     top = _below(draws[:, CROP_TOP], 2 * pad + 1)
     left = _below(draws[:, CROP_LEFT], 2 * pad + 1)
-    flip = draws[:, FLIP] < config.flip_prob
-    cols = np.where(flip[:, None], np.arange(width - 1, -1, -1), np.arange(width))
-    rows = np.arange(n)[:, None] * height + row_map[top[:, None] + np.arange(height)]
-    index = rows[:, :, None] * width + col_map[left[:, None] + cols][:, None, :]
+    flip = (draws[:, FLIP] < config.flip_prob).view(np.int8)
+    starts = np.arange(0, n * height * width, height * width)[:, None]
+    index = (rows[top] + starts)[:, :, None] + cols[flip, left][:, None, :]
     return images.reshape(-1)[index]
 
 
@@ -153,37 +194,63 @@ def strong_op_order(draws: np.ndarray, config: AugConfig) -> np.ndarray:
 def strong_views(images: np.ndarray, draws: np.ndarray, config: AugConfig) -> np.ndarray:
     """Weak pipeline plus distinct distortions, clipped back to [0, 1].
 
-    Op slot j applies, for each op, that op to the rows that picked it in
-    slot j, so every row sees its ops in its own order.
+    Every op acts on each row alone, so the batch runs in three phases
+    that keep each row's own op order: the ops each row picked before its
+    rotation, slot by slot; one rotation of every row that picked it; then
+    the ops picked after it.  A row without a rotation runs all its ops in
+    the first phase.
     """
     out = weak_views(images, draws, config)
+    _, height, width = images.shape
     order = strong_op_order(draws, config)
-    delta = config.brightness_delta * (2.0 * draws[:, BRIGHTNESS_DRAW] - 1.0)
-    factor = config.contrast_low + (config.contrast_high - config.contrast_low) * draws[
-        :, CONTRAST_DRAW
-    ]
-    angle = config.rotation_max_deg * (2.0 * draws[:, ROTATION_DRAW] - 1.0)
-    for slot in range(order.shape[1]):
-        for op in range(len(STRONG_OP_NAMES)):
-            rows = np.flatnonzero(order[:, slot] == op)
+    slots = order.shape[1]
+    picked = order == ROTATION
+    rotation_slot = np.where(picked.any(axis=1), picked.argmax(axis=1), slots)[:, None]
+    slot_index = np.arange(slots)
+    point_ops = (
+        (config.brightness_delta * (2.0 * draws[:, BRIGHTNESS_DRAW] - 1.0))[:, None, None],
+        (
+            config.contrast_low
+            + (config.contrast_high - config.contrast_low) * draws[:, CONTRAST_DRAW]
+        )[:, None, None],
+        cutout_boxes(draws[:, CUTOUT_DRAWS], height, width, config.cutout_max_frac),
+    )
+    _apply_point_ops(out, np.where(slot_index < rotation_slot, order, -1), *point_ops)
+    rotated = np.flatnonzero(rotation_slot < slots)
+    if len(rotated):
+        angle = config.rotation_max_deg * (2.0 * draws[rotated, ROTATION_DRAW] - 1.0)
+        out[rotated] = rotate_bilinear(out[rotated], angle)
+        # No op in slot 0 comes after a rotation.
+        after = np.where(slot_index > rotation_slot, order, -1)[:, 1:]
+        _apply_point_ops(out, after, *point_ops)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _apply_point_ops(
+    out: np.ndarray, chosen: np.ndarray, delta: np.ndarray, factor: np.ndarray, box: np.ndarray
+) -> None:
+    """Run on out in place, slot by slot, the op chosen[row, slot] names on
+    each row; -1 leaves the row as it is for that slot.  delta and factor
+    are each row's (n, 1, 1) brightness shift and contrast factor, box its
+    (n, h, w) cutout mask."""
+    for column in chosen.T:
+        for op in (BRIGHTNESS, CONTRAST, CUTOUT):
+            rows = (column == op).nonzero()[0]
             if not len(rows):
                 continue
             if op == BRIGHTNESS:
-                out[rows] = out[rows] + delta[rows, None, None]
+                out[rows] = out[rows] + delta[rows]
             elif op == CONTRAST:
-                out[rows] = 0.5 + factor[rows, None, None] * (out[rows] - 0.5)
-            elif op == ROTATION:
-                out[rows] = rotate_bilinear(out[rows], angle[rows])
+                out[rows] = 0.5 + factor[rows] * (out[rows] - 0.5)
             else:
-                out[rows] = cutout(out[rows], draws[rows, CUTOUT_DRAWS], config.cutout_max_frac)
-    return np.clip(out, 0.0, 1.0)
+                out[rows] = np.where(box[rows], 0.0, out[rows])
 
 
 def rotate_bilinear(images: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     """Rotate each image about its center by its angle; bilinear, fill 0.
 
     Source coordinates are computed for the whole (n, h, w) batch.  The
-    batch gets a one-pixel zero border, so clipping a corner's index onto
+    batch gets a two-pixel zero border, so clipping a corner's index onto
     the border reads the fill; each of the four corners is one gather.
     """
     n, height, width = images.shape
@@ -201,73 +268,64 @@ def rotate_bilinear(images: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     x0 = np.floor(src_x)
     wy = src_y - y0
     wx = src_x - x0
-    # Corner rows and columns in the bordered batch, out-of-range ones on the border.
-    # np.minimum(np.maximum(...)) equals np.clip on integers and is cheaper.
-    y_top = np.minimum(np.maximum(y0.astype(np.int64) + 1, 0), height + 1)
-    y_bottom = np.minimum(np.maximum(y0.astype(np.int64) + 2, 0), height + 1)
-    x_left = np.minimum(np.maximum(x0.astype(np.int64) + 1, 0), width + 1)
-    x_right = np.minimum(np.maximum(x0.astype(np.int64) + 2, 0), width + 1)
-    bordered = np.zeros((n, height + 2, width + 2))
-    bordered[:, 1:-1, 1:-1] = images
+    # A corner row clipped to [-2, height] keeps itself and the row below
+    # inside a two-pixel border, and an out-of-range one lands on the border.
+    # Clipping the whole-number floats and then converting is the cheapest
+    # form (np.clip, and integer clips, cost more per call).
+    top = np.minimum(np.maximum(y0, -2.0), float(height)).astype(np.int64)
+    left = np.minimum(np.maximum(x0, -2.0), float(width)).astype(np.int64)
+    stride = width + 4
+    bordered = np.zeros((n, height + 4, stride))
+    bordered[:, 2:-2, 2:-2] = images
     bordered = bordered.reshape(-1)
-    base = np.arange(n).reshape(-1, 1, 1) * (height + 2)
-    row_top = (base + y_top) * (width + 2)
-    row_bottom = (base + y_bottom) * (width + 2)
-    upper = (1 - wx) * bordered[row_top + x_left] + wx * bordered[row_top + x_right]
-    lower = (1 - wx) * bordered[row_bottom + x_left] + wx * bordered[row_bottom + x_right]
+    # Flat index of each image's pixel (0, 0); shifted views of the bordered
+    # batch read the right, lower and lower-right neighbours.
+    origin = (np.arange(n) * (height + 4) + 2) * stride + 2
+    corner = top * stride + left + origin[:, None, None]
+    wx_left = 1 - wx
+    upper = wx_left * bordered[corner] + wx * bordered[1:][corner]
+    lower = wx_left * bordered[stride:][corner] + wx * bordered[stride + 1 :][corner]
     return (1 - wy) * upper + wy * lower
 
 
-def cutout(images: np.ndarray, draws: np.ndarray, max_frac: float) -> np.ndarray:
-    """Zero one box per image covering at most max_frac of its area.
+def cutout_boxes(draws: np.ndarray, height: int, width: int, max_frac: float) -> np.ndarray:
+    """(n, height, width) masks of one box per row covering at most max_frac
+    of the area; the cutout op zeroes the pixels under its row's box.
 
     draws is (n, 4): box height, width, top and left, as uniforms.
     """
-    _, height, width = images.shape
     # Capping each side at sqrt(max_frac) of its dimension bounds the area.
     side = math.sqrt(max_frac)
     cut_h = 1 + _below(draws[:, 0], max(1, int(height * side)))
     cut_w = 1 + _below(draws[:, 1], max(1, int(width * side)))
     top = _below(draws[:, 2], height - cut_h + 1)
     left = _below(draws[:, 3], width - cut_w + 1)
-    ys = np.arange(height)[None, :, None]
-    xs = np.arange(width)[None, None, :]
-    box = (
-        (ys >= top[:, None, None])
-        & (ys < (top + cut_h)[:, None, None])
-        & (xs >= left[:, None, None])
-        & (xs < (left + cut_w)[:, None, None])
-    )
-    return np.where(box, 0.0, images)
+    ys = np.arange(height)
+    xs = np.arange(width)
+    in_rows = (ys >= top[:, None]) & (ys < (top + cut_h)[:, None])
+    in_cols = (xs >= left[:, None]) & (xs < (left + cut_w)[:, None])
+    return in_rows[:, :, None] & in_cols[:, None, :]
 
 
 def augment_views(
     batch_images: np.ndarray,
-    sample_indices,
-    seed: int,
-    epoch: int,
+    weak_draws: np.ndarray,
+    strong_draws: np.ndarray,
     config: AugConfig,
-    want_strong=None,
+    *,
+    want_strong: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weak view for every row, strong view where want_strong marks it.
+    """Weak view of every row, strong view of the rows want_strong marks.
 
-    batch_images is (n, h, w); sample_indices gives each row's position in
-    the dataset, which keys its draws.  Rows without a requested strong
-    view are left at exactly zero in the returned strong array.
+    batch_images is (n, h, w).  weak_draws holds each row's view_uniforms
+    row (WEAK_VIEW, WEAK_DRAWS); strong_draws holds one (STRONG_VIEW,
+    STRONG_DRAWS) row per marked row, in batch order.  Returns the (n, h, w)
+    weak views and the (k, h, w) strong views of the k marked rows.
     """
-    sample_indices = np.asarray(sample_indices)
-    weak = weak_views(
-        batch_images,
-        view_uniforms(seed, epoch, sample_indices, WEAK_VIEW, WEAK_DRAWS),
-        config,
-    )
-    strong = np.zeros_like(batch_images)
-    if want_strong is not None:
-        rows = np.flatnonzero(want_strong)
-        if len(rows):
-            strong[rows] = strong_views(
-                batch_images[rows],
-                view_uniforms(seed, epoch, sample_indices[rows], STRONG_VIEW, STRONG_DRAWS),
-                config,
-            )
-    return weak, strong
+    rows = np.flatnonzero(want_strong)
+    if len(strong_draws) != len(rows):
+        raise ValueError(f"{len(strong_draws)} strong draw rows for {len(rows)} strong views")
+    weak = weak_views(batch_images, weak_draws, config)
+    if not len(rows):
+        return weak, np.empty((0,) + batch_images.shape[1:])
+    return weak, strong_views(batch_images[rows], strong_draws, config)

@@ -153,41 +153,54 @@ def ccc(x: np.ndarray, y: np.ndarray) -> CccTerms:
     return CccTerms(s_xy=s_xy, s_x2=s_x2, s_y2=s_y2, mean_x=mean_x, mean_y=mean_y, rho=rho)
 
 
-def _ccc_rho_grad(pred: np.ndarray, gold: np.ndarray) -> tuple[float, np.ndarray]:
-    """rho and its gradient with respect to pred."""
-    terms = ccc(pred, gold)
-    n = len(pred)
-    denom = terms.s_x2 + terms.s_y2 + (terms.mean_x - terms.mean_y) ** 2
-    if denom == 0.0:
-        return 0.0, np.zeros_like(pred, dtype=np.float64)
-    d_pred = pred - terms.mean_x
-    d_gold = gold - terms.mean_y
-    mean_diff = terms.mean_x - terms.mean_y
-    grad = (2.0 / (n * denom)) * (d_gold - terms.rho * (d_pred + mean_diff))
-    return terms.rho, grad
-
-
 def ccc_loss_grad(
     pred_va: np.ndarray, gold_va: np.ndarray, mask: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
     """Mean of (1 - rho) over valence and arousal on the masked-in rows.
 
     Fewer than two valid rows make both coefficients undefined; the term is
-    then absent (0).
+    then absent (0), and a dimension whose rho has a zero denominator gets
+    zero gradient.  Both dimensions' moments come from one pass over a
+    C-contiguous (4, k) array of prediction and gold columns: each row
+    reduction sums in NumPy's pairwise order, as ccc does over one vector,
+    so every value and gradient bit equals the per-dimension computation.
     """
     n = pred_va.shape[0]
     if mask is None:
         mask = np.ones(n, dtype=bool)
     idx = np.flatnonzero(mask)
     d_pred = np.zeros_like(pred_va, dtype=np.float64)
-    if len(idx) < 2:
+    k = len(idx)
+    if k < 2:
         return 0.0, d_pred
-    total = 0.0
+    # Rows: valence and arousal predictions, then valence and arousal gold.
+    cols = np.ascontiguousarray(
+        np.concatenate((pred_va[idx], gold_va[idx]), axis=1).T, dtype=np.float64
+    )
+    means = cols.mean(axis=1)
+    dev = cols - means[:, None]
+    # Rows: s_pg of valence and arousal, then s_pp, then s_gg.
+    moments = np.mean(dev[[0, 1, 0, 1, 2, 3]] * dev[[2, 3, 0, 1, 2, 3]], axis=1).tolist()
+    means = means.tolist()
+    diff = [means[0] - means[2], means[1] - means[3]]
+    rho = [0.0, 0.0]
+    scale = [0.0, 0.0]
+    dead = []
     for dim in range(2):
-        rho, grad = _ccc_rho_grad(pred_va[idx, dim], gold_va[idx, dim])
-        total += 1.0 - rho
-        d_pred[idx, dim] = -grad / 2.0
-    return total / 2.0, d_pred
+        # Python floats, as in ccc: ** 2 here is libm's pow, not NumPy's square.
+        denom = moments[2 + dim] + moments[4 + dim] + diff[dim] ** 2
+        if denom == 0.0:
+            dead.append(dim)
+        else:
+            rho[dim] = 2.0 * moments[dim] / denom
+            scale[dim] = 2.0 / (k * denom)
+    grad = np.array(scale)[:, None] * (
+        dev[2:] - np.array(rho)[:, None] * (dev[:2] + np.array(diff)[:, None])
+    )
+    if dead:
+        grad[dead] = 0.0
+    d_pred[idx] = (-grad / 2.0).T
+    return ((1.0 - rho[0]) + (1.0 - rho[1])) / 2.0, d_pred
 
 
 def unsupervised_ce_grad(

@@ -14,7 +14,7 @@ not approximated.
 
 Parameters live in one flat float64 buffer, Params.flat, laid out in
 PARAM_FIELDS order (backbone first); each named field is a reshaped view
-of its slice.  backward writes every gradient into views of one zeroed
+of its slice.  backward writes every gradient into views of one fresh
 buffer, so summing gradients or stepping the optimizer is whole-buffer
 arithmetic.
 """
@@ -100,10 +100,9 @@ class Params:
 
 PARAM_FIELDS = tuple(f.name for f in fields(Params) if f.init)
 BACKBONE_FIELDS = ("w1", "b1", "w2", "b2")
-
-
-def zeros_like_params(params: Params) -> Params:
-    return Params.wrap(np.zeros_like(params.flat), params)
+_EXP_FIELDS = ("w_exp1", "b_exp1", "w_exp2", "b_exp2")
+_AU_FIELDS = ("w_au", "b_au")
+_VA_FIELDS = ("w_va1", "b_va1", "w_va2", "b_va2")
 
 
 def init_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -205,9 +204,17 @@ def backward(
     """Exact gradients of a scalar loss given its head-output gradients.
 
     Any head whose upstream gradient is None contributes nothing.  d_va is
-    the gradient at the tanh output.  The result views one fresh buffer.
+    the gradient at the tanh output.  The result views one fresh buffer;
+    each field is written once, and only the fields of absent heads are
+    zero-filled.
     """
-    grads = zeros_like_params(params)
+    grads = Params.wrap(np.empty_like(params.flat), params)
+    for upstream, head_fields in (
+        (d_exp_logits, _EXP_FIELDS), (d_au_logits, _AU_FIELDS), (d_va, _VA_FIELDS)
+    ):
+        if upstream is None:
+            for name in head_fields:
+                getattr(grads, name).fill(0.0)
     d_features = np.zeros_like(cache.features)
 
     if d_exp_logits is not None:

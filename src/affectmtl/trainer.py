@@ -8,6 +8,13 @@ pseudo-label cross entropy, the rest a weak/strong symmetric KL.  Gradients
 flow through both forward passes; the backbone and the heads update with
 separate Adam learning rates.
 
+Each epoch draws its augmentation randomness once: one table of weak-view
+draws over the schedule and one of strong-view draws over the scheduled
+samples that get a strong view, both keyed by sample index (so a sample
+resampled twice in an epoch gets the same views twice).  Every step
+augments its batch from its slices of the two tables and receives strong
+views for the rows that use them only.
+
 Adam runs over the flat parameter buffer (see network.Params): its moments
 are flat arrays updated in place, block by block.  The backbone fields come
 first in the buffer, so the step applies lr_base to the slice before the
@@ -28,7 +35,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .augmentation import augment_views
+from .augmentation import (
+    STRONG_DRAWS,
+    STRONG_VIEW,
+    WEAK_DRAWS,
+    WEAK_VIEW,
+    augment_views,
+    view_uniforms,
+)
 from .config import RunConfig
 from .data_model import (
     Dataset,
@@ -289,32 +303,38 @@ class StepInfo:
     thresholds: tuple[float, ...]
 
 
+def wants_strong(labels: LabelArrays, mode: TrainMode) -> np.ndarray:
+    """Rows that get a strong view: expression-unlabeled rows valid for some
+    task, in the semi-supervised modes; none in supervised mode."""
+    if mode is TrainMode.SUPERVISED:
+        return np.zeros(len(labels.exp_valid), dtype=bool)
+    return (~labels.exp_valid) & labels.any_valid
+
+
 def train_step(
     state: TrainState,
     packed: PackedDataset,
     batch_indices: np.ndarray,
+    weak_draws: np.ndarray,
+    strong_draws: np.ndarray,
     config: RunConfig,
     w_exp: np.ndarray,
     w_au: np.ndarray,
     epoch: int,
     batch_number: int,
 ) -> tuple[TrainState, LossBreakdown, StepInfo]:
-    """One optimization step over one scheduled batch."""
+    """One optimization step over one scheduled batch.
+
+    weak_draws and strong_draws are the batch's rows of the epoch's draw
+    tables: one weak row per sample, one strong row per sample that
+    wants_strong marks, in batch order.
+    """
     targets = slice_targets(packed, batch_indices)
-    ss_mask = (
-        (~targets.exp_valid) & targets.any_valid
-        if config.mode is not TrainMode.SUPERVISED
-        else np.zeros(len(batch_indices), dtype=bool)
-    )
+    ss_mask = wants_strong(targets, config.mode)
     batch_images = packed.images[batch_indices]
     try:
         weak, strong = augment_views(
-            batch_images,
-            batch_indices,
-            config.seed,
-            epoch,
-            config.augment,
-            want_strong=ss_mask,
+            batch_images, weak_draws, strong_draws, config.augment, want_strong=ss_mask
         )
 
         cache_probe = forward_with_cache(state.params, weak)
@@ -338,7 +358,7 @@ def train_step(
             w_au,
             config.loss_weights,
             config.mode,
-            strong_images=strong[ss_rows],
+            strong_images=strong,
             ss_rows=ss_rows,
             confident=part.confident,
             pseudo_labels=part.pseudo_labels,
@@ -432,6 +452,7 @@ def run_training(
     best_score = -np.inf
     reports: list[EpochReport] = []
     loss_names = [f.name for f in fields(LossBreakdown)]
+    strong_rows = wants_strong(train_packed, config.mode)
     for epoch in range(config.epochs):
         schedule_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=(config.seed, epoch))
@@ -439,15 +460,33 @@ def run_training(
         schedule = make_epoch_schedule(
             train_packed, config.imbalance, schedule_rng, w_exp
         )
+        # The epoch's draw tables, keyed by sample index: row i of weak_table
+        # belongs to schedule[i]; strong_table holds the strong rows in
+        # schedule order, and strong_start[i] counts those before position i.
+        scheduled_strong = strong_rows[schedule]
+        weak_table = view_uniforms(config.seed, epoch, schedule, WEAK_VIEW, WEAK_DRAWS)
+        strong_table = view_uniforms(
+            config.seed, epoch, schedule[scheduled_strong], STRONG_VIEW, STRONG_DRAWS
+        )
+        strong_start = np.concatenate(([0], np.cumsum(scheduled_strong)))
         sums = np.zeros(len(loss_names))
         n_batches = 0
         unlabeled_total = 0
         confident_total = 0
         thresholds = tuple([0.0] * 8)
         for batch_number, start in enumerate(range(0, len(schedule), config.batch_size)):
-            batch = schedule[start : start + config.batch_size]
+            stop = min(start + config.batch_size, len(schedule))
             state, breakdown, info = train_step(
-                state, train_packed, batch, config, w_exp, w_au, epoch, batch_number
+                state,
+                train_packed,
+                schedule[start:stop],
+                weak_table[start:stop],
+                strong_table[strong_start[start] : strong_start[stop]],
+                config,
+                w_exp,
+                w_au,
+                epoch,
+                batch_number,
             )
             sums += [getattr(breakdown, name) for name in loss_names]
             n_batches += 1

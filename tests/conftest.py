@@ -4,6 +4,14 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+from affectmtl.augmentation import (
+    STRONG_DRAWS,
+    STRONG_VIEW,
+    WEAK_DRAWS,
+    WEAK_VIEW,
+    augment_views,
+    view_uniforms,
+)
 from affectmtl.data_model import (
     LABEL_SENTINEL,
     N_ACTION_UNITS,
@@ -45,6 +53,19 @@ def datasets(draw, min_size=0, max_size=8):
 def map_fields(fn, params: Params) -> Params:
     """Params whose every field is fn(that field), built in PARAM_FIELDS order."""
     return Params(**{name: fn(getattr(params, name)) for name in PARAM_FIELDS})
+
+
+def keyed_views(images, indices, seed, epoch, config, want):
+    """augment_views with each row's draws keyed by its sample index in
+    indices, as run_training keys them; want marks the strong rows."""
+    indices, want = np.asarray(indices), np.asarray(want, dtype=bool)
+    return augment_views(
+        images,
+        view_uniforms(seed, epoch, indices, WEAK_VIEW, WEAK_DRAWS),
+        view_uniforms(seed, epoch, indices[want], STRONG_VIEW, STRONG_DRAWS),
+        config,
+        want_strong=want,
+    )
 
 
 @pytest.fixture

@@ -3,12 +3,14 @@
 Plain per-definition forms of the cross entropy and the symmetric KL.  The
 package computes these terms only inside its *_grad functions; the tests
 compare those values against these oracles, check the gradients by finite
-differences of the oracles, and hold criterion 2's hand values.
+differences of the oracles, and hold criterion 2's hand values.  The
+concordance loss has a per-dimension reference built on the package's
+ccc, which the package's two-dimension pass must match bit for bit.
 """
 
 import numpy as np
 
-from affectmtl.losses import PROB_FLOOR
+from affectmtl.losses import PROB_FLOOR, ccc
 
 
 def weighted_cross_entropy(
@@ -53,3 +55,35 @@ def symmetric_kl_grad(p: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray, 
     d_p = p_active * (g_p - float(np.sum(g_p * pn))) / p_sum
     d_q = q_active * (g_q - float(np.sum(g_q * qn))) / q_sum
     return value, d_p, d_q
+
+
+def _ccc_rho_grad(pred: np.ndarray, gold: np.ndarray) -> tuple[float, np.ndarray]:
+    """rho and its gradient with respect to pred, one dimension at a time."""
+    terms = ccc(pred, gold)
+    n = len(pred)
+    denom = terms.s_x2 + terms.s_y2 + (terms.mean_x - terms.mean_y) ** 2
+    if denom == 0.0:
+        return 0.0, np.zeros_like(pred, dtype=np.float64)
+    d_pred = pred - terms.mean_x
+    d_gold = gold - terms.mean_y
+    mean_diff = terms.mean_x - terms.mean_y
+    grad = (2.0 / (n * denom)) * (d_gold - terms.rho * (d_pred + mean_diff))
+    return terms.rho, grad
+
+
+def ccc_loss_grad(
+    pred_va: np.ndarray, gold_va: np.ndarray, mask: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
+    """Mean of (1 - rho) over valence and arousal, each through ccc."""
+    if mask is None:
+        mask = np.ones(pred_va.shape[0], dtype=bool)
+    idx = np.flatnonzero(mask)
+    d_pred = np.zeros_like(pred_va, dtype=np.float64)
+    if len(idx) < 2:
+        return 0.0, d_pred
+    total = 0.0
+    for dim in range(2):
+        rho, grad = _ccc_rho_grad(pred_va[idx, dim], gold_va[idx, dim])
+        total += 1.0 - rho
+        d_pred[idx, dim] = -grad / 2.0
+    return total / 2.0, d_pred

@@ -15,7 +15,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from affectmtl.augmentation import augment_views
 from affectmtl.config import RunConfig, SynthFileConfig, TrainMode
 from affectmtl.data_model import (
     LabelArrays,
@@ -54,7 +53,7 @@ from affectmtl.trainer import (
     pack_dataset,
     run_training,
 )
-from conftest import map_fields
+from conftest import keyed_views, map_fields
 from oracles import symmetric_kl
 
 LN2 = math.log(2.0)
@@ -593,11 +592,11 @@ def test_criterion_6_determinism(capsys):
     for epoch in (0, config.epochs - 1):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, epoch)))
         schedule = make_epoch_schedule(train, config.imbalance, rng, w_exp)
-        whole = augment_views(
+        whole = keyed_views(
             train.images[schedule], schedule, config.seed, epoch, config.augment, want[schedule]
         )
         batches = [
-            augment_views(
+            keyed_views(
                 train.images[batch], batch, config.seed, epoch, config.augment, want[batch]
             )
             for batch in np.split(

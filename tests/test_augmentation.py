@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affectmtl import augmentation
 from affectmtl.augmentation import (
+    BRIGHTNESS,
+    BRIGHTNESS_DRAW,
+    CONTRAST,
+    CONTRAST_DRAW,
+    CUTOUT_DRAWS,
+    ROTATION,
+    ROTATION_DRAW,
     STRONG_DRAWS,
     STRONG_OP_NAMES,
     STRONG_VIEW,
@@ -14,7 +22,7 @@ from affectmtl.augmentation import (
     WEAK_VIEW,
     AugConfig,
     augment_views,
-    cutout,
+    cutout_boxes,
     reflect_map,
     rotate_bilinear,
     strong_op_order,
@@ -23,6 +31,7 @@ from affectmtl.augmentation import (
     weak_views,
 )
 from affectmtl.errors import ConfigError
+from conftest import keyed_views as views
 
 
 def images(rng, n=6, size=8):
@@ -35,6 +44,30 @@ def weak_draws(n, seed=0, epoch=0):
 
 def strong_draws(n, seed=0, epoch=0):
     return view_uniforms(seed, epoch, np.arange(n), STRONG_VIEW, STRONG_DRAWS)
+
+
+def strong_views_slot_by_slot(imgs, draws, cfg):
+    """Reference order: op slot j applies, for each op, that op to the rows
+    that picked it in slot j, rotation included."""
+    out = weak_views(imgs, draws, cfg)
+    _, height, width = imgs.shape
+    order = strong_op_order(draws, cfg)
+    delta = cfg.brightness_delta * (2.0 * draws[:, BRIGHTNESS_DRAW] - 1.0)
+    factor = cfg.contrast_low + (cfg.contrast_high - cfg.contrast_low) * draws[:, CONTRAST_DRAW]
+    angle = cfg.rotation_max_deg * (2.0 * draws[:, ROTATION_DRAW] - 1.0)
+    box = cutout_boxes(draws[:, CUTOUT_DRAWS], height, width, cfg.cutout_max_frac)
+    for slot in range(order.shape[1]):
+        for op in range(len(STRONG_OP_NAMES)):
+            rows = np.flatnonzero(order[:, slot] == op)
+            if op == BRIGHTNESS:
+                out[rows] = out[rows] + delta[rows, None, None]
+            elif op == CONTRAST:
+                out[rows] = 0.5 + factor[rows, None, None] * (out[rows] - 0.5)
+            elif op == ROTATION:
+                out[rows] = rotate_bilinear(out[rows], angle[rows])
+            else:
+                out[rows] = np.where(box[rows], 0.0, out[rows])
+    return np.clip(out, 0.0, 1.0)
 
 
 def rotate_one(image, degrees):
@@ -63,8 +96,8 @@ def rotate_one(image, degrees):
 def test_weak_deterministic_per_stream(rng):
     imgs = images(rng)
     cfg = AugConfig()
-    out1, _ = augment_views(imgs, np.arange(6), 5, 2, cfg)
-    out2, _ = augment_views(imgs, np.arange(6), 5, 2, cfg)
+    out1, _ = views(imgs, np.arange(6), 5, 2, cfg, np.zeros(6, bool))
+    out2, _ = views(imgs, np.arange(6), 5, 2, cfg, np.zeros(6, bool))
     assert np.array_equal(out1, out2)
 
 
@@ -107,7 +140,7 @@ def test_strong_stays_in_range(rng):
 
 def test_strong_differs_from_weak(rng):
     imgs = images(rng, size=16)
-    weak, strong = augment_views(imgs, np.arange(6), 0, 0, AugConfig(), np.ones(6, bool))
+    weak, strong = views(imgs, np.arange(6), 0, 0, AugConfig(), np.ones(6, bool))
     for row in range(6):
         assert not np.array_equal(weak[row], strong[row])
 
@@ -140,8 +173,7 @@ def test_rotate_matches_per_image_reference(rng):
 
 def test_cutout_area_capped():
     draws = view_uniforms(0, 0, np.arange(2000), STRONG_VIEW, 4)
-    out = cutout(np.ones((2000, 16, 16)), draws, 0.25)
-    removed = np.count_nonzero(out == 0.0, axis=(1, 2))
+    removed = np.count_nonzero(cutout_boxes(draws, 16, 16, 0.25), axis=(1, 2))
     assert removed.min() >= 1 and removed.max() <= 64  # 25% of 256
     assert removed.max() == 64  # the largest box, 8x8, does occur
 
@@ -215,9 +247,9 @@ def test_augment_views_order_independent(rng):
     imgs = images(rng, n=4)
     indices = np.array([10, 11, 12, 13])
     cfg = AugConfig()
-    weak, strong = augment_views(imgs, indices, 0, 0, cfg, np.ones(4, bool))
+    weak, strong = views(imgs, indices, 0, 0, cfg, np.ones(4, bool))
     perm = np.array([2, 0, 3, 1])
-    weak_p, strong_p = augment_views(imgs[perm], indices[perm], 0, 0, cfg, np.ones(4, bool))
+    weak_p, strong_p = views(imgs[perm], indices[perm], 0, 0, cfg, np.ones(4, bool))
     assert np.array_equal(weak_p, weak[perm])
     assert np.array_equal(strong_p, strong[perm])
 
@@ -242,24 +274,72 @@ def test_augment_views_batch_split_invariant(case, seed, epoch):
     imgs = np.random.default_rng(seed % 1000).random((n, 8, 8))
     indices, want, perm = np.array(indices), np.array(want), np.array(perm)
     cfg = AugConfig()
-    weak, strong = augment_views(imgs, indices, seed, epoch, cfg, want)
+    weak, strong = views(imgs, indices, seed, epoch, cfg, want)
     bounds = [0] + sorted(cuts) + [n]
     pieces = [
-        augment_views(imgs[perm[a:b]], indices[perm[a:b]], seed, epoch, cfg, want[perm[a:b]])
+        views(imgs[perm[a:b]], indices[perm[a:b]], seed, epoch, cfg, want[perm[a:b]])
         for a, b in zip(bounds, bounds[1:])
     ]
+    # strong holds the marked rows in batch order; row r's is strong_row[r].
+    strong_row = np.cumsum(want) - 1
     assert np.concatenate([p[0] for p in pieces]).tobytes() == weak[perm].tobytes()
-    assert np.concatenate([p[1] for p in pieces]).tobytes() == strong[perm].tobytes()
+    assert (
+        np.concatenate([p[1] for p in pieces]).tobytes()
+        == strong[strong_row[perm][want[perm]]].tobytes()
+    )
 
 
 def test_augment_views_skips_unwanted_strong(rng):
+    """Strong views are built, and returned, for the marked rows only."""
     imgs = images(rng, n=3)
     want = np.array([True, False, True])
-    _, strong = augment_views(imgs, np.arange(3), 0, 0, AugConfig(), want)
-    assert np.all(strong[1] == 0.0)
-    assert np.any(strong[0] != 0.0)
-    _, none = augment_views(imgs, np.arange(3), 0, 0, AugConfig())
-    assert np.all(none == 0.0)
+    _, strong = views(imgs, np.arange(3), 0, 0, AugConfig(), want)
+    _, alone = views(imgs[[0, 2]], [0, 2], 0, 0, AugConfig(), np.ones(2, bool))
+    assert strong.shape == (2, 8, 8)
+    assert strong.tobytes() == alone.tobytes()
+    _, none = views(imgs, np.arange(3), 0, 0, AugConfig(), np.zeros(3, bool))
+    assert none.shape == (0, 8, 8)
+    # One strong draw row per marked row, or the call is refused.
+    with pytest.raises(ValueError):
+        augment_views(imgs, weak_draws(3), strong_draws(3), AugConfig(), want_strong=want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(1, len(STRONG_OP_NAMES)),
+    st.integers(3, 12),
+    st.integers(0, 3),
+    st.integers(0, 2**32),
+    st.integers(0, 50),
+)
+def test_strong_views_match_slot_by_slot_reference(n, ops, size, pad, seed, epoch):
+    """Rotating once per batch, between each row's earlier and later ops,
+    gives the bits of applying every op slot in turn."""
+    imgs = np.random.default_rng(seed % 1000).random((n, size, size))
+    cfg = AugConfig(crop_padding=pad, strong_ops_per_image=ops)
+    draws = strong_draws(n, seed=seed, epoch=epoch)
+    got = strong_views(imgs, draws, cfg)
+    assert got.tobytes() == strong_views_slot_by_slot(imgs, draws, cfg).tobytes()
+
+
+def test_strong_views_rotate_once_per_batch(rng, monkeypatch):
+    calls = []
+
+    def counting(images, degrees):
+        calls.append(len(images))
+        return rotate_bilinear(images, degrees)
+
+    monkeypatch.setattr(augmentation, "rotate_bilinear", counting)
+    imgs = images(rng, n=200)
+    for k in range(1, len(STRONG_OP_NAMES) + 1):
+        cfg = AugConfig(strong_ops_per_image=k)
+        draws = strong_draws(200, seed=k)
+        rows, slots = np.nonzero(strong_op_order(draws, cfg) == ROTATION)
+        assert set(slots.tolist()) == set(range(k))  # rotations in every slot
+        calls.clear()
+        strong_views(imgs, draws, cfg)
+        assert calls == [len(rows)]
 
 
 def test_draw_distributions():

@@ -1,10 +1,13 @@
 """Frozen digests of short seed-0 training runs.
 
 Three epochs at seed 0 on the default synthetic benchmark (the data
-`affectmtl synth --seed 0` writes), once per training mode.  The sha256
-of the epoch log text and of the final and best parameter bytes must not
-move: a refactor that changes any bit of a loss, a gradient, an Adam
-update or a score fails here, not only in the slow criterion 7/8 runs.
+`affectmtl synth --seed 0` writes), once per training mode, and once more
+for ss-mfar with resampling: resampled epochs repeat sample indices, so
+augmentation draws keyed by schedule position rather than by sample index
+would move that digest.  The sha256 of the epoch log text and of the
+final and best parameter bytes must not move: a refactor that changes
+any bit of a loss, a gradient, an Adam update or a score fails here, not
+only in the slow criterion 7/8 runs.
 
 The digests hold for this NumPy/OpenBLAS build; another BLAS (or another
 NumPy version) may round the matrix products differently and legitimately
@@ -39,6 +42,13 @@ GOLDEN = {
     ),
 }
 
+# ss-mfar with imbalance="resample": (log text, final, best)
+GOLDEN_RESAMPLE = (
+    "e7c0c8210fd4bf4ecac1a6f7fa992f43b9e88c18ed65a4dc1f0b666ade55de24",
+    "a76c8a960aa22d9bb59165338779978159a6bb5554786a638ba2e06d2f036e4f",
+    "a76c8a960aa22d9bb59165338779978159a6bb5554786a638ba2e06d2f036e4f",
+)
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -52,13 +62,20 @@ def default_data():
     return train, val
 
 
-@pytest.mark.parametrize("mode", list(GOLDEN), ids=lambda mode: mode.value)
-def test_three_epoch_digests(default_data, mode):
-    train, val = default_data
-    result = run_training(train, val, RunConfig(mode=mode, seed=0, epochs=3))
-    digests = (
+def _digests(data, config: RunConfig) -> tuple[str, str, str]:
+    result = run_training(*data, config)
+    return (
         _sha256(format_epoch_log(result.reports).encode("utf-8")),
         _sha256(result.final_params.flat.tobytes()),
         _sha256(result.best_params.flat.tobytes()),
     )
-    assert digests == GOLDEN[mode]
+
+
+@pytest.mark.parametrize("mode", list(GOLDEN), ids=lambda mode: mode.value)
+def test_three_epoch_digests(default_data, mode):
+    assert _digests(default_data, RunConfig(mode=mode, seed=0, epochs=3)) == GOLDEN[mode]
+
+
+def test_three_epoch_resample_digests(default_data):
+    config = RunConfig(mode=TrainMode.SEMI, seed=0, epochs=3, imbalance="resample")
+    assert _digests(default_data, config) == GOLDEN_RESAMPLE

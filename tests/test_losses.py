@@ -19,6 +19,8 @@ from affectmtl.losses import (
     weighted_bce_grad,
     weighted_cross_entropy_grad,
 )
+import oracles
+from conftest import finite_va
 from oracles import symmetric_kl, symmetric_kl_grad, weighted_cross_entropy
 
 ONES8 = np.ones(8)
@@ -236,6 +238,38 @@ class TestCccLoss:
         _, grad = ccc_loss_grad(pred, gold, mask)
         assert np.all(grad[~mask] == 0.0)
         fd_check(lambda p: ccc_loss_grad(p, gold, mask)[0], pred, grad, atol=1e-5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.tuples(finite_va, finite_va), min_size=n, max_size=n),
+                st.lists(st.tuples(finite_va, finite_va), min_size=n, max_size=n),
+                st.lists(st.booleans(), min_size=n, max_size=n),
+            )
+        ),
+        st.sampled_from(["free", "constant pred", "constant both", "equal"]),
+    )
+    @example(([(0.5, 0.1), (-0.25, 0.3)], [(0.1, 0.1), (0.2, 0.9)], [True, True]), "free")
+    @example(([(0.3, 0.3), (0.3, -0.2)], [(0.3, 0.5), (0.3, 0.5)], [True, True]), "free")
+    def test_matches_per_dimension_reference_bitwise(self, case, shape):
+        """One pass over both dimensions gives the bits of one ccc per
+        dimension, for k = 0, 1, 2 and more rows and zero denominators."""
+        pred, gold, mask = (np.array(part, dtype=np.float64) for part in case)
+        pred, gold, mask = pred.reshape(-1, 2), gold.reshape(-1, 2), mask.astype(bool)
+        if shape in ("constant pred", "constant both") and len(pred):
+            pred[:] = pred[0]
+        if shape == "constant both" and len(pred):
+            gold[:] = pred[0]
+        if shape == "equal":
+            gold = pred.copy()
+        # A subnormal denominator overflows the gradient scale to inf in
+        # both; the NaNs that follow must match too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, grad = ccc_loss_grad(pred, gold, mask)
+            ref_value, ref_grad = oracles.ccc_loss_grad(pred, gold, mask)
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
 
 
 class TestSymmetricKl:

@@ -20,7 +20,6 @@ from affectmtl.network import (
     sigmoid,
     softmax,
     softmax_backward,
-    zeros_like_params,
 )
 
 from conftest import map_fields
@@ -154,6 +153,22 @@ class TestBackward:
         assert np.all(grads.w_au == 0.0) and np.all(grads.w_va1 == 0.0)
         assert np.any(grads.w_exp1 != 0.0) and np.any(grads.w1 != 0.0)
 
+    def test_strong_only_backward_zeroes_au_and_va_fields(self, rng):
+        """The strong pass sends only an expression gradient.  The result
+        buffer is not zero-filled, so freed non-zero buffers of its size are
+        handed out first; the AU and VA fields must still read exactly 0."""
+        params = init_params(MC, 4)
+        cache = forward_with_cache(params, rng.random((5, 6, 6)))
+        au_va = ("w_au", "b_au", "w_va1", "b_va1", "w_va2", "b_va2")
+        for _ in range(20):
+            junk = np.full_like(params.flat, np.nan)
+            del junk
+            grads = backward(params, cache, rng.normal(size=(5, 8)), None, None)
+            for name in au_va:
+                assert np.all(getattr(grads, name) == 0.0), name
+            assert np.all(np.isfinite(grads.flat))
+            assert np.any(grads.w_exp1 != 0.0) and np.any(grads.w1 != 0.0)
+
     def test_duplicated_sample_doubles_contribution(self, rng):
         params = init_params(MC, 3)
         img = rng.random((1, 6, 6))
@@ -175,7 +190,7 @@ class TestBackward:
 def test_map_params_and_zeros():
     params = init_params(MC, 5)
     expected = params.flat.tobytes()
-    assert add_grads(params, zeros_like_params(params)).flat.tobytes() == expected
+    assert add_grads(params, map_fields(np.zeros_like, params)).flat.tobytes() == expected
     scaled = map_fields(lambda a: 2 * a, params)
     assert np.array_equal(scaled.w1, 2 * params.w1)
     assert not np.shares_memory(scaled.flat, params.flat)

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import affectmtl.trainer
-from affectmtl.augmentation import augment_views
+from affectmtl.augmentation import (
+    STRONG_DRAWS,
+    STRONG_VIEW,
+    WEAK_DRAWS,
+    WEAK_VIEW,
+    view_uniforms,
+)
 from affectmtl.config import RunConfig
 from affectmtl.data_model import (
     LabelArrays,
@@ -22,7 +28,6 @@ from affectmtl.network import (
     ModelConfig,
     backward,
     init_params,
-    zeros_like_params,
 )
 from affectmtl.pseudo_label import ClassStatAccumulator
 from affectmtl.trainer import (
@@ -42,8 +47,9 @@ from affectmtl.trainer import (
     run_training,
     slice_targets,
     train_step,
+    wants_strong,
 )
-from conftest import map_fields
+from conftest import keyed_views, map_fields
 
 
 def small_packed(count=24, size=8, seed=0, exp_mask=0.4, va_mask=0.2, au_mask=0.2):
@@ -274,7 +280,7 @@ class TestAdam:
     def test_zero_gradient_keeps_params(self):
         state = adam_init(self.params)
         new_params, new_state = adam_step(
-            self.params, zeros_like_params(self.params), state, *self.lr
+            self.params, map_fields(np.zeros_like, self.params), state, *self.lr
         )
         assert params_equal(new_params, self.params)
         assert new_state.t == 1
@@ -375,15 +381,20 @@ def test_semi_supervised_step_peak_allocation():
     w_exp = expression_class_weights(packed.stats)
     w_au = au_positive_weights(packed.stats)
     batch = np.arange(64)
-    assert np.count_nonzero(~packed.exp_valid & packed.any_valid) > 0
-    state, _, _ = train_step(state, packed, batch, config, w_exp, w_au, 0, 0)
+    want = wants_strong(packed, config.mode)
+    assert np.count_nonzero(want) > 0
+    draws = (
+        view_uniforms(config.seed, 0, batch, WEAK_VIEW, WEAK_DRAWS),
+        view_uniforms(config.seed, 0, batch[want], STRONG_VIEW, STRONG_DRAWS),
+    )
+    state, _, _ = train_step(state, packed, batch, *draws, config, w_exp, w_au, 0, 0)
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        train_step(state, packed, batch, config, w_exp, w_au, 0, 0)
+        train_step(state, packed, batch, *draws, config, w_exp, w_au, 0, 0)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not was_tracing:
@@ -442,12 +453,12 @@ class TestRunTraining:
         for epoch in range(2):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, epoch)))
             schedule = make_epoch_schedule(train, imbalance, rng, w_exp)
-            whole = augment_views(
+            whole = keyed_views(
                 train.images[schedule], schedule, config.seed, epoch,
                 config.augment, want[schedule],
             )
             batches = [
-                augment_views(
+                keyed_views(
                     train.images[batch], batch, config.seed, epoch,
                     config.augment, want[batch],
                 )
@@ -458,6 +469,23 @@ class TestRunTraining:
             for part in (0, 1):
                 joined = np.concatenate([views[part] for views in batches])
                 assert joined.tobytes() == whole[part].tobytes()
+
+    @pytest.mark.parametrize("mode", list(TrainMode))
+    def test_one_epoch_draws_two_tables(self, mode, monkeypatch):
+        """Each epoch draws its weak and its strong table once; every step
+        reads its rows from them."""
+        calls = []
+
+        def counting(seed, epoch, sample_indices, view, count):
+            calls.append((epoch, view, len(sample_indices)))
+            return view_uniforms(seed, epoch, sample_indices, view, count)
+
+        monkeypatch.setattr(affectmtl.trainer, "view_uniforms", counting)
+        train = small_packed(count=40, seed=0)
+        val = small_packed(count=10, seed=1)
+        run_training(train, val, self.config(mode=mode, epochs=1))
+        strong = np.count_nonzero(wants_strong(train, mode))
+        assert calls == [(0, WEAK_VIEW, 40), (0, STRONG_VIEW, strong)]
 
     def test_zero_epochs(self):
         train = small_packed(count=12, seed=0)
