@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 usage error, 2 bad data or configuration,
 3 training divergence.  `train` and `curves` write each output to a
 temporary file and rename it into place, so a failed command leaves no
-partial file at an output path.
+partial file at an output path.  `synth` is not atomic: it overwrites
+existing images in place (see pgm.write_pgm, which avoids O_TRUNC because
+freeing each old block costs more than the write), so a failed run can
+leave a mix of old and new files.
 """
 
 from __future__ import annotations

@@ -142,9 +142,13 @@ def parse_manifest(text: str) -> Dataset:
         try:
             valence = float(fields[1])
             arousal = float(fields[2])
-            expression = _parse_int(fields[3])
-            units = tuple(_parse_int(f) for f in fields[4:])
-            annotations = AnnotationSet(valence, arousal, expression, units)
+            try:
+                labels = tuple(map(int, fields[3:]))
+            except ValueError:
+                # _parse_int names the bad field, and also accepts the
+                # "\x1f" padding that str.strip removes and int refuses.
+                labels = tuple(map(_parse_int, fields[3:]))
+            annotations = AnnotationSet(valence, arousal, labels[0], labels[1:])
         except (ValueError, DataError) as exc:
             raise DataError(f"row {lineno}: {exc}") from None
         samples.append(Sample(image_ref, annotations))
@@ -397,11 +401,16 @@ def generate_synthetic(
 
 
 def write_dataset(root, manifest_name: str, dataset: Dataset, images: np.ndarray) -> None:
-    """Write manifest + one PGM per sample under root."""
+    """Write manifest + one PGM per sample under root, overwriting existing
+    files in place (see write_pgm); not atomic."""
     os.makedirs(root, exist_ok=True)
+    made = set()
     for sample, image in zip(dataset, images):
         path = os.path.join(root, sample.image_ref)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+        directory = os.path.dirname(path)
+        if directory not in made:
+            os.makedirs(directory, exist_ok=True)
+            made.add(directory)
         write_pgm(path, image)
     with open(os.path.join(root, manifest_name), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(serialize_manifest(dataset))
@@ -425,14 +434,26 @@ def load_manifest(path) -> Dataset:
 
 
 def load_images(dataset: Dataset, root) -> np.ndarray:
-    """Stack every sample's PGM into one (n, h, w) array in [0, 1]."""
+    """Stack every sample's PGM into one (n, h, w) array in [0, 1].
+
+    Each image is copied into the array as soon as it is read, so that no
+    list of n small arrays outlives the loop: it fragments the heap, and
+    peak RSS creeps up over repeated loads in one process.
+    """
     if len(dataset) == 0:
         return np.zeros((0, 0, 0))
-    images = [read_pgm(os.path.join(root, s.image_ref)) for s in dataset]
-    shapes = {img.shape for img in images}
+    images = None
+    shapes = set()
+    for i, sample in enumerate(dataset):
+        image = read_pgm(os.path.join(root, sample.image_ref))
+        if images is None:
+            images = np.empty((len(dataset),) + image.shape)
+        shapes.add(image.shape)
+        if len(shapes) == 1:
+            images[i] = image
     if len(shapes) != 1:
         raise DataError(f"images disagree on dimensions: {sorted(shapes)}")
-    return np.stack(images)
+    return images
 
 
 def format_stats(stats: DatasetStats) -> str:

@@ -18,6 +18,7 @@ drops that term.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,8 +160,9 @@ def ccc_loss_grad(
     """Mean of (1 - rho) over valence and arousal on the masked-in rows.
 
     Fewer than two valid rows make both coefficients undefined; the term is
-    then absent (0), and a dimension whose rho has a zero denominator gets
-    zero gradient.  Both dimensions' moments come from one pass over a
+    then absent (0).  A dimension whose rho has a zero denominator, or one
+    so small that the gradient scale 2 / (k * denom) overflows, gets rho 0
+    and zero gradient.  Both dimensions' moments come from one pass over a
     C-contiguous (4, k) array of prediction and gold columns: each row
     reduction sums in NumPy's pairwise order, as ccc does over one vector,
     so every value and gradient bit equals the per-dimension computation.
@@ -189,11 +191,13 @@ def ccc_loss_grad(
     for dim in range(2):
         # Python floats, as in ccc: ** 2 here is libm's pow, not NumPy's square.
         denom = moments[2 + dim] + moments[4 + dim] + diff[dim] ** 2
-        if denom == 0.0:
+        # A subnormal denominator overflows the scale; it counts as zero.
+        dim_scale = 2.0 / (k * denom) if denom != 0.0 else math.inf
+        if math.isinf(dim_scale):
             dead.append(dim)
         else:
             rho[dim] = 2.0 * moments[dim] / denom
-            scale[dim] = 2.0 / (k * denom)
+            scale[dim] = dim_scale
     grad = np.array(scale)[:, None] * (
         dev[2:] - np.array(rho)[:, None] * (dev[:2] + np.array(diff)[:, None])
     )

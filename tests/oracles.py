@@ -1,4 +1,4 @@
-"""Independent value oracles for the loss tests.
+"""Independent value oracles for the loss and PGM tests.
 
 Plain per-definition forms of the cross entropy and the symmetric KL.  The
 package computes these terms only inside its *_grad functions; the tests
@@ -6,10 +6,15 @@ compare those values against these oracles, check the gradients by finite
 differences of the oracles, and hold criterion 2's hand values.  The
 concordance loss has a per-dimension reference built on the package's
 ccc, which the package's two-dimension pass must match bit for bit.
+read_pgm is a byte-at-a-time header tokenizer that the package's
+regex-based reader must match in every array and every error message.
 """
+
+import math
 
 import numpy as np
 
+from affectmtl.errors import DataError
 from affectmtl.losses import PROB_FLOOR, ccc
 
 
@@ -62,12 +67,14 @@ def _ccc_rho_grad(pred: np.ndarray, gold: np.ndarray) -> tuple[float, np.ndarray
     terms = ccc(pred, gold)
     n = len(pred)
     denom = terms.s_x2 + terms.s_y2 + (terms.mean_x - terms.mean_y) ** 2
-    if denom == 0.0:
+    # A zero denominator, or a subnormal one whose scale overflows, is dead.
+    scale = 2.0 / (n * denom) if denom != 0.0 else math.inf
+    if math.isinf(scale):
         return 0.0, np.zeros_like(pred, dtype=np.float64)
     d_pred = pred - terms.mean_x
     d_gold = gold - terms.mean_y
     mean_diff = terms.mean_x - terms.mean_y
-    grad = (2.0 / (n * denom)) * (d_gold - terms.rho * (d_pred + mean_diff))
+    grad = scale * (d_gold - terms.rho * (d_pred + mean_diff))
     return terms.rho, grad
 
 
@@ -87,3 +94,55 @@ def ccc_loss_grad(
         total += 1.0 - rho
         d_pred[idx, dim] = -grad / 2.0
     return total / 2.0, d_pred
+
+
+_PGM_WHITESPACE = b" \t\r\n"
+
+
+def read_pgm(path) -> np.ndarray:
+    """Read a binary PGM into a float array in [0, 1], one header byte at a time."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    magic, pos = _pgm_token(data, 0, path)
+    if magic != b"P5":
+        raise DataError(f"{path}: not a binary PGM (magic {magic!r})")
+    fields = []
+    for name in ("width", "height", "maxval"):
+        tok, pos = _pgm_token(data, pos, path)
+        try:
+            fields.append(int(tok))
+        except ValueError:
+            raise DataError(f"{path}: bad {name} field {tok!r}") from None
+    width, height, maxval = fields
+    if width <= 0 or height <= 0:
+        raise DataError(f"{path}: bad dimensions {width}x{height}")
+    if maxval != 255:
+        raise DataError(f"{path}: only maxval 255 is supported, got {maxval}")
+    pos += 1  # single whitespace byte separates the header from the payload
+    payload = data[pos:]
+    if len(payload) != width * height:
+        raise DataError(
+            f"{path}: expected {width * height} bytes of pixel data, got {len(payload)}"
+        )
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+    return pixels.astype(np.float64) / 255.0
+
+
+def _pgm_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
+    """The next header field at or after pos, skipping whitespace and
+    comments ("#" to the end of the line), and the position after it."""
+    while pos < len(data):
+        char = data[pos]
+        if char in _PGM_WHITESPACE:
+            pos += 1
+        elif char == ord("#"):
+            while pos < len(data) and data[pos] not in b"\r\n":
+                pos += 1
+        else:
+            break
+    start = pos
+    while pos < len(data) and data[pos] not in _PGM_WHITESPACE:
+        pos += 1
+    if start == pos:
+        raise DataError(f"{path}: unexpected end of PGM header")
+    return data[start:pos], pos

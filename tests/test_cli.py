@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import affectmtl
 from affectmtl.cli import CURVE_COLUMNS, main
 from affectmtl.config import parse_run_config
 from affectmtl.data_model import load_manifest
@@ -96,6 +100,42 @@ class TestSynth:
         cfg = tmp_path / "synth.cfg"
         cfg.write_text("bogus_key=1\n")
         assert run_cli("synth", "--out", tmp_path / "d", "--config", cfg) == 2
+
+    def test_rerun_matches_fresh_directory(self, tmp_path):
+        """A second synth into the same directory, with smaller images,
+        rewrites every file in place to the bytes a fresh directory gets."""
+        big = tmp_path / "big.cfg"
+        big.write_text("train_count=30\nval_count=10\n")
+        small = tmp_path / "small.cfg"
+        small.write_text("train_count=30\nval_count=10\nimage_size=8\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(affectmtl.__file__)))
+
+        def synth(out, cfg):
+            subprocess.run(
+                [sys.executable, "-m", "affectmtl.cli", "synth", "--out", out, "--config", cfg],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+
+        synth(tmp_path / "again", big)
+        synth(tmp_path / "again", small)
+        synth(tmp_path / "fresh", small)
+
+        def contents(root):
+            return {
+                path.relative_to(root): path.read_bytes()
+                for path in sorted(root.rglob("*")) if path.is_file()
+            }
+
+        again, fresh = contents(tmp_path / "again"), contents(tmp_path / "fresh")
+        assert len(fresh) == 2 + 40
+        assert again == fresh
+
+    def test_unwritable_image_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("train_count=3\nval_count=2\nimage_size=8\n")
+        blocked = tmp_path / "d" / "images" / "train_00001.pgm"
+        blocked.mkdir(parents=True)
+        _exits_2_naming(["synth", "--out", tmp_path / "d", "--config", cfg], blocked, capsys)
 
 
 class TestStats:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from dataclasses import astuple
@@ -146,6 +148,25 @@ class TestManifest:
         row = "a.pgm,0.1,0.2,x," + ",".join(["0"] * 12)
         with pytest.raises(DataError, match="row 2"):
             parse_manifest(header + "\n" + row + "\n")
+
+    def test_integer_fields_parse_as_stripped_ints(self):
+        """Padding the fields with whitespace, including the "\x1f" that
+        int refuses and str.strip removes, keeps each label's value."""
+        header = ",".join(MANIFEST_COLUMNS)
+        row = "a.pgm,0.1,0.2, 3\x1f," + ",".join(["\t1 "] + ["\x1f0"] * 11)
+        labels = parse_manifest(header + "\n" + row + "\n")[0].annotations
+        assert labels.expression == 3
+        assert labels.action_units == (1,) + (0,) * 11
+        assert all(type(unit) is int for unit in labels.action_units)
+
+    @pytest.mark.parametrize("column", [3, 4, 15])
+    def test_non_integer_label_message_names_first_bad_field(self, column):
+        header = ",".join(MANIFEST_COLUMNS)
+        fields = ["a.pgm", "0.1", "0.2"] + ["0"] * 13
+        fields[column] = " 1.0 "
+        fields[column + 1:] = ["y"] * (15 - column)
+        with pytest.raises(DataError, match=r"^row 2: not an integer: '1\.0'$"):
+            parse_manifest(header + "\n" + ",".join(fields) + "\n")
 
     def test_annotation_violation_names_row(self):
         header = ",".join(MANIFEST_COLUMNS)
@@ -314,13 +335,30 @@ class TestDiskRoundTrip:
         assert loaded == dataset
         assert np.array_equal(load_images(loaded, tmp_path), images)
 
+    def test_write_makes_each_image_directory_once(self, tmp_path, monkeypatch):
+        cfg = SynthConfig(count=6, image_size=4)
+        dataset, images = generate_synthetic(cfg, 0)
+        dataset = Dataset(tuple(
+            Sample(f"{'ab'[i % 2]}/{s.image_ref}", s.annotations) for i, s in enumerate(dataset)
+        ))
+        for parent in "ab":  # so os.makedirs does not recurse into itself
+            (tmp_path / parent).mkdir()
+        made = []
+        real = os.makedirs
+        monkeypatch.setattr(os, "makedirs", lambda path, **kw: made.append(path) or real(path, **kw))
+        write_dataset(tmp_path, "m.csv", dataset, images)
+        assert sorted(map(str, made)) == [
+            str(tmp_path), str(tmp_path / "a" / "images"), str(tmp_path / "b" / "images")
+        ]
+        assert np.array_equal(load_images(load_manifest(tmp_path / "m.csv"), tmp_path), images)
+
     def test_load_images_mixed_sizes_rejected(self, tmp_path):
         ds1, imgs1 = generate_synthetic(SynthConfig(count=1, image_size=8), 0, prefix="a")
         ds2, imgs2 = generate_synthetic(SynthConfig(count=1, image_size=4), 0, prefix="b")
         write_dataset(tmp_path, "a.csv", ds1, imgs1)
         write_dataset(tmp_path, "b.csv", ds2, imgs2)
         merged = Dataset(ds1.samples + ds2.samples)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"disagree on dimensions: \[\(4, 4\), \(8, 8\)\]"):
             load_images(merged, tmp_path)
 
 
