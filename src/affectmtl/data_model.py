@@ -142,13 +142,9 @@ def parse_manifest(text: str) -> Dataset:
         try:
             valence = float(fields[1])
             arousal = float(fields[2])
-            try:
-                labels = tuple(map(int, fields[3:]))
-            except ValueError:
-                # _parse_int names the bad field, and also accepts the
-                # "\x1f" padding that str.strip removes and int refuses.
-                labels = tuple(map(_parse_int, fields[3:]))
-            annotations = AnnotationSet(valence, arousal, labels[0], labels[1:])
+            expression = _parse_int(fields[3])
+            units = tuple(_parse_int(f) for f in fields[4:])
+            annotations = AnnotationSet(valence, arousal, expression, units)
         except (ValueError, DataError) as exc:
             raise DataError(f"row {lineno}: {exc}") from None
         samples.append(Sample(image_ref, annotations))

@@ -160,12 +160,13 @@ def ccc_loss_grad(
     """Mean of (1 - rho) over valence and arousal on the masked-in rows.
 
     Fewer than two valid rows make both coefficients undefined; the term is
-    then absent (0).  A dimension whose rho has a zero denominator, or one
-    so small that the gradient scale 2 / (k * denom) overflows, gets rho 0
-    and zero gradient.  Both dimensions' moments come from one pass over a
-    C-contiguous (4, k) array of prediction and gold columns: each row
-    reduction sums in NumPy's pairwise order, as ccc does over one vector,
-    so every value and gradient bit equals the per-dimension computation.
+    then absent (0).  A dimension whose rho has a zero denominator gets rho
+    0 and zero gradient; one whose denominator is so small that the gradient
+    scale 2 / (k * denom) overflows keeps its rho and gets zero gradient.
+    Both dimensions' moments come from one pass over a C-contiguous (4, k)
+    array of prediction and gold columns: each row reduction sums in
+    NumPy's pairwise order, as ccc does over one vector, so every value and
+    gradient bit equals the per-dimension computation.
     """
     n = pred_va.shape[0]
     if mask is None:
@@ -191,12 +192,14 @@ def ccc_loss_grad(
     for dim in range(2):
         # Python floats, as in ccc: ** 2 here is libm's pow, not NumPy's square.
         denom = moments[2 + dim] + moments[4 + dim] + diff[dim] ** 2
-        # A subnormal denominator overflows the scale; it counts as zero.
-        dim_scale = 2.0 / (k * denom) if denom != 0.0 else math.inf
-        if math.isinf(dim_scale):
+        if denom == 0.0:
+            dead.append(dim)
+            continue
+        rho[dim] = 2.0 * moments[dim] / denom
+        dim_scale = 2.0 / (k * denom)
+        if math.isinf(dim_scale):  # a subnormal denom: rho stands, the gradient is 0
             dead.append(dim)
         else:
-            rho[dim] = 2.0 * moments[dim] / denom
             scale[dim] = dim_scale
     grad = np.array(scale)[:, None] * (
         dev[2:] - np.array(rho)[:, None] * (dev[:2] + np.array(diff)[:, None])

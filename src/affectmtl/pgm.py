@@ -47,7 +47,7 @@ def write_pgm(path, image: np.ndarray) -> None:
     with open(path, "wb", buffering=0, opener=_open_in_place) as fh:
         while data:  # an unbuffered write may take fewer bytes than it is given
             data = data[fh.write(data):]
-        if fh.seek(0, os.SEEK_END) > size:
+        if os.fstat(fh.fileno()).st_size > size:  # 0 for a device or FIFO
             fh.truncate(size)
 
 

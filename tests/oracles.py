@@ -67,10 +67,12 @@ def _ccc_rho_grad(pred: np.ndarray, gold: np.ndarray) -> tuple[float, np.ndarray
     terms = ccc(pred, gold)
     n = len(pred)
     denom = terms.s_x2 + terms.s_y2 + (terms.mean_x - terms.mean_y) ** 2
-    # A zero denominator, or a subnormal one whose scale overflows, is dead.
-    scale = 2.0 / (n * denom) if denom != 0.0 else math.inf
-    if math.isinf(scale):
+    if denom == 0.0:
         return 0.0, np.zeros_like(pred, dtype=np.float64)
+    scale = 2.0 / (n * denom)
+    # A subnormal denominator overflows the scale: rho stands, the gradient is 0.
+    if math.isinf(scale):
+        return terms.rho, np.zeros_like(pred, dtype=np.float64)
     d_pred = pred - terms.mean_x
     d_gold = gold - terms.mean_y
     mean_diff = terms.mean_x - terms.mean_y

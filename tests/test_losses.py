@@ -252,12 +252,15 @@ class TestCccLoss:
     )
     @example(([(0.5, 0.1), (-0.25, 0.3)], [(0.1, 0.1), (0.2, 0.9)], [True, True]), "free")
     @example(([(0.3, 0.3), (0.3, -0.2)], [(0.3, 0.5), (0.3, 0.5)], [True, True]), "free")
-    # Subnormal valence denominator: its gradient scale overflows.
+    # Subnormal valence denominators: the gradient scale overflows, and
+    # the value still reads ccc's rho (1 for the correlated columns).
     @example(([(0.0, 0.1), (1e-160, 0.5)], [(0.0, 0.2), (0.0, 0.4)], [True, True]), "free")
+    @example(([(0.0, 0.1), (1e-160, 0.5)], [(0.0, 0.2), (1e-160, 0.4)], [True, True]), "free")
     def test_matches_per_dimension_reference_bitwise(self, case, shape):
         """One pass over both dimensions gives the bits of one ccc per
         dimension, for k = 0, 1, 2 and more rows and zero or subnormal
-        denominators, and every gradient is finite."""
+        denominators; the value is the mean of 1 - ccc's rho, and every
+        gradient is finite."""
         pred, gold, mask = (np.array(part, dtype=np.float64) for part in case)
         pred, gold, mask = pred.reshape(-1, 2), gold.reshape(-1, 2), mask.astype(bool)
         if shape in ("constant pred", "constant both") and len(pred):
@@ -271,6 +274,9 @@ class TestCccLoss:
         assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
         assert grad.tobytes() == ref_grad.tobytes()
         assert np.all(np.isfinite(grad))
+        if mask.sum() >= 2:
+            rhos = [ccc(pred[mask, dim], gold[mask, dim]).rho for dim in range(2)]
+            assert value == ((1.0 - rhos[0]) + (1.0 - rhos[1])) / 2.0
 
 
 class TestSymmetricKl:

@@ -1,5 +1,6 @@
 import os
 import stat
+import threading
 
 import numpy as np
 import pytest
@@ -145,6 +146,17 @@ def test_write_to_a_device_as_open_does():
     """A target with no length to cut, such as a character device, takes
     the bytes as open(path, "wb") gives them to it."""
     write_pgm(os.devnull, np.zeros((2, 2)))
+
+
+def test_write_to_a_fifo_as_open_does(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    write_pgm(fifo, np.zeros((2, 2)))
+    reader.join(timeout=30)
+    assert received == [b"P5\n2 2\n255\n" + bytes(4)]
 
 
 def test_new_file_mode_matches_open(tmp_path):
