@@ -304,6 +304,9 @@ _VA_CENTERS = np.stack(
     axis=1,
 )
 
+# Images per gathered block of class templates in generate_synthetic.
+_CHUNK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -327,16 +330,24 @@ class SynthConfig:
             raise ConfigError(f"image_size must be >= 4, got {self.image_size}")
         if len(self.class_priors) != N_EXPRESSION_CLASSES:
             raise ConfigError("class_priors must have 8 entries")
-        if any(p < 0 for p in self.class_priors) or sum(self.class_priors) <= 0:
-            raise ConfigError("class_priors must be non-negative and sum to > 0")
+        # generate_synthetic normalizes by this same sum; NaN fails ">= 0".
+        priors = np.asarray(self.class_priors, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            total = priors.sum()
+        if not (np.all(priors >= 0) and 0 < total < np.inf):
+            raise ConfigError(
+                "class_priors must be non-negative with a finite sum > 0, "
+                f"got {self.class_priors}"
+            )
         for name in ("exp_mask_rate", "va_mask_rate", "au_mask_rate", "au_flip_prob"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {rate}")
         for name in ("pixel_noise", "va_noise", "template_contrast"):
+            value = getattr(self, name)
             # signbit also rejects -0.0, which numpy refuses as a noise scale.
-            if np.signbit(getattr(self, name)):
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if np.signbit(value) or not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 def class_template(label: int, size: int, contrast: float) -> np.ndarray:
@@ -360,39 +371,73 @@ def generate_synthetic(
     equal what a written PGM reads back.  Masking replaces labels with
     sentinels at the configured rates, always jointly for valence/arousal
     and for the action units.
+
+    The random draws are the contract: a seed gives the same dataset, bit
+    for bit, for as long as they stay as they are.  Each sample takes, in
+    this order, from np.random.default_rng(seed):
+
+    1. rng.random(): the class, found with searchsorted(..., side="right")
+       in the cdf that Generator.choice(8, p=p) builds, with
+       p = priors / priors.sum(): p.cumsum() divided by its last entry;
+    2. rng.normal(0.0, pixel_noise, (size, size)): the pixel noise;
+    3. rng.normal(0.0, va_noise, 2): the valence/arousal noise;
+    4. rng.random(15): twelve action-unit flip draws, then the expression,
+       valence/arousal and action-unit mask draws, in that order.
+
+    Only the draws run per sample; templates, clipping, quantization, flips
+    and masks are whole-array passes over them afterwards.
     """
     rng = np.random.default_rng(seed)
-    size = config.image_size
-    priors = np.asarray(config.class_priors, dtype=np.float64)
-    priors = priors / priors.sum()
-    templates = [
+    n, size = config.count, config.image_size
+    p = np.asarray(config.class_priors, dtype=np.float64)
+    p = p / p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    class_draws = np.empty(n)
+    images = np.empty((n, size, size))
+    va = np.empty((n, 2))
+    unit_draws = np.empty((n, N_ACTION_UNITS + 3))
+    random, normal = rng.random, rng.normal
+    for i in range(n):
+        class_draws[i] = random()
+        images[i] = normal(0.0, config.pixel_noise, (size, size))
+        va[i] = normal(0.0, config.va_noise, 2)
+        unit_draws[i] = random(N_ACTION_UNITS + 3)
+    labels = cdf.searchsorted(class_draws, side="right")
+    flips = unit_draws[:, :N_ACTION_UNITS] < config.au_flip_prob
+    rates = (config.exp_mask_rate, config.va_mask_rate, config.au_mask_rate)
+    masked_exp, masked_va, masked_au = (unit_draws[:, N_ACTION_UNITS:] < rates).T
+    del unit_draws  # the largest transient: freed before the image passes
+
+    templates = np.stack([
         class_template(c, size, config.template_contrast)
         for c in range(N_EXPRESSION_CLASSES)
-    ]
+    ])
+    # Chunks bound the gathered templates' transient to _CHUNK_ROWS images.
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        images[rows] += templates[labels[rows]]
+    np.clip(images, 0.0, 1.0, out=images)
+    images *= 255.0
+    np.rint(images, out=images)
+    images /= 255.0
+
+    va += _VA_CENTERS[labels]
+    np.clip(va, -1.0, 1.0, out=va)
+    va[masked_va] = VA_SENTINEL
+    expression = np.where(masked_exp, LABEL_SENTINEL, labels)
+    units = (_AU_PATTERN[labels] ^ flips).astype(np.int8)
+    units[masked_au] = LABEL_SENTINEL
+
+    # Per-row tolist() gives Python floats and ints without a whole-array
+    # list of n rows alive at once.
     samples = []
-    images = np.empty((config.count, size, size))
-    for i in range(config.count):
-        label = int(rng.choice(N_EXPRESSION_CLASSES, p=priors))
-        raw = templates[label] + rng.normal(0.0, config.pixel_noise, (size, size))
-        images[i] = np.rint(np.clip(raw, 0.0, 1.0) * 255.0) / 255.0
-        va = np.clip(
-            _VA_CENTERS[label] + rng.normal(0.0, config.va_noise, 2), -1.0, 1.0
-        )
-        flips = rng.random(N_ACTION_UNITS) < config.au_flip_prob
-        units = np.where(flips, ~_AU_PATTERN[label], _AU_PATTERN[label]).astype(int)
-        masked_exp = rng.random() < config.exp_mask_rate
-        masked_va = rng.random() < config.va_mask_rate
-        masked_au = rng.random() < config.au_mask_rate
+    for i in range(n):
+        valence, arousal = va[i].tolist()
         annotations = AnnotationSet(
-            valence=VA_SENTINEL if masked_va else float(va[0]),
-            arousal=VA_SENTINEL if masked_va else float(va[1]),
-            expression=LABEL_SENTINEL if masked_exp else label,
-            action_units=tuple([LABEL_SENTINEL] * N_ACTION_UNITS)
-            if masked_au
-            else tuple(int(u) for u in units),
+            valence, arousal, int(expression[i]), tuple(units[i].tolist())
         )
-        ref = f"images/{prefix}_{i:05d}.pgm"
-        samples.append(Sample(ref, annotations))
+        samples.append(Sample(f"images/{prefix}_{i:05d}.pgm", annotations))
     return Dataset(tuple(samples)), images
 
 

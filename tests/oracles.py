@@ -8,12 +8,27 @@ concordance loss has a per-dimension reference built on the package's
 ccc, which the package's two-dimension pass must match bit for bit.
 read_pgm is a byte-at-a-time header tokenizer that the package's
 regex-based reader must match in every array and every error message.
+generate_synthetic is the per-sample loop, with Generator.choice for the
+class, that the package's whole-array passes must match bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from affectmtl.data_model import (
+    _AU_PATTERN,
+    _VA_CENTERS,
+    LABEL_SENTINEL,
+    N_ACTION_UNITS,
+    N_EXPRESSION_CLASSES,
+    VA_SENTINEL,
+    AnnotationSet,
+    Dataset,
+    Sample,
+    SynthConfig,
+    class_template,
+)
 from affectmtl.errors import DataError
 from affectmtl.losses import PROB_FLOOR, ccc
 
@@ -148,3 +163,39 @@ def _pgm_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
     if start == pos:
         raise DataError(f"{path}: unexpected end of PGM header")
     return data[start:pos], pos
+
+
+def generate_synthetic(config: SynthConfig, seed: int, prefix: str = "sample"):
+    """One sample at a time: draw, then build its image and labels."""
+    rng = np.random.default_rng(seed)
+    size = config.image_size
+    priors = np.asarray(config.class_priors, dtype=np.float64)
+    priors = priors / priors.sum()
+    templates = [
+        class_template(c, size, config.template_contrast)
+        for c in range(N_EXPRESSION_CLASSES)
+    ]
+    samples = []
+    images = np.empty((config.count, size, size))
+    for i in range(config.count):
+        label = int(rng.choice(N_EXPRESSION_CLASSES, p=priors))
+        raw = templates[label] + rng.normal(0.0, config.pixel_noise, (size, size))
+        images[i] = np.rint(np.clip(raw, 0.0, 1.0) * 255.0) / 255.0
+        va = np.clip(
+            _VA_CENTERS[label] + rng.normal(0.0, config.va_noise, 2), -1.0, 1.0
+        )
+        flips = rng.random(N_ACTION_UNITS) < config.au_flip_prob
+        units = np.where(flips, ~_AU_PATTERN[label], _AU_PATTERN[label]).astype(int)
+        masked_exp = rng.random() < config.exp_mask_rate
+        masked_va = rng.random() < config.va_mask_rate
+        masked_au = rng.random() < config.au_mask_rate
+        annotations = AnnotationSet(
+            valence=VA_SENTINEL if masked_va else float(va[0]),
+            arousal=VA_SENTINEL if masked_va else float(va[1]),
+            expression=LABEL_SENTINEL if masked_exp else label,
+            action_units=tuple([LABEL_SENTINEL] * N_ACTION_UNITS)
+            if masked_au
+            else tuple(int(u) for u in units),
+        )
+        samples.append(Sample(f"images/{prefix}_{i:05d}.pgm", annotations))
+    return Dataset(tuple(samples)), images

@@ -446,5 +446,11 @@ class TestCorruptInputs:
         argv = ["train", "--data", data_dir, "--config", cfg, "--out", tmp_path / "out"]
         _exits_2_naming(argv, named, capsys)
 
+    def test_synth_priors_with_an_infinite_sum(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("class_priors=" + ",".join(["1e308"] * 8) + "\n")
+        _exits_2_naming(["synth", "--out", tmp_path / "d", "--config", cfg], "class_priors", capsys)
+        assert not (tmp_path / "d").exists()
+
     def test_negative_synth_seed(self, tmp_path, capsys):
         _exits_2_naming(["synth", "--out", tmp_path / "d", "--seed", "-1"], "--seed", capsys)

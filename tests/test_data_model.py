@@ -1,10 +1,11 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from dataclasses import astuple
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affectmtl.data_model import (
@@ -29,8 +30,10 @@ from affectmtl.data_model import (
     serialize_manifest,
     write_dataset,
 )
+from affectmtl.config import SynthFileConfig
 from affectmtl.errors import ConfigError, DataError
 
+import oracles
 from conftest import datasets
 
 AU_NONE = tuple([LABEL_SENTINEL] * N_ACTION_UNITS)
@@ -324,6 +327,86 @@ class TestSynthetic:
             SynthConfig(image_size=2)
         with pytest.raises(ConfigError):
             SynthConfig(class_priors=(1.0,) * 7)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("class_priors", (1e308,) * 8),  # each finite, the sum is not
+            ("class_priors", (float("nan"),) + (1.0,) * 7),
+            ("class_priors", (float("inf"),) + (1.0,) * 7),
+            ("class_priors", (0.0,) * 8),
+            ("pixel_noise", float("nan")),
+            ("pixel_noise", float("inf")),
+            ("va_noise", float("nan")),
+            ("va_noise", float("inf")),
+            ("template_contrast", float("nan")),
+            ("template_contrast", float("inf")),
+            ("exp_mask_rate", float("nan")),
+            ("au_flip_prob", float("inf")),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SynthConfig(**{field: value})
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.builds(
+            SynthConfig,
+            count=st.integers(0, 30),
+            image_size=st.integers(4, 8),
+            # Unnormalised, with zeros: classes that are never drawn.
+            class_priors=st.lists(
+                st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e6)),
+                min_size=N_EXPRESSION_CLASSES,
+                max_size=N_EXPRESSION_CLASSES,
+            ).filter(lambda priors: sum(priors) > 0).map(tuple),
+            exp_mask_rate=st.floats(0.0, 1.0),
+            va_mask_rate=st.floats(0.0, 1.0),
+            au_mask_rate=st.floats(0.0, 1.0),
+            pixel_noise=st.floats(0.0, 2.0),
+            va_noise=st.floats(0.0, 2.0),
+            template_contrast=st.floats(0.0, 1.0),
+            au_flip_prob=st.floats(0.0, 1.0),
+        ),
+        st.integers(min_value=0, max_value=2**63),
+    )
+    # Seed 0's first draw, u = 0.6369616873214543, equals the cdf's steps
+    # after class 0 exactly: choice's side="right" search skips the
+    # zero-prior classes 1-6 and picks class 7.
+    @example(
+        SynthConfig(
+            count=1,
+            image_size=4,
+            class_priors=(0.6369616873214543,) + (0.0,) * 6 + (1 - 0.6369616873214543,),
+            exp_mask_rate=0.0,
+        ),
+        0,
+    )
+    def test_matches_per_sample_choice_reference(self, config, seed):
+        """generate_synthetic searches each class in the cdf that
+        Generator.choice(8, p=priors / priors.sum()) builds instead of
+        calling it, and derives everything else in whole-array passes; the
+        per-sample loop that calls choice gives the same bits."""
+        dataset, images = generate_synthetic(config, seed)
+        ref_dataset, ref_images = oracles.generate_synthetic(config, seed)
+        assert serialize_manifest(dataset) == serialize_manifest(ref_dataset)
+        assert images.shape == ref_images.shape
+        assert images.tobytes() == ref_images.tobytes()
+
+    def test_transient_memory_bounded(self):
+        """At the default train size, the peak of what generate_synthetic
+        allocates, less what it returns, stays under an eighth of the
+        image bytes: the draws fill preallocated arrays, and the records
+        are built row by row rather than from one list of every row."""
+        tracemalloc.start()
+        try:
+            dataset, images = generate_synthetic(SynthFileConfig().train_config(), 0)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dataset) == 2000
+        assert peak - retained <= images.nbytes / 8
 
 
 class TestDiskRoundTrip:

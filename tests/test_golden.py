@@ -9,6 +9,12 @@ final and best parameter bytes must not move: a refactor that changes
 any bit of a loss, a gradient, an Adam update or a score fails here, not
 only in the slow criterion 7/8 runs.
 
+The synthesized data itself is frozen too: the sha256 of the image bytes
+and of the manifest text that generate_synthetic gives for the default
+train and val splits, for an empty split, and for a config that reaches
+every edge of the generator (zero priors, no pixel noise, clipped
+valence/arousal, frequent action-unit flips, mask rates 0 and 1).
+
 The digests hold for this NumPy/OpenBLAS build; another BLAS (or another
 NumPy version) may round the matrix products differently and legitimately
 produce other bits.
@@ -16,10 +22,11 @@ produce other bits.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from affectmtl.config import RunConfig, SynthFileConfig
-from affectmtl.data_model import generate_synthetic
+from affectmtl.data_model import SynthConfig, generate_synthetic, serialize_manifest
 from affectmtl.losses import TrainMode
 from affectmtl.trainer import format_epoch_log, pack_dataset, run_training
 
@@ -79,3 +86,59 @@ def test_three_epoch_digests(default_data, mode):
 def test_three_epoch_resample_digests(default_data):
     config = RunConfig(mode=TrainMode.SEMI, seed=0, epochs=3, imbalance="resample")
     assert _digests(default_data, config) == GOLDEN_RESAMPLE
+
+
+# Every edge of the generator in one config: zero priors (never drawn),
+# no pixel noise, valence/arousal noise large enough to clip at +-1,
+# frequent unit flips, and mask rates of 1, 0 and in between.
+EDGE_SYNTH = SynthConfig(
+    count=300,
+    image_size=4,
+    class_priors=(0.0, 3.0, 0.0, 1.0, 2.0, 0.0, 0.5, 0.0),
+    pixel_noise=0.0,
+    va_noise=0.5,
+    au_flip_prob=0.3,
+    exp_mask_rate=1.0,
+    va_mask_rate=0.0,
+    au_mask_rate=0.5,
+)
+
+# case -> (config, seed, prefix, image bytes sha256, manifest text sha256)
+GOLDEN_SYNTH = {
+    "train": (
+        SynthFileConfig().train_config(), 0, "train",
+        "9f54bb76e0c33fc0b52535a1000874c0a155af289c4787405a547955db43b5a5",
+        "bb6ca2c4dc0d8b8faa814583d0f587d07117503b651126ade7cfeaaa6ac3ec93",
+    ),
+    "val": (
+        SynthFileConfig().val_config(), 1, "val",
+        "e22de9fad06bd7167280c461025e0dda8b4a6dd5d69babb071b6b56d2d2afa9f",
+        "c56bec583f551ba7622dd4a36cad3cafee6f1d908c31c4ab00e00a47ce55cc4c",
+    ),
+    "empty": (
+        SynthConfig(count=0), 0, "sample",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "1aa1f0ee4452326ef71c9cd3899f8e6619032d32cea4a450439550262a999bbc",
+    ),
+    "edge": (
+        EDGE_SYNTH, 7, "sample",
+        "5227166641b43ae06b0442da01d1235b2f6c82b3108c9b1173310995a929265e",
+        "57d32789efab0198745771ff7b3903a93dad1b23e37294f3f2318979bb46ed2e",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_SYNTH))
+def test_synthetic_digests(case):
+    config, seed, prefix, image_digest, manifest_digest = GOLDEN_SYNTH[case]
+    dataset, images = generate_synthetic(config, seed, prefix=prefix)
+    assert images.shape == (config.count, config.image_size, config.image_size)
+    assert images.dtype == np.float64
+    assert _sha256(images.tobytes()) == image_digest
+    assert _sha256(serialize_manifest(dataset).encode("utf-8")) == manifest_digest
+    for sample in dataset:
+        ann = sample.annotations
+        assert type(ann.valence) is float and type(ann.arousal) is float
+        assert type(ann.expression) is int
+        assert type(ann.action_units) is tuple
+        assert all(type(unit) is int for unit in ann.action_units)
