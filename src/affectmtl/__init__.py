@@ -10,9 +10,7 @@ consistency term.
 from .augmentation import AugConfig, augment_views
 from .config import RunConfig, dump_run_config, parse_run_config
 from .data_model import (
-    AnnotationSet,
     Dataset,
-    Sample,
     SynthConfig,
     dataset_stats,
     generate_synthetic,
@@ -27,7 +25,6 @@ from .pseudo_label import ThresholdConfig, adaptive_thresholds, partition_confid
 from .trainer import pack_dataset, run_training
 
 __all__ = [
-    "AnnotationSet",
     "AugConfig",
     "ConfigError",
     "DataError",
@@ -39,7 +36,6 @@ __all__ = [
     "MtlScore",
     "Params",
     "RunConfig",
-    "Sample",
     "SynthConfig",
     "ThresholdConfig",
     "TrainMode",

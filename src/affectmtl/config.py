@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .augmentation import AugConfig
-from .data_model import UNIFORM_PRIORS, SynthConfig
+from .data_model import UNIFORM_PRIORS, SynthConfig, check_class_priors
 from .errors import ConfigError
 from .losses import LossWeights, TrainMode
 from .pseudo_label import ThresholdConfig
@@ -196,7 +196,9 @@ def parse_synth_config(text: str) -> SynthFileConfig:
     config = SynthFileConfig(**updates)
     if config.train_count < 0 or config.val_count < 0:
         raise ConfigError("counts must be >= 0")
-    # Delegate range checks to the per-split construction.
+    # Range checks are the per-split SynthConfig's, which names both splits'
+    # priors class_priors, so the val split's are first checked by their key.
     config.train_config()
+    check_class_priors("val_class_priors", config.val_class_priors)
     config.val_config()
     return config

@@ -1,4 +1,4 @@
-"""Samples with possibly-missing multi-task labels.
+"""Datasets of samples with possibly-missing multi-task labels.
 
 A sample carries up to three annotations: a valence/arousal pair in [-1, 1],
 an expression class in {0..7}, and twelve binary action units.  Missing
@@ -6,17 +6,19 @@ annotations are marked with sentinels (-5 for valence/arousal, -1 for
 expression and action units) and always jointly: valence and arousal are
 missing together, and either all twelve action units are present or none is.
 
-This module is the only place that reads sentinels: label_arrays decodes a
-dataset's annotations into one table of label arrays and per-task validity
-masks, which dataset statistics, training batches and scoring all use.  It
-also parses/serializes the manifest CSV, derives imbalance weights, and
-synthesizes seeded desk-scale datasets that stand in for real affect imagery.
+A Dataset is one columnar table: the image paths plus the label arrays of
+LabelArrays, which dataset statistics, training batches and scoring all
+read.  Only this module reads sentinels: building a Dataset checks their
+invariants in whole-array passes and decodes them into per-task validity
+masks.  This module also parses/serializes the manifest CSV, derives
+imbalance weights, and synthesizes seeded desk-scale datasets that stand
+in for real affect imagery.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,84 +40,115 @@ MANIFEST_COLUMNS = ("image", "valence", "arousal", "expression") + tuple(
 )
 
 
-def _is_integer_type(kind: type) -> bool:
-    """Python and NumPy integer types; bool, although an int subclass, is not one."""
-    return kind is not bool and issubclass(kind, (int, np.integer))
+@dataclass(frozen=True, eq=False)
+class LabelArrays:
+    """A dataset's labels as arrays, sentinels decoded into validity masks."""
+
+    gold_exp: np.ndarray    # (n,) int64, LABEL_SENTINEL where unlabeled
+    gold_au: np.ndarray     # (n, 12) int64, LABEL_SENTINEL where unlabeled
+    gold_va: np.ndarray     # (n, 2) float64, VA_SENTINEL where unlabeled
+    exp_valid: np.ndarray   # (n,) bool, one mask per task
+    au_valid: np.ndarray
+    va_valid: np.ndarray
+
+    @property
+    def any_valid(self) -> np.ndarray:
+        return self.exp_valid | self.au_valid | self.va_valid
 
 
-@dataclass(frozen=True)
-class AnnotationSet:
-    """Labels of one sample; sentinel values mark a task as unannotated."""
+@dataclass(frozen=True, eq=False)
+class Dataset(LabelArrays):
+    """An ordered table of samples: unique image paths and their labels.
 
-    valence: float
-    arousal: float
-    expression: int
-    action_units: tuple[int, ...]
+    Built from the three label columns, which may be arrays of any integer
+    (gold_exp, gold_au) or float (gold_va) type that casts safely to int64
+    or float64 and are stored as such; the validity masks are derived.
+    A column of another type or shape, a row that breaks a label invariant
+    (see _first_label_error) or a repeated image path raises DataError.
+    """
+
+    exp_valid: np.ndarray = field(init=False)
+    au_valid: np.ndarray = field(init=False)
+    va_valid: np.ndarray = field(init=False)
+    image_refs: tuple[str, ...]
 
     def __post_init__(self):
-        if (self.valence == VA_SENTINEL) != (self.arousal == VA_SENTINEL):
-            raise DataError("valence and arousal must be missing jointly")
-        if self.valence != VA_SENTINEL:
-            if not (-1.0 <= self.valence <= 1.0 and -1.0 <= self.arousal <= 1.0):
-                raise DataError(
-                    f"valence/arousal outside [-1, 1]: ({self.valence}, {self.arousal})"
-                )
-        # Checked once per distinct type: this runs for every sample loaded.
-        if not all(map(_is_integer_type, {type(self.expression), *map(type, self.action_units)})):
-            raise DataError(
-                "expression and action units must be integers, got "
-                f"{self.expression!r} and {self.action_units!r}"
-            )
-        if self.expression != LABEL_SENTINEL and not (
-            0 <= self.expression < N_EXPRESSION_CLASSES
+        refs = tuple(self.image_refs)
+        n = len(refs)
+        for name, what, kinds, dtype, shape in (
+            ("gold_exp", "integers", "iu", np.int64, (n,)),
+            ("gold_au", "integers", "iu", np.int64, (n, N_ACTION_UNITS)),
+            ("gold_va", "floats", "f", np.float64, (n, 2)),
         ):
-            raise DataError(f"expression label out of range: {self.expression}")
-        if len(self.action_units) != N_ACTION_UNITS:
-            raise DataError(
-                f"expected {N_ACTION_UNITS} action units, got {len(self.action_units)}"
-            )
-        values = set(self.action_units)
-        if LABEL_SENTINEL in values and values != {LABEL_SENTINEL}:
-            raise DataError("action units must be missing jointly")
-        if not values <= {0, 1, LABEL_SENTINEL}:
-            raise DataError(f"action unit values must be 0/1/{LABEL_SENTINEL}")
-
-
-@dataclass(frozen=True)
-class Sample:
-    image_ref: str
-    annotations: AnnotationSet
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Immutable ordered collection of samples with unique image paths."""
-
-    samples: tuple[Sample, ...]
-
-    def __post_init__(self):
-        seen = set()
-        for sample in self.samples:
-            if sample.image_ref in seen:
-                raise DataError(f"duplicate image path: {sample.image_ref}")
-            seen.add(sample.image_ref)
+            column = getattr(self, name)
+            # Bool is not an integer type here, and uint64 does not fit int64.
+            if not (isinstance(column, np.ndarray) and column.dtype.kind in kinds
+                    and np.can_cast(column.dtype, dtype)):
+                given = getattr(column, "dtype", type(column).__name__)
+                raise DataError(f"{name} must be an array of {what}, got {given}")
+            if column.shape != shape:
+                raise DataError(
+                    f"{name} must have shape {shape} for {n} image paths, got {column.shape}"
+                )
+            object.__setattr__(self, name, column.astype(dtype, copy=False))
+        error = _first_label_error(self.gold_exp, self.gold_au, self.gold_va)
+        if error is not None:
+            raise DataError(f"sample {error[0]}: {error[1]}")
+        if len(set(refs)) != n:
+            seen = set()  # the first path that repeats an earlier one:
+            repeat = next(ref for ref in refs if ref in seen or seen.add(ref))
+            raise DataError(f"duplicate image path: {repeat}")
+        object.__setattr__(self, "image_refs", refs)
+        object.__setattr__(self, "exp_valid", self.gold_exp != LABEL_SENTINEL)
+        # The units are missing jointly, so one column decides.
+        object.__setattr__(self, "au_valid", self.gold_au[:, 0] != LABEL_SENTINEL)
+        object.__setattr__(self, "va_valid", self.gold_va[:, 0] != VA_SENTINEL)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.image_refs)
 
-    def __iter__(self):
-        return iter(self.samples)
 
-    def __getitem__(self, index) -> Sample:
-        return self.samples[index]
+def _first_label_error(gold_exp, gold_au, gold_va) -> tuple[int, str] | None:
+    """(index, message) of the first row that breaks a label invariant, or None.
+
+    A row reports the first check it fails, in this order: valence and
+    arousal missing jointly; both in [-1, 1] when present (NaN is not); the
+    expression a class or the sentinel; the units missing jointly; each
+    unit 0, 1 or the sentinel.  Object arrays of Python ints work too.
+    """
+    va_missing = gold_va[:, 0] == VA_SENTINEL
+    au_missing = gold_au == LABEL_SENTINEL
+    bad = np.stack([
+        va_missing != (gold_va[:, 1] == VA_SENTINEL),
+        ~va_missing & ~((-1.0 <= gold_va) & (gold_va <= 1.0)).all(axis=1),
+        (gold_exp != LABEL_SENTINEL)
+        & ((gold_exp < 0) | (gold_exp >= N_EXPRESSION_CLASSES)),
+        au_missing.any(axis=1) & ~au_missing.all(axis=1),
+        ~(au_missing | (gold_au == 0) | (gold_au == 1)).all(axis=1),
+    ])
+    rows = bad.any(axis=0)
+    if not rows.any():
+        return None
+    i = int(rows.argmax())
+    valence, arousal = gold_va[i].tolist()
+    messages = (
+        "valence and arousal must be missing jointly",
+        f"valence/arousal outside [-1, 1]: ({valence}, {arousal})",
+        f"expression label out of range: {gold_exp[i]}",
+        "action units must be missing jointly",
+        f"action unit values must be 0/1/{LABEL_SENTINEL}",
+    )
+    return i, messages[int(bad[:, i].argmax())]
 
 
 def parse_manifest(text: str) -> Dataset:
     """Parse manifest CSV text into a Dataset.
 
     The format is a fixed 16-column CSV with a mandatory header row; see
-    MANIFEST_COLUMNS.  Malformed rows raise DataError naming the 1-based
-    line number (the header is line 1).
+    MANIFEST_COLUMNS.  The first bad row raises DataError naming its
+    1-based line number (the header is line 1): each row's fields parse
+    with float and int, and the labels of the rows parsed are checked
+    together afterwards, so a bad label wins over a later parse failure.
     """
     lines = text.splitlines()
     if not lines:
@@ -123,32 +156,46 @@ def parse_manifest(text: str) -> Dataset:
     expected_header = ",".join(MANIFEST_COLUMNS)
     if lines[0].strip() != expected_header:
         raise DataError(f"row 1: bad header, expected {expected_header!r}")
-    samples = []
-    seen_ids = set()
+    refs = {}  # the paths in order, and the set of paths seen
+    va, ints = [], []  # ints holds each row's expression, then its units
+    failure = None
     for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != len(MANIFEST_COLUMNS):
-            raise DataError(
-                f"row {lineno}: expected {len(MANIFEST_COLUMNS)} columns, got {len(fields)}"
-            )
-        image_ref = fields[0].strip()
-        if not image_ref:
-            raise DataError(f"row {lineno}: empty image path")
-        if "\0" in image_ref:
-            raise DataError(f"row {lineno}: NUL byte in image path")
-        if image_ref in seen_ids:
-            raise DataError(f"row {lineno}: duplicate image path {image_ref!r}")
-        seen_ids.add(image_ref)
         try:
-            valence = float(fields[1])
-            arousal = float(fields[2])
-            expression = _parse_int(fields[3])
-            units = tuple(_parse_int(f) for f in fields[4:])
-            annotations = AnnotationSet(valence, arousal, expression, units)
-        except (ValueError, DataError) as exc:
-            raise DataError(f"row {lineno}: {exc}") from None
-        samples.append(Sample(image_ref, annotations))
-    return Dataset(tuple(samples))
+            image_ref, valence, arousal, labels = _parse_row(line, refs)
+        except ValueError as exc:  # DataError included
+            failure = f"row {lineno}: {exc}"
+            break
+        refs[image_ref] = None
+        va += valence, arousal
+        ints += labels
+    try:
+        table = np.array(ints, dtype=np.int64).reshape(-1, 1 + N_ACTION_UNITS)
+    except OverflowError:
+        # A label beyond int64 fails a check below, which keeps its value.
+        table = np.array(ints, dtype=object).reshape(-1, 1 + N_ACTION_UNITS)
+    gold_exp, gold_au = table[:, 0].copy(), table[:, 1:].copy()
+    gold_va = np.array(va, dtype=np.float64).reshape(-1, 2)
+    error = _first_label_error(gold_exp, gold_au, gold_va)
+    if error is not None:
+        raise DataError(f"row {error[0] + 2}: {error[1]}")
+    if failure is not None:
+        raise DataError(failure)
+    return Dataset(gold_exp=gold_exp, gold_au=gold_au, gold_va=gold_va, image_refs=tuple(refs))
+
+
+def _parse_row(line: str, seen) -> tuple[str, float, float, list[int]]:
+    """A row's new image path (not in seen), valence, arousal and labels."""
+    fields = line.split(",")
+    if len(fields) != len(MANIFEST_COLUMNS):
+        raise DataError(f"expected {len(MANIFEST_COLUMNS)} columns, got {len(fields)}")
+    image_ref = fields[0].strip()
+    if not image_ref:
+        raise DataError("empty image path")
+    if "\0" in image_ref:
+        raise DataError("NUL byte in image path")
+    if image_ref in seen:
+        raise DataError(f"duplicate image path {image_ref!r}")
+    return image_ref, float(fields[1]), float(fields[2]), list(map(_parse_int, fields[3:]))
 
 
 def _parse_int(field: str) -> int:
@@ -163,15 +210,15 @@ def serialize_manifest(dataset: Dataset) -> str:
     """Inverse of parse_manifest; floats are written with repr so that the
     round trip is value-exact."""
     lines = [",".join(MANIFEST_COLUMNS)]
-    for sample in dataset:
-        ann = sample.annotations
-        fields = [
-            sample.image_ref,
-            repr(float(ann.valence)),
-            repr(float(ann.arousal)),
-            str(ann.expression),
-        ] + [str(unit) for unit in ann.action_units]
-        lines.append(",".join(fields))
+    for image_ref, (valence, arousal), expression, units in zip(
+        dataset.image_refs,
+        dataset.gold_va.tolist(),
+        dataset.gold_exp.tolist(),
+        dataset.gold_au.tolist(),
+    ):
+        lines.append(
+            ",".join([image_ref, repr(valence), repr(arousal), str(expression), *map(str, units)])
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -189,48 +236,6 @@ class DatasetStats:
     au_neg_counts: tuple[int, ...]
     va_valid_count: int
     va_invalid_count: int
-
-
-@dataclass(frozen=True, eq=False)
-class LabelArrays:
-    """A dataset's labels as arrays, sentinels decoded into validity masks."""
-
-    gold_exp: np.ndarray    # (n,) int64, LABEL_SENTINEL where unlabeled
-    gold_au: np.ndarray     # (n, 12) int64, LABEL_SENTINEL where unlabeled
-    gold_va: np.ndarray     # (n, 2) float64, VA_SENTINEL where unlabeled
-    exp_valid: np.ndarray   # (n,) bool, one mask per task
-    au_valid: np.ndarray
-    va_valid: np.ndarray
-
-    @property
-    def any_valid(self) -> np.ndarray:
-        return self.exp_valid | self.au_valid | self.va_valid
-
-
-def label_arrays(dataset: Dataset) -> LabelArrays:
-    """Decode every sample's annotations in one pass."""
-    width = 3 + N_ACTION_UNITS
-    rows = np.fromiter(
-        (
-            value
-            for a in (s.annotations for s in dataset)
-            for value in (a.expression, a.valence, a.arousal, *a.action_units)
-        ),
-        dtype=np.float64,
-        count=len(dataset) * width,
-    ).reshape(len(dataset), width)
-    gold_exp = rows[:, 0].astype(np.int64)
-    gold_va = rows[:, 1:3].copy()
-    gold_au = rows[:, 3:].astype(np.int64)
-    return LabelArrays(
-        gold_exp=gold_exp,
-        gold_au=gold_au,
-        gold_va=gold_va,
-        exp_valid=gold_exp != LABEL_SENTINEL,
-        # AnnotationSet keeps the units missing jointly, so one column decides.
-        au_valid=gold_au[:, 0] != LABEL_SENTINEL,
-        va_valid=gold_va[:, 0] != VA_SENTINEL,
-    )
 
 
 def dataset_stats(labels: LabelArrays) -> DatasetStats:
@@ -328,17 +333,7 @@ class SynthConfig:
             raise ConfigError(f"count must be >= 0, got {self.count}")
         if self.image_size < 4:
             raise ConfigError(f"image_size must be >= 4, got {self.image_size}")
-        if len(self.class_priors) != N_EXPRESSION_CLASSES:
-            raise ConfigError("class_priors must have 8 entries")
-        # generate_synthetic normalizes by this same sum; NaN fails ">= 0".
-        priors = np.asarray(self.class_priors, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            total = priors.sum()
-        if not (np.all(priors >= 0) and 0 < total < np.inf):
-            raise ConfigError(
-                "class_priors must be non-negative with a finite sum > 0, "
-                f"got {self.class_priors}"
-            )
+        check_class_priors("class_priors", self.class_priors)
         for name in ("exp_mask_rate", "va_mask_rate", "au_mask_rate", "au_flip_prob"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -348,6 +343,18 @@ class SynthConfig:
             # signbit also rejects -0.0, which numpy refuses as a noise scale.
             if np.signbit(value) or not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+
+
+def check_class_priors(key: str, priors: tuple[float, ...]) -> None:
+    """ConfigError naming key unless priors are 8 weights >= 0, sum finite and > 0."""
+    if len(priors) != N_EXPRESSION_CLASSES:
+        raise ConfigError(f"{key} must have 8 entries")
+    weights = np.asarray(priors, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    # generate_synthetic normalizes by this same sum; NaN fails ">= 0".
+    if not (np.all(weights >= 0) and 0 < total < np.inf):
+        raise ConfigError(f"{key} must be non-negative with a finite sum > 0, got {priors}")
 
 
 def class_template(label: int, size: int, contrast: float) -> np.ndarray:
@@ -426,19 +433,10 @@ def generate_synthetic(
     np.clip(va, -1.0, 1.0, out=va)
     va[masked_va] = VA_SENTINEL
     expression = np.where(masked_exp, LABEL_SENTINEL, labels)
-    units = (_AU_PATTERN[labels] ^ flips).astype(np.int8)
+    units = (_AU_PATTERN[labels] ^ flips).astype(np.int64)
     units[masked_au] = LABEL_SENTINEL
-
-    # Per-row tolist() gives Python floats and ints without a whole-array
-    # list of n rows alive at once.
-    samples = []
-    for i in range(n):
-        valence, arousal = va[i].tolist()
-        annotations = AnnotationSet(
-            valence, arousal, int(expression[i]), tuple(units[i].tolist())
-        )
-        samples.append(Sample(f"images/{prefix}_{i:05d}.pgm", annotations))
-    return Dataset(tuple(samples)), images
+    refs = tuple(f"images/{prefix}_{i:05d}.pgm" for i in range(n))
+    return Dataset(gold_exp=expression, gold_au=units, gold_va=va, image_refs=refs), images
 
 
 def write_dataset(root, manifest_name: str, dataset: Dataset, images: np.ndarray) -> None:
@@ -446,8 +444,8 @@ def write_dataset(root, manifest_name: str, dataset: Dataset, images: np.ndarray
     files in place (see write_pgm); not atomic."""
     os.makedirs(root, exist_ok=True)
     made = set()
-    for sample, image in zip(dataset, images):
-        path = os.path.join(root, sample.image_ref)
+    for image_ref, image in zip(dataset.image_refs, images):
+        path = os.path.join(root, image_ref)
         directory = os.path.dirname(path)
         if directory not in made:
             os.makedirs(directory, exist_ok=True)
@@ -485,8 +483,8 @@ def load_images(dataset: Dataset, root) -> np.ndarray:
         return np.zeros((0, 0, 0))
     images = None
     shapes = set()
-    for i, sample in enumerate(dataset):
-        image = read_pgm(os.path.join(root, sample.image_ref))
+    for i, image_ref in enumerate(dataset.image_refs):
+        image = read_pgm(os.path.join(root, image_ref))
         if images is None:
             images = np.empty((len(dataset),) + image.shape)
         shapes.add(image.shape)

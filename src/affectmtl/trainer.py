@@ -51,7 +51,6 @@ from .data_model import (
     au_positive_weights,
     dataset_stats,
     expression_class_weights,
-    label_arrays,
 )
 from .errors import DataError, DivergenceError
 from .losses import (
@@ -104,8 +103,8 @@ def pack_dataset(dataset: Dataset, images: np.ndarray) -> PackedDataset:
     n = len(dataset)
     if images.shape[0] != n:
         raise DataError(f"{n} samples but {images.shape[0]} images")
-    labels = label_arrays(dataset)
-    return PackedDataset(**vars(labels), images=images, stats=dataset_stats(labels))
+    labels = {f.name: getattr(dataset, f.name) for f in fields(LabelArrays)}
+    return PackedDataset(**labels, images=images, stats=dataset_stats(dataset))
 
 
 def slice_targets(packed: PackedDataset, indices: np.ndarray) -> LabelArrays:

@@ -1,5 +1,7 @@
 """Shared fixtures and hypothesis strategies."""
 
+from dataclasses import fields
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -16,9 +18,8 @@ from affectmtl.data_model import (
     LABEL_SENTINEL,
     N_ACTION_UNITS,
     VA_SENTINEL,
-    AnnotationSet,
     Dataset,
-    Sample,
+    LabelArrays,
 )
 from affectmtl.network import PARAM_FIELDS, Params
 
@@ -26,8 +27,9 @@ finite_va = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
 @st.composite
-def annotation_sets(draw):
-    """Any AnnotationSet satisfying the joint-missing invariants."""
+def label_rows(draw):
+    """Any (valence, arousal, expression, units) row satisfying the
+    joint-missing invariants."""
     if draw(st.booleans()):
         valence, arousal = draw(finite_va), draw(finite_va)
     else:
@@ -37,17 +39,38 @@ def annotation_sets(draw):
         units = tuple(draw(st.lists(st.integers(0, 1), min_size=12, max_size=12)))
     else:
         units = tuple([LABEL_SENTINEL] * N_ACTION_UNITS)
-    return AnnotationSet(valence, arousal, expression, units)
+    return valence, arousal, expression, units
+
+
+def make_dataset(rows, image_refs=None) -> Dataset:
+    """A Dataset of (valence, arousal, expression, units) rows; the paths
+    default to images/x_00000.pgm, images/x_00001.pgm, ..."""
+    rows = list(rows)
+    if image_refs is None:
+        image_refs = tuple(f"images/x_{i:05d}.pgm" for i in range(len(rows)))
+    return Dataset(
+        gold_exp=np.array([row[2] for row in rows], dtype=np.int64),
+        gold_au=np.array([row[3] for row in rows], dtype=np.int64).reshape(-1, N_ACTION_UNITS),
+        gold_va=np.array([row[:2] for row in rows], dtype=np.float64).reshape(-1, 2),
+        image_refs=image_refs,
+    )
 
 
 @st.composite
 def datasets(draw, min_size=0, max_size=8):
-    anns = draw(st.lists(annotation_sets(), min_size=min_size, max_size=max_size))
-    samples = tuple(
-        Sample(f"images/x_{i:05d}.pgm", a)
-        for i, a in enumerate(anns)
-    )
-    return Dataset(samples)
+    return make_dataset(draw(st.lists(label_rows(), min_size=min_size, max_size=max_size)))
+
+
+def columns(dataset: Dataset) -> dict:
+    """The dataset's paths, and each label column and mask as (dtype name,
+    nested list): equal for two datasets that hold the same table."""
+    return {
+        "image_refs": dataset.image_refs,
+        **{
+            f.name: (getattr(dataset, f.name).dtype.name, getattr(dataset, f.name).tolist())
+            for f in fields(LabelArrays)
+        },
+    }
 
 
 def map_fields(fn, params: Params) -> Params:

@@ -8,11 +8,18 @@ concordance loss has a per-dimension reference built on the package's
 ccc, which the package's two-dimension pass must match bit for bit.
 read_pgm is a byte-at-a-time header tokenizer that the package's
 regex-based reader must match in every array and every error message.
-generate_synthetic is the per-sample loop, with Generator.choice for the
-class, that the package's whole-array passes must match bit for bit.
+The record layer the package's columnar Dataset replaced stays here as
+the reference for it: one AnnotationSet record per sample, which checks
+its labels' invariants when built, a parser that builds one per manifest
+row and stops at the first bad row, the serializer that writes records,
+and record_columns, which decodes records into columns and masks one
+value at a time.  generate_synthetic is the per-sample loop, with
+Generator.choice for the class, that builds those records; the package's
+whole-array passes must match it bit for bit.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +27,10 @@ from affectmtl.data_model import (
     _AU_PATTERN,
     _VA_CENTERS,
     LABEL_SENTINEL,
+    MANIFEST_COLUMNS,
     N_ACTION_UNITS,
     N_EXPRESSION_CLASSES,
     VA_SENTINEL,
-    AnnotationSet,
-    Dataset,
-    Sample,
     SynthConfig,
     class_template,
 )
@@ -165,8 +170,130 @@ def _pgm_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
+def _is_integer_type(kind: type) -> bool:
+    """Python and NumPy integer types; bool, although an int subclass, is not one."""
+    return kind is not bool and issubclass(kind, (int, np.integer))
+
+
+@dataclass(frozen=True)
+class AnnotationSet:
+    """Labels of one sample; sentinel values mark a task as unannotated."""
+
+    valence: float
+    arousal: float
+    expression: int
+    action_units: tuple[int, ...]
+
+    def __post_init__(self):
+        if (self.valence == VA_SENTINEL) != (self.arousal == VA_SENTINEL):
+            raise DataError("valence and arousal must be missing jointly")
+        if self.valence != VA_SENTINEL:
+            if not (-1.0 <= self.valence <= 1.0 and -1.0 <= self.arousal <= 1.0):
+                raise DataError(
+                    f"valence/arousal outside [-1, 1]: ({self.valence}, {self.arousal})"
+                )
+        if not all(map(_is_integer_type, {type(self.expression), *map(type, self.action_units)})):
+            raise DataError(
+                "expression and action units must be integers, got "
+                f"{self.expression!r} and {self.action_units!r}"
+            )
+        if self.expression != LABEL_SENTINEL and not (
+            0 <= self.expression < N_EXPRESSION_CLASSES
+        ):
+            raise DataError(f"expression label out of range: {self.expression}")
+        if len(self.action_units) != N_ACTION_UNITS:
+            raise DataError(
+                f"expected {N_ACTION_UNITS} action units, got {len(self.action_units)}"
+            )
+        values = set(self.action_units)
+        if LABEL_SENTINEL in values and values != {LABEL_SENTINEL}:
+            raise DataError("action units must be missing jointly")
+        if not values <= {0, 1, LABEL_SENTINEL}:
+            raise DataError(f"action unit values must be 0/1/{LABEL_SENTINEL}")
+
+
+@dataclass(frozen=True)
+class Sample:
+    image_ref: str
+    annotations: AnnotationSet
+
+
+def parse_manifest(text: str) -> tuple[Sample, ...]:
+    """One record per row, each row parsed and checked before the next."""
+    lines = text.splitlines()
+    if not lines:
+        raise DataError("row 1: missing header")
+    expected_header = ",".join(MANIFEST_COLUMNS)
+    if lines[0].strip() != expected_header:
+        raise DataError(f"row 1: bad header, expected {expected_header!r}")
+    samples = []
+    seen_ids = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != len(MANIFEST_COLUMNS):
+            raise DataError(
+                f"row {lineno}: expected {len(MANIFEST_COLUMNS)} columns, got {len(fields)}"
+            )
+        image_ref = fields[0].strip()
+        if not image_ref:
+            raise DataError(f"row {lineno}: empty image path")
+        if "\0" in image_ref:
+            raise DataError(f"row {lineno}: NUL byte in image path")
+        if image_ref in seen_ids:
+            raise DataError(f"row {lineno}: duplicate image path {image_ref!r}")
+        seen_ids.add(image_ref)
+        try:
+            valence = float(fields[1])
+            arousal = float(fields[2])
+            expression = _parse_int(fields[3])
+            units = tuple(_parse_int(f) for f in fields[4:])
+            annotations = AnnotationSet(valence, arousal, expression, units)
+        except (ValueError, DataError) as exc:
+            raise DataError(f"row {lineno}: {exc}") from None
+        samples.append(Sample(image_ref, annotations))
+    return tuple(samples)
+
+
+def _parse_int(field: str) -> int:
+    field = field.strip()
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(f"not an integer: {field!r}") from None
+
+
+def serialize_manifest(samples) -> str:
+    lines = [",".join(MANIFEST_COLUMNS)]
+    for sample in samples:
+        ann = sample.annotations
+        fields = [
+            sample.image_ref,
+            repr(float(ann.valence)),
+            repr(float(ann.arousal)),
+            str(ann.expression),
+        ] + [str(unit) for unit in ann.action_units]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def record_columns(samples) -> dict:
+    """The records' paths, and each label column and mask as (dtype name,
+    nested list), decoded one value at a time; conftest.columns gives a
+    Dataset's in the same form."""
+    anns = [s.annotations for s in samples]
+    return {
+        "image_refs": tuple(s.image_ref for s in samples),
+        "gold_exp": ("int64", [int(a.expression) for a in anns]),
+        "gold_au": ("int64", [[int(u) for u in a.action_units] for a in anns]),
+        "gold_va": ("float64", [[float(a.valence), float(a.arousal)] for a in anns]),
+        "exp_valid": ("bool", [a.expression != LABEL_SENTINEL for a in anns]),
+        "au_valid": ("bool", [LABEL_SENTINEL not in a.action_units for a in anns]),
+        "va_valid": ("bool", [a.valence != VA_SENTINEL for a in anns]),
+    }
+
+
 def generate_synthetic(config: SynthConfig, seed: int, prefix: str = "sample"):
-    """One sample at a time: draw, then build its image and labels."""
+    """One sample at a time: draw, then build its image and its record."""
     rng = np.random.default_rng(seed)
     size = config.image_size
     priors = np.asarray(config.class_priors, dtype=np.float64)
@@ -198,4 +325,4 @@ def generate_synthetic(config: SynthConfig, seed: int, prefix: str = "sample"):
             else tuple(int(u) for u in units),
         )
         samples.append(Sample(f"images/{prefix}_{i:05d}.pgm", annotations))
-    return Dataset(tuple(samples)), images
+    return tuple(samples), images

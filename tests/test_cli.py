@@ -89,12 +89,24 @@ class TestSynth:
         cfg.write_text("train_count=2000\nval_count=0\nimage_size=8\n")
         assert run_cli("synth", "--out", tmp_path / "d", "--config", cfg) == 0
         dataset = load_manifest(tmp_path / "d/train.csv")
-        exp_missing = sum(1 for s in dataset if s.annotations.expression == -1) / 2000
-        va_missing = sum(1 for s in dataset if s.annotations.valence == -5.0) / 2000
-        au_missing = sum(1 for s in dataset if s.annotations.action_units[0] == -1) / 2000
+        assert len(dataset) == 2000
+        exp_missing = np.count_nonzero(dataset.gold_exp == -1) / 2000
+        va_missing = np.count_nonzero(dataset.gold_va[:, 0] == -5.0) / 2000
+        au_missing = np.count_nonzero(dataset.gold_au[:, 0] == -1) / 2000
         assert abs(exp_missing - 0.4) < 0.03
         assert abs(va_missing - 0.2) < 0.03
         assert abs(au_missing - 0.2) < 0.03
+
+    @pytest.mark.parametrize("key", ["class_priors", "val_class_priors"])
+    def test_bad_priors_error_names_their_key(self, tmp_path, capsys, key):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(f"{key}=" + ",".join(["1e308"] * 8) + "\n")
+        assert run_cli("synth", "--out", tmp_path / "d", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"affectmtl: error: {key} must be non-negative with a finite sum > 0, got "
+        )
+        assert not (tmp_path / "d").exists()
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "synth.cfg"
@@ -239,6 +251,28 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "divergence" in err
         assert "epoch" in err and "batch" in err
+
+    def test_divergence_stderr_is_one_line(self, data_dir, tmp_path):
+        """In a fresh interpreter that shows every warning once, a diverging
+        run's stderr is its exit-3 message alone: no NumPy warnings."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "epochs=3\nbatch_size=16\nhidden_width=4\nlr_base=1e300\nlr_heads=1e300\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(affectmtl.__file__)),
+            PYTHONWARNINGS="default",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "affectmtl.cli", "train", "--data", str(data_dir),
+             "--config", str(cfg), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("affectmtl: divergence: "), proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_data_dir_exits_2(self, tmp_path):
         assert run_cli("train", "--data", tmp_path / "nope", "--out", tmp_path / "out") == 2

@@ -183,6 +183,12 @@ class TestSynthFileConfig:
         with pytest.raises(ConfigError, match="val_class_priors"):
             parse_synth_config("val_class_priors=1,0,0\n")
 
+    @pytest.mark.parametrize("key", ["class_priors", "val_class_priors"])
+    @pytest.mark.parametrize("values", [["1e308"] * 8, ["-1"] + ["1"] * 7, ["0"] * 8])
+    def test_bad_priors_error_names_their_key(self, key, values):
+        with pytest.raises(ConfigError, match=rf"^{key} must be non-negative with a finite sum"):
+            parse_synth_config(f"{key}={','.join(values)}\n")
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown"):
             parse_synth_config("num_train=5\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 
@@ -14,16 +15,13 @@ from affectmtl.data_model import (
     N_ACTION_UNITS,
     N_EXPRESSION_CLASSES,
     VA_SENTINEL,
-    AnnotationSet,
     Dataset,
     DatasetStats,
-    Sample,
     SynthConfig,
     au_positive_weights,
     dataset_stats,
     expression_class_weights,
     generate_synthetic,
-    label_arrays,
     load_images,
     load_manifest,
     parse_manifest,
@@ -34,70 +32,169 @@ from affectmtl.config import SynthFileConfig
 from affectmtl.errors import ConfigError, DataError
 
 import oracles
-from conftest import datasets
+from conftest import columns, datasets, label_rows, make_dataset
 
 AU_NONE = tuple([LABEL_SENTINEL] * N_ACTION_UNITS)
 AU_ZEROS = tuple([0] * N_ACTION_UNITS)
+HEADER = ",".join(MANIFEST_COLUMNS)
 
 
-def ann(valence=0.1, arousal=-0.2, expression=3, units=AU_ZEROS):
-    return AnnotationSet(valence, arousal, expression, units)
+def row(valence=0.1, arousal=-0.2, expression=3, units=AU_ZEROS):
+    return valence, arousal, expression, units
+
+
+def one_row(**labels) -> Dataset:
+    return make_dataset([row(**labels)])
+
+
+def label_columns(**replaced) -> dict:
+    """Keyword arguments of a valid one-row Dataset, some of them replaced."""
+    return {
+        "gold_exp": np.array([3]),
+        "gold_au": np.zeros((1, N_ACTION_UNITS), dtype=np.int64),
+        "gold_va": np.array([[0.1, -0.2]]),
+        "image_refs": ("a.pgm",),
+        **replaced,
+    }
+
+
+def concat(*parts: Dataset) -> Dataset:
+    """The datasets' rows one after another."""
+    return Dataset(
+        gold_exp=np.concatenate([d.gold_exp for d in parts]),
+        gold_au=np.concatenate([d.gold_au for d in parts]),
+        gold_va=np.concatenate([d.gold_va for d in parts]),
+        image_refs=sum((d.image_refs for d in parts), ()),
+    )
 
 
 class TestAnnotationInvariants:
     def test_joint_va_missing_enforced(self):
-        with pytest.raises(DataError):
-            AnnotationSet(VA_SENTINEL, 0.5, 1, AU_ZEROS)
-        with pytest.raises(DataError):
-            AnnotationSet(0.5, VA_SENTINEL, 1, AU_ZEROS)
+        message = r"^sample 0: valence and arousal must be missing jointly$"
+        with pytest.raises(DataError, match=message):
+            one_row(valence=VA_SENTINEL, arousal=0.5)
+        with pytest.raises(DataError, match=message):
+            one_row(valence=0.5, arousal=VA_SENTINEL)
 
     def test_va_range(self):
-        with pytest.raises(DataError):
-            ann(valence=1.5)
-        with pytest.raises(DataError):
-            ann(arousal=-1.0001)
-        ann(valence=1.0, arousal=-1.0)
+        with pytest.raises(DataError, match=r"^sample 0: valence/arousal outside \[-1, 1\]: \(1\.5, -0\.2\)$"):
+            one_row(valence=1.5)
+        with pytest.raises(DataError, match=r"outside \[-1, 1\]: \(0\.1, -1\.0001\)$"):
+            one_row(arousal=-1.0001)
+        with pytest.raises(DataError, match=r"outside \[-1, 1\]: \(nan, -0\.2\)$"):
+            one_row(valence=float("nan"))
+        one_row(valence=1.0, arousal=-1.0)
 
     def test_expression_range(self):
-        with pytest.raises(DataError):
-            ann(expression=8)
-        with pytest.raises(DataError):
-            ann(expression=-2)
-        ann(expression=LABEL_SENTINEL)
+        with pytest.raises(DataError, match=r"^sample 0: expression label out of range: 8$"):
+            one_row(expression=8)
+        with pytest.raises(DataError, match=r"out of range: -2$"):
+            one_row(expression=-2)
+        one_row(expression=LABEL_SENTINEL)
 
     def test_au_all_or_none(self):
         partial = (LABEL_SENTINEL,) + tuple([0] * 11)
-        with pytest.raises(DataError):
-            ann(units=partial)
-        ann(units=AU_NONE)
+        with pytest.raises(DataError, match=r"^sample 0: action units must be missing jointly$"):
+            one_row(units=partial)
+        one_row(units=AU_NONE)
 
     def test_au_values(self):
-        with pytest.raises(DataError):
-            ann(units=(2,) + tuple([0] * 11))
-        with pytest.raises(DataError):
-            ann(units=tuple([0] * 11))  # wrong arity
+        with pytest.raises(DataError, match=r"^sample 0: action unit values must be 0/1/-1$"):
+            one_row(units=(2,) + tuple([0] * 11))
+        with pytest.raises(DataError, match=r"gold_au must have shape \(1, 12\)"):
+            Dataset(**label_columns(gold_au=np.zeros((1, 11), dtype=np.int64)))  # wrong arity
+
+    def test_first_bad_row_and_first_failing_check_reported(self):
+        """Rows are checked in order and each reports its first failing
+        check, as building one record per row did."""
+        dataset_rows = [
+            row(),
+            row(expression=9, units=(2,) + AU_ZEROS[1:]),
+            row(valence=VA_SENTINEL, expression=9),
+        ]
+        with pytest.raises(DataError, match=r"^sample 1: expression label out of range: 9$"):
+            make_dataset(dataset_rows)
+        with pytest.raises(DataError, match=r"^sample 0: valence and arousal must be missing"):
+            make_dataset(dataset_rows[::-1])
 
     @pytest.mark.parametrize(
         "expression", [2.5, 3.0, np.float64(3.0), True, np.bool_(True), "3", None]
     )
     def test_non_integer_expression_rejected(self, expression):
-        with pytest.raises(DataError, match="expression and action units must be integers"):
-            ann(expression=expression)
+        with pytest.raises(DataError, match=r"^gold_exp must be an array of integers, got "):
+            Dataset(**label_columns(gold_exp=np.array([expression])))
 
     @pytest.mark.parametrize(
         "unit", [1.0, 0.0, -1.0, 0.5, True, False, np.float64(1.0), np.bool_(False), "1"]
     )
     def test_non_integer_action_unit_rejected(self, unit):
-        with pytest.raises(DataError, match="expression and action units must be integers"):
-            ann(units=AU_ZEROS[:5] + (unit,) + AU_ZEROS[6:])
+        """A column holds one type: a column of this unit's type is refused."""
+        with pytest.raises(DataError, match=r"^gold_au must be an array of integers, got "):
+            Dataset(**label_columns(gold_au=np.full((1, N_ACTION_UNITS), unit)))
+
+    def test_columns_must_be_arrays_that_fit(self):
+        with pytest.raises(DataError, match=r"^gold_exp must be an array of integers, got list$"):
+            Dataset(**label_columns(gold_exp=[3]))
+        with pytest.raises(DataError, match=r"^gold_exp must be an array of integers, got uint64$"):
+            Dataset(**label_columns(gold_exp=np.array([3], dtype=np.uint64)))
+        with pytest.raises(DataError, match=r"^gold_va must be an array of floats, got int64$"):
+            Dataset(**label_columns(gold_va=np.array([[0, 0]])))
+        with pytest.raises(DataError, match=r"^gold_exp must have shape \(1,\) for 1 image paths"):
+            Dataset(**label_columns(gold_exp=np.array([3, 3])))
+        narrow = Dataset(**label_columns(
+            gold_exp=np.array([3], dtype=np.int8),
+            gold_au=np.zeros((1, N_ACTION_UNITS), dtype=np.uint32),
+            gold_va=np.array([[0.1, -0.2]], dtype=np.float32),
+        ))
+        assert (narrow.gold_exp.dtype, narrow.gold_au.dtype, narrow.gold_va.dtype) == (
+            np.int64, np.int64, np.float64
+        )
 
     def test_validity_flags(self):
-        nothing = AnnotationSet(VA_SENTINEL, VA_SENTINEL, LABEL_SENTINEL, AU_NONE)
-        labels = label_arrays(Dataset((Sample("a", ann()), Sample("b", nothing))))
+        nothing = row(VA_SENTINEL, VA_SENTINEL, LABEL_SENTINEL, AU_NONE)
+        labels = make_dataset([row(), nothing])
         assert labels.va_valid.tolist() == [True, False]
         assert labels.exp_valid.tolist() == [True, False]
         assert labels.au_valid.tolist() == [True, False]
         assert labels.any_valid.tolist() == [True, False]
+
+
+# Field values a corrupted manifest row may carry, by the fields they replace.
+BAD_VA = ["nan", "1.5", "-1.0001", "inf", "1e400", "-5", "abc", "", " 0.5 "]
+BAD_INT = ["2", "8", "-2", "-1", "99999999999999999999", "-99999999999999999999",
+           "1.0", "x", "", "\t1 "]
+
+
+@st.composite
+def corrupted_manifests(draw):
+    """Manifest text whose rows are valid, or carry up to three corruptions
+    each: bad valence/arousal, expression or unit values, non-numbers,
+    a wrong column count, and empty, NUL-holding or repeated paths."""
+    lines = [HEADER]
+    for i in range(draw(st.integers(0, 6))):
+        va, expression, units = draw(st.sampled_from([
+            (["0.25", "-0.5"], "3", ["0"] * 12),
+            (["-5", "-5"], "-1", ["-1"] * 12),
+            (["1.0", "-1.0"], "7", ["1", "0"] * 6),
+        ]))
+        fields = [f"images/x_{i}.pgm", *va, expression, *units]
+        kinds = draw(st.lists(
+            st.sampled_from(["va", "va", "int", "int", "path", "columns", None, None]),
+            max_size=3,
+        ))
+        for kind in kinds:
+            if kind == "va":
+                fields[draw(st.integers(1, 2))] = draw(st.sampled_from(BAD_VA))
+            elif kind == "int":
+                fields[draw(st.integers(3, 15))] = draw(st.sampled_from(BAD_INT))
+            elif kind == "path":
+                fields[0] = draw(st.sampled_from(
+                    [" ", "a\0b"] + [f"images/x_{j}.pgm" for j in range(i)]
+                ))
+        if "columns" in kinds:
+            fields = draw(st.sampled_from([fields[:-1], fields + ["0"], fields[:3]]))
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
 
 
 class TestManifest:
@@ -109,93 +206,107 @@ class TestManifest:
     @given(datasets())
     def test_round_trip_exact(self, dataset):
         again = parse_manifest(serialize_manifest(dataset))
-        assert again == dataset
+        assert columns(again) == columns(dataset)
 
     @settings(max_examples=50, deadline=None)
     @given(datasets(), st.sampled_from([np.int8, np.int16, np.int32, np.int64, int]))
     def test_numpy_integer_labels_round_trip(self, dataset, int_type):
-        """Labels given as NumPy integers are accepted and survive the manifest."""
-        converted = Dataset(tuple(
-            Sample(s.image_ref, AnnotationSet(
-                s.annotations.valence,
-                s.annotations.arousal,
-                int_type(s.annotations.expression),
-                tuple(int_type(u) for u in s.annotations.action_units),
-            ))
-            for s in dataset
-        ))
+        """Label columns of any NumPy integer type are accepted, stored as
+        int64, and survive the manifest."""
+        converted = dataclasses.replace(
+            dataset,
+            gold_exp=dataset.gold_exp.astype(int_type),
+            gold_au=dataset.gold_au.astype(int_type),
+        )
+        assert columns(converted) == columns(dataset)
         again = parse_manifest(serialize_manifest(converted))
-        assert again == converted
+        assert columns(again) == columns(converted)
         assert serialize_manifest(again) == serialize_manifest(converted)
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted_manifests())
+    @example(HEADER + "\na.pgm,2,0,3" + ",0" * 12 + "\nb.pgm,0,0,x" + ",0" * 12 + "\n")
+    @example(HEADER + "\na.pgm,0,0,3" + ",0" * 12 + "\nb.pgm,0,0,3" + ",0" * 11 + "\n")
+    @example(HEADER + "\na.pgm,0,0,3" + ",0" * 11 + ",2\na.pgm,0,0,3" + ",0" * 12 + "\n")
+    def test_parse_matches_record_oracle(self, text):
+        """The columns, or the DataError message, of the record parser that
+        checks each row before reading the next: an earlier bad row wins
+        over a later parse error, and a row reports its first failure."""
+        try:
+            records = oracles.parse_manifest(text)
+        except DataError as exc:
+            with pytest.raises(DataError) as excinfo:
+                parse_manifest(text)
+            assert str(excinfo.value) == str(exc)
+        else:
+            assert columns(parse_manifest(text)) == oracles.record_columns(records)
+
+    def test_label_beyond_int64_keeps_its_value(self):
+        big = "99999999999999999999"
+        text = HEADER + "\na.pgm,0,0,3" + ",0" * 12 + f"\nb.pgm,0,0,{big}" + ",0" * 12 + "\n"
+        with pytest.raises(DataError, match=rf"^row 3: expression label out of range: {big}$"):
+            parse_manifest(text)
 
     def test_bad_header(self):
         with pytest.raises(DataError, match="row 1"):
             parse_manifest("image,valence\n")
 
     def test_wrong_column_count_names_row(self):
-        text = serialize_manifest(
-            Dataset((Sample("a.pgm", ann()),))
-        ) + "b.pgm,0.1,0.2\n"
-        with pytest.raises(DataError, match="row 3"):
+        text = serialize_manifest(make_dataset([row()], ("a.pgm",))) + "b.pgm,0.1,0.2\n"
+        with pytest.raises(DataError, match=r"^row 3: expected 16 columns, got 3$"):
             parse_manifest(text)
 
     def test_duplicate_path_rejected(self):
-        sample = Sample("a.pgm", ann())
-        text = serialize_manifest(Dataset((sample,)))
+        text = serialize_manifest(make_dataset([row()], ("a.pgm",)))
         text += text.splitlines()[1] + "\n"
-        with pytest.raises(DataError, match="duplicate"):
+        with pytest.raises(DataError, match=r"^row 3: duplicate image path 'a\.pgm'$"):
             parse_manifest(text)
 
     def test_non_integer_label_names_row(self):
-        header = ",".join(MANIFEST_COLUMNS)
-        row = "a.pgm,0.1,0.2,x," + ",".join(["0"] * 12)
-        with pytest.raises(DataError, match="row 2"):
-            parse_manifest(header + "\n" + row + "\n")
+        text = HEADER + "\na.pgm,0.1,0.2,x," + ",".join(["0"] * 12) + "\n"
+        with pytest.raises(DataError, match=r"^row 2: not an integer: 'x'$"):
+            parse_manifest(text)
 
     def test_integer_fields_parse_as_stripped_ints(self):
         """Padding the fields with whitespace, including the "\x1f" that
         int refuses and str.strip removes, keeps each label's value."""
-        header = ",".join(MANIFEST_COLUMNS)
-        row = "a.pgm,0.1,0.2, 3\x1f," + ",".join(["\t1 "] + ["\x1f0"] * 11)
-        labels = parse_manifest(header + "\n" + row + "\n")[0].annotations
-        assert labels.expression == 3
-        assert labels.action_units == (1,) + (0,) * 11
-        assert all(type(unit) is int for unit in labels.action_units)
+        text = HEADER + "\na.pgm,0.1,0.2, 3\x1f," + ",".join(["\t1 "] + ["\x1f0"] * 11) + "\n"
+        dataset = parse_manifest(text)
+        assert dataset.gold_exp.tolist() == [3]
+        assert dataset.gold_au.tolist() == [[1] + [0] * 11]
+        assert dataset.gold_exp.dtype == np.int64 and dataset.gold_au.dtype == np.int64
 
     @pytest.mark.parametrize("column", [3, 4, 15])
     def test_non_integer_label_message_names_first_bad_field(self, column):
-        header = ",".join(MANIFEST_COLUMNS)
         fields = ["a.pgm", "0.1", "0.2"] + ["0"] * 13
         fields[column] = " 1.0 "
         fields[column + 1:] = ["y"] * (15 - column)
         with pytest.raises(DataError, match=r"^row 2: not an integer: '1\.0'$"):
-            parse_manifest(header + "\n" + ",".join(fields) + "\n")
+            parse_manifest(HEADER + "\n" + ",".join(fields) + "\n")
 
     def test_annotation_violation_names_row(self):
-        header = ",".join(MANIFEST_COLUMNS)
-        row = "a.pgm,-5,0.2,1," + ",".join(["0"] * 12)
-        with pytest.raises(DataError, match="row 2"):
-            parse_manifest(header + "\n" + row + "\n")
+        text = HEADER + "\na.pgm,-5,0.2,1," + ",".join(["0"] * 12) + "\n"
+        with pytest.raises(DataError, match=r"^row 2: valence and arousal must be missing jointly$"):
+            parse_manifest(text)
 
     def test_empty_dataset_round_trip(self):
-        assert parse_manifest(serialize_manifest(Dataset(()))) == Dataset(())
+        empty = make_dataset([])
+        assert len(empty) == 0
+        assert columns(parse_manifest(serialize_manifest(empty))) == columns(empty)
 
 
 class TestStatsAndWeights:
     def make_dataset(self):
-        rows = [
-            ann(expression=0),
-            ann(expression=0),
-            ann(expression=1),
-            ann(expression=2, units=AU_NONE),
-            AnnotationSet(VA_SENTINEL, VA_SENTINEL, LABEL_SENTINEL, AU_ZEROS),
-        ]
-        return Dataset(
-            tuple(Sample(f"s{i}.pgm", a) for i, a in enumerate(rows))
-        )
+        return make_dataset([
+            row(expression=0),
+            row(expression=0),
+            row(expression=1),
+            row(expression=2, units=AU_NONE),
+            row(VA_SENTINEL, VA_SENTINEL, LABEL_SENTINEL, AU_ZEROS),
+        ])
 
     def test_counts(self):
-        stats = dataset_stats(label_arrays(self.make_dataset()))
+        stats = dataset_stats(self.make_dataset())
         assert stats.total == 5
         assert stats.exp_valid_count == 4 and stats.exp_invalid_count == 1
         assert stats.exp_class_counts[:3] == (2, 1, 1)
@@ -203,35 +314,33 @@ class TestStatsAndWeights:
         assert stats.au_valid_count == 4
 
     @settings(max_examples=100, deadline=None)
-    @given(datasets())
-    def test_stats_and_labels_match_per_sample_reference(self, dataset):
-        n = len(dataset)
+    @given(st.lists(label_rows(), max_size=8))
+    def test_stats_and_labels_match_per_sample_reference(self, rows):
+        n = len(rows)
         exp_counts = [0] * N_EXPRESSION_CLASSES
         au_pos = [0] * N_ACTION_UNITS
         au_neg = [0] * N_ACTION_UNITS
         exp_valid, au_valid, va_valid = [], [], []
-        for sample in dataset:
-            a = sample.annotations
-            exp_valid.append(a.expression != LABEL_SENTINEL)
-            au_valid.append(LABEL_SENTINEL not in a.action_units)
-            va_valid.append(a.valence != VA_SENTINEL)
+        for valence, _, expression, units in rows:
+            exp_valid.append(expression != LABEL_SENTINEL)
+            au_valid.append(LABEL_SENTINEL not in units)
+            va_valid.append(valence != VA_SENTINEL)
             if exp_valid[-1]:
-                exp_counts[a.expression] += 1
+                exp_counts[expression] += 1
             if au_valid[-1]:
-                for u, unit in enumerate(a.action_units):
+                for u, unit in enumerate(units):
                     if unit == 1:
                         au_pos[u] += 1
                     else:
                         au_neg[u] += 1
 
-        labels = label_arrays(dataset)
-        anns = [s.annotations for s in dataset]
+        labels = make_dataset(rows)
         assert labels.gold_exp.dtype == np.int64 and labels.gold_exp.shape == (n,)
         assert labels.gold_au.dtype == np.int64 and labels.gold_au.shape == (n, 12)
         assert labels.gold_va.dtype == np.float64 and labels.gold_va.shape == (n, 2)
-        assert labels.gold_exp.tolist() == [a.expression for a in anns]
-        assert labels.gold_au.tolist() == [list(a.action_units) for a in anns]
-        assert labels.gold_va.tolist() == [[a.valence, a.arousal] for a in anns]
+        assert labels.gold_exp.tolist() == [r[2] for r in rows]
+        assert labels.gold_au.tolist() == [list(r[3]) for r in rows]
+        assert labels.gold_va.tolist() == [[r[0], r[1]] for r in rows]
         assert labels.exp_valid.tolist() == exp_valid
         assert labels.au_valid.tolist() == au_valid
         assert labels.va_valid.tolist() == va_valid
@@ -256,7 +365,7 @@ class TestStatsAndWeights:
         assert all(type(x) is int for x in flat)
 
     def test_expression_weights_inverse_frequency(self):
-        stats = dataset_stats(label_arrays(self.make_dataset()))
+        stats = dataset_stats(self.make_dataset())
         weights = expression_class_weights(stats)
         assert weights[0] == 4 / 2
         assert weights[1] == 4.0 and weights[2] == 4.0
@@ -264,13 +373,12 @@ class TestStatsAndWeights:
         assert all(weights[c] == 0.0 for c in range(3, 8))
 
     def test_au_weights_neg_over_pos(self):
-        rows = [
-            ann(units=(1,) + tuple([0] * 11)),
-            ann(units=(1,) + tuple([0] * 11)),
-            ann(units=(0,) + tuple([0] * 11)),
-        ]
-        ds = Dataset(tuple(Sample(f"s{i}", a) for i, a in enumerate(rows)))
-        weights = au_positive_weights(dataset_stats(label_arrays(ds)))
+        ds = make_dataset([
+            row(units=(1,) + tuple([0] * 11)),
+            row(units=(1,) + tuple([0] * 11)),
+            row(units=(0,) + tuple([0] * 11)),
+        ])
+        weights = au_positive_weights(dataset_stats(ds))
         assert weights[0] == pytest.approx(1 / 2)
         # Units with no positives fall back to the neutral weight.
         assert all(weights[u] == 1.0 for u in range(1, 12))
@@ -281,7 +389,7 @@ class TestSynthetic:
         cfg = SynthConfig(count=30, image_size=8)
         ds1, imgs1 = generate_synthetic(cfg, 9)
         ds2, imgs2 = generate_synthetic(cfg, 9)
-        assert ds1 == ds2
+        assert columns(ds1) == columns(ds2)
         assert np.array_equal(imgs1, imgs2)
 
     def test_seed_changes_output(self):
@@ -299,7 +407,7 @@ class TestSynthetic:
         cfg = SynthConfig(count=1500, image_size=4, exp_mask_rate=0.4,
                           va_mask_rate=0.2, au_mask_rate=0.2)
         dataset, _ = generate_synthetic(cfg, 5)
-        stats = dataset_stats(label_arrays(dataset))
+        stats = dataset_stats(dataset)
         assert abs(stats.exp_invalid_count / 1500 - 0.4) < 0.05
         assert abs(stats.va_invalid_count / 1500 - 0.2) < 0.05
         assert abs(stats.au_invalid_count / 1500 - 0.2) < 0.05
@@ -307,16 +415,15 @@ class TestSynthetic:
     def test_mask_rate_one_gives_header_only_validity(self):
         cfg = SynthConfig(count=10, image_size=4, exp_mask_rate=1.0)
         dataset, _ = generate_synthetic(cfg, 0)
-        assert all(s.annotations.expression == LABEL_SENTINEL for s in dataset)
+        assert dataset.gold_exp.tolist() == [LABEL_SENTINEL] * 10
 
     def test_va_lies_on_class_circle(self):
         cfg = SynthConfig(count=200, image_size=4, va_mask_rate=0.0, va_noise=0.0,
                           exp_mask_rate=0.0)
         dataset, _ = generate_synthetic(cfg, 3)
-        for sample in dataset:
-            a = sample.annotations
-            radius = np.hypot(a.valence, a.arousal)
-            assert radius == pytest.approx(0.7, abs=1e-9)
+        radius = np.hypot(dataset.gold_va[:, 0], dataset.gold_va[:, 1])
+        assert len(radius) == 200
+        assert np.allclose(radius, 0.7, rtol=0, atol=1e-9)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -387,18 +494,20 @@ class TestSynthetic:
         """generate_synthetic searches each class in the cdf that
         Generator.choice(8, p=priors / priors.sum()) builds instead of
         calling it, and derives everything else in whole-array passes; the
-        per-sample loop that calls choice gives the same bits."""
+        per-sample loop that calls choice gives the same bits, and records
+        that hold the same columns and serialize to the same text."""
         dataset, images = generate_synthetic(config, seed)
-        ref_dataset, ref_images = oracles.generate_synthetic(config, seed)
-        assert serialize_manifest(dataset) == serialize_manifest(ref_dataset)
+        records, ref_images = oracles.generate_synthetic(config, seed)
+        assert columns(dataset) == oracles.record_columns(records)
+        assert serialize_manifest(dataset) == oracles.serialize_manifest(records)
         assert images.shape == ref_images.shape
         assert images.tobytes() == ref_images.tobytes()
 
     def test_transient_memory_bounded(self):
         """At the default train size, the peak of what generate_synthetic
         allocates, less what it returns, stays under an eighth of the
-        image bytes: the draws fill preallocated arrays, and the records
-        are built row by row rather than from one list of every row."""
+        image bytes: the draws fill preallocated arrays, and the label
+        columns are built from them in whole-array passes."""
         tracemalloc.start()
         try:
             dataset, images = generate_synthetic(SynthFileConfig().train_config(), 0)
@@ -415,14 +524,14 @@ class TestDiskRoundTrip:
         dataset, images = generate_synthetic(cfg, 2, prefix="train")
         write_dataset(tmp_path, "train.csv", dataset, images)
         loaded = load_manifest(tmp_path / "train.csv")
-        assert loaded == dataset
+        assert columns(loaded) == columns(dataset)
         assert np.array_equal(load_images(loaded, tmp_path), images)
 
     def test_write_makes_each_image_directory_once(self, tmp_path, monkeypatch):
         cfg = SynthConfig(count=6, image_size=4)
         dataset, images = generate_synthetic(cfg, 0)
-        dataset = Dataset(tuple(
-            Sample(f"{'ab'[i % 2]}/{s.image_ref}", s.annotations) for i, s in enumerate(dataset)
+        dataset = dataclasses.replace(dataset, image_refs=tuple(
+            f"{'ab'[i % 2]}/{ref}" for i, ref in enumerate(dataset.image_refs)
         ))
         for parent in "ab":  # so os.makedirs does not recurse into itself
             (tmp_path / parent).mkdir()
@@ -440,12 +549,11 @@ class TestDiskRoundTrip:
         ds2, imgs2 = generate_synthetic(SynthConfig(count=1, image_size=4), 0, prefix="b")
         write_dataset(tmp_path, "a.csv", ds1, imgs1)
         write_dataset(tmp_path, "b.csv", ds2, imgs2)
-        merged = Dataset(ds1.samples + ds2.samples)
+        merged = concat(ds1, ds2)
         with pytest.raises(DataError, match=r"disagree on dimensions: \[\(4, 4\), \(8, 8\)\]"):
             load_images(merged, tmp_path)
 
 
 def test_dataset_rejects_duplicate_ids():
-    sample = Sample("a", ann())
-    with pytest.raises(DataError):
-        Dataset((sample, sample))
+    with pytest.raises(DataError, match=r"^duplicate image path: a$"):
+        make_dataset([row(), row(), row()], ("a", "b", "a"))

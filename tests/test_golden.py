@@ -30,6 +30,9 @@ from affectmtl.data_model import SynthConfig, generate_synthetic, serialize_mani
 from affectmtl.losses import TrainMode
 from affectmtl.trainer import format_epoch_log, pack_dataset, run_training
 
+import oracles
+from conftest import columns
+
 # mode -> (log text, final_params.flat bytes, best_params.flat bytes)
 GOLDEN = {
     TrainMode.SEMI: (
@@ -136,9 +139,26 @@ def test_synthetic_digests(case):
     assert images.dtype == np.float64
     assert _sha256(images.tobytes()) == image_digest
     assert _sha256(serialize_manifest(dataset).encode("utf-8")) == manifest_digest
-    for sample in dataset:
-        ann = sample.annotations
-        assert type(ann.valence) is float and type(ann.arousal) is float
-        assert type(ann.expression) is int
-        assert type(ann.action_units) is tuple
-        assert all(type(unit) is int for unit in ann.action_units)
+    n = config.count
+    assert len(dataset) == n and len(dataset.image_refs) == n
+    assert all(type(ref) is str for ref in dataset.image_refs)
+    for name, dtype, shape in (
+        ("gold_exp", np.int64, (n,)),
+        ("gold_au", np.int64, (n, 12)),
+        ("gold_va", np.float64, (n, 2)),
+        ("exp_valid", np.bool_, (n,)),
+        ("au_valid", np.bool_, (n,)),
+        ("va_valid", np.bool_, (n,)),
+    ):
+        column = getattr(dataset, name)
+        assert column.dtype == dtype and column.shape == shape, name
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_SYNTH))
+def test_synthetic_columns_match_record_oracle(case):
+    """The columns generate_synthetic fills from its arrays equal the
+    records the per-sample reference builds, value for value."""
+    config, seed, prefix, _, _ = GOLDEN_SYNTH[case]
+    dataset, _ = generate_synthetic(config, seed, prefix=prefix)
+    records, _ = oracles.generate_synthetic(config, seed, prefix=prefix)
+    assert columns(dataset) == oracles.record_columns(records)

@@ -49,7 +49,7 @@ from affectmtl.trainer import (
     train_step,
     wants_strong,
 )
-from conftest import keyed_views, map_fields
+from conftest import keyed_views, make_dataset, map_fields
 
 
 def small_packed(count=24, size=8, seed=0, exp_mask=0.4, va_mask=0.2, au_mask=0.2):
@@ -101,10 +101,8 @@ class TestPackDataset:
 
     def test_image_count_mismatch(self):
         packed = small_packed(count=5)
-        from affectmtl.data_model import Dataset
-
         with pytest.raises(DataError):
-            pack_dataset(Dataset(samples=()), packed.images)
+            pack_dataset(make_dataset([]), packed.images)
 
     def test_slice_targets_views(self):
         packed = small_packed(count=20, seed=1)
@@ -158,10 +156,8 @@ class TestSchedule:
         assert np.all(np.abs(share[present] - 0.5) < 0.02)
 
     def test_empty_dataset_rejected(self):
-        from affectmtl.data_model import Dataset
-
         packed_empty = pack_dataset(
-            Dataset(samples=()), np.zeros((0, 8, 8))
+            make_dataset([]), np.zeros((0, 8, 8))
         )
         with pytest.raises(DataError):
             make_epoch_schedule(packed_empty, "reweight", np.random.default_rng(0), np.ones(8))
@@ -497,9 +493,7 @@ class TestRunTraining:
         assert params_equal(result.final_params, fresh)
 
     def test_empty_training_set_rejected(self):
-        from affectmtl.data_model import Dataset
-
-        empty = pack_dataset(Dataset(samples=()), np.zeros((0, 8, 8)))
+        empty = pack_dataset(make_dataset([]), np.zeros((0, 8, 8)))
         val = small_packed(count=8, seed=1)
         with pytest.raises(DataError):
             run_training(empty, val, self.config())
@@ -544,10 +538,8 @@ class TestRunTraining:
         assert "validation" in str(exc) and "epoch 0" in str(exc)
 
     def test_empty_validation_set_rejected(self):
-        from affectmtl.data_model import Dataset
-
         train = small_packed(count=24, seed=0)
-        empty = pack_dataset(Dataset(samples=()), np.zeros((0, 0, 0)))
+        empty = pack_dataset(make_dataset([]), np.zeros((0, 0, 0)))
         with pytest.raises(DataError, match="validation set is empty"):
             run_training(train, empty, self.config())
 
