@@ -1,12 +1,13 @@
 """Command-line driver: synthesize data, train, evaluate, export curves.
 
-Exit codes: 0 success, 1 usage error, 2 bad data or configuration,
-3 training divergence.  `train` and `curves` write each output to a
-temporary file and rename it into place, so a failed command leaves no
-partial file at an output path.  `synth` is not atomic: it overwrites
-existing images in place (see pgm.write_pgm, which avoids O_TRUNC because
-freeing each old block costs more than the write), so a failed run can
-leave a mix of old and new files.
+Exit codes: 0 success, 1 usage error, 2 bad data or configuration (a
+size too large to allocate included), 3 training divergence.  `train`
+and `curves` write each output to a temporary file and rename it into
+place, so a failed command leaves no partial file at an output path.
+`synth` is not atomic: it overwrites existing images in place (see
+pgm.write_pgm, which avoids O_TRUNC because freeing each old block costs
+more than the write), so a failed run can leave a mix of old and new
+files.
 """
 
 from __future__ import annotations
@@ -224,8 +225,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"affectmtl: divergence: {exc}", file=sys.stderr)
         return 3
-    except (DataError, OSError) as exc:
-        print(f"affectmtl: error: {exc}", file=sys.stderr)
+    except (DataError, OSError, MemoryError) as exc:
+        # NumPy's MemoryError names the allocation; a bare one is empty.
+        print(f"affectmtl: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

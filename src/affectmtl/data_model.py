@@ -393,6 +393,15 @@ def generate_synthetic(
 
     Only the draws run per sample; templates, clipping, quantization, flips
     and masks are whole-array passes over them afterwards.
+
+    The loop makes these draws with three calls per sample that fill
+    preallocated arrays in place, and they take the same stream:
+    normal(0.0, scale) is 0.0 + scale * z, element by element, for the
+    standard normals z that standard_normal draws, so the noise is drawn
+    unscaled and scaled afterwards (the + 0.0 turns -0.0 into 0.0, as
+    normal does); and draw 4 of one sample and draw 1 of the next are
+    consecutive doubles, so one random(out=...) call takes both.  Row i of
+    the draw table holds sample i's class draw, then its fifteen others.
     """
     rng = np.random.default_rng(seed)
     n, size = config.count, config.image_size
@@ -400,21 +409,29 @@ def generate_synthetic(
     p = p / p.sum()
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    class_draws = np.empty(n)
+    stride = 1 + N_ACTION_UNITS + 3
+    draws = np.empty((n, stride))
     images = np.empty((n, size, size))
     va = np.empty((n, 2))
-    unit_draws = np.empty((n, N_ACTION_UNITS + 3))
-    random, normal = rng.random, rng.normal
+    flat = draws.reshape(-1)
+    random, standard_normal = rng.random, rng.standard_normal
+    if n:
+        flat[0] = random()
     for i in range(n):
-        class_draws[i] = random()
-        images[i] = normal(0.0, config.pixel_noise, (size, size))
-        va[i] = normal(0.0, config.va_noise, 2)
-        unit_draws[i] = random(N_ACTION_UNITS + 3)
-    labels = cdf.searchsorted(class_draws, side="right")
-    flips = unit_draws[:, :N_ACTION_UNITS] < config.au_flip_prob
+        standard_normal(out=images[i])
+        standard_normal(out=va[i])
+        # Sample i's fifteen draws and sample i + 1's class draw; the last
+        # sample's slice ends with the table, after its fifteen.
+        random(out=flat[i * stride + 1:(i + 1) * stride + 1])
+    images *= config.pixel_noise
+    images += 0.0
+    va *= config.va_noise
+    va += 0.0
+    labels = cdf.searchsorted(draws[:, 0], side="right")
+    flips = draws[:, 1:1 + N_ACTION_UNITS] < config.au_flip_prob
     rates = (config.exp_mask_rate, config.va_mask_rate, config.au_mask_rate)
-    masked_exp, masked_va, masked_au = (unit_draws[:, N_ACTION_UNITS:] < rates).T
-    del unit_draws  # the largest transient: freed before the image passes
+    masked_exp, masked_va, masked_au = (draws[:, 1 + N_ACTION_UNITS:] < rates).T
+    del draws, flat  # the largest transient: freed before the image passes
 
     templates = np.stack([
         class_template(c, size, config.template_contrast)

@@ -24,31 +24,40 @@ _FIELD = rb"([^ \t\r\n#][^ \t\r\n]*)"
 _HEADER = re.compile(rb"(?:%s%s(?:%s%s(?:%s%s(?:%s%s)?)?)?)?" % ((_SEPARATOR, _FIELD) * 4))
 
 
-def _open_in_place(path, flags):
-    """open()'s own flags and mode, without O_TRUNC."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
 def write_pgm(path, image: np.ndarray) -> None:
     """Write a 2-d float image in [0, 1] as a binary PGM with maxval 255.
 
     An existing file is overwritten in place and cut to length only if it
     was longer, not truncated first: on a filesystem mounted with online
     discard, O_TRUNC frees the old block on every rewrite, which costs far
-    more than the write.  The rewrite is therefore not atomic.
+    more than the write.  The rewrite is therefore not atomic.  The bytes
+    go through a raw descriptor opened with open(path, "wb")'s flags less
+    O_TRUNC, and its mode, so a target that open() refuses raises the same
+    OSError.  An image with an empty dimension raises DataError before the
+    path is touched: no reader accepts the file it would make.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise DataError(f"expected a 2-d image, got shape {image.shape}")
-    pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
-    height, width = pixels.shape
-    data = memoryview(b"P5\n%d %d\n255\n" % (width, height) + pixels.tobytes())
+    if image.size == 0:
+        raise DataError(f"expected a non-empty image, got shape {image.shape}")
+    # np.clip(np.rint(image * 255.0), 0, 255) for every float, NaN included,
+    # without clip's per-call cost.
+    levels = image * 255.0
+    np.rint(levels, out=levels)
+    np.minimum(levels, 255.0, out=levels)
+    np.maximum(levels, 0.0, out=levels)
+    height, width = levels.shape
+    data = memoryview(b"P5\n%d %d\n255\n" % (width, height) + levels.astype(np.uint8).tobytes())
     size = len(data)
-    with open(path, "wb", buffering=0, opener=_open_in_place) as fh:
-        while data:  # an unbuffered write may take fewer bytes than it is given
-            data = data[fh.write(data):]
-        if os.fstat(fh.fileno()).st_size > size:  # 0 for a device or FIFO
-            fh.truncate(size)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_CLOEXEC, 0o666)
+    try:
+        while data:  # a write may take fewer bytes than it is given
+            data = data[os.write(fd, data):]
+        if os.fstat(fd).st_size > size:  # 0 for a device or FIFO
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
 
 
 def read_pgm(path) -> np.ndarray:

@@ -7,7 +7,9 @@ differences of the oracles, and hold criterion 2's hand values.  The
 concordance loss has a per-dimension reference built on the package's
 ccc, which the package's two-dimension pass must match bit for bit.
 read_pgm is a byte-at-a-time header tokenizer that the package's
-regex-based reader must match in every array and every error message.
+regex-based reader must match in every array and every error message;
+write_pgm quantizes with np.clip and writes through a FileIO opened in
+place, and the package's descriptor-level writer must leave the same bytes.
 The record layer the package's columnar Dataset replaced stays here as
 the reference for it: one AnnotationSet record per sample, which checks
 its labels' invariants when built, a parser that builds one per manifest
@@ -19,6 +21,7 @@ whole-array passes must match it bit for bit.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +151,28 @@ def read_pgm(path) -> np.ndarray:
         )
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     return pixels.astype(np.float64) / 255.0
+
+
+def _open_in_place(path, flags):
+    """open()'s own flags and mode, without O_TRUNC."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def write_pgm(path, image: np.ndarray) -> None:
+    """Write a 2-d float image as a binary PGM through a FileIO, overwriting
+    in place and cutting the file only if it was longer."""
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim != 2:
+        raise DataError(f"expected a 2-d image, got shape {image.shape}")
+    pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
+    height, width = pixels.shape
+    data = memoryview(b"P5\n%d %d\n255\n" % (width, height) + pixels.tobytes())
+    size = len(data)
+    with open(path, "wb", buffering=0, opener=_open_in_place) as fh:
+        while data:
+            data = data[fh.write(data):]
+        if os.fstat(fh.fileno()).st_size > size:
+            fh.truncate(size)
 
 
 def _pgm_token(data: bytes, pos: int, path) -> tuple[bytes, int]:

@@ -149,6 +149,16 @@ class TestSynth:
         blocked.mkdir(parents=True)
         _exits_2_naming(["synth", "--out", tmp_path / "d", "--config", cfg], blocked, capsys)
 
+    def test_size_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        """Petabytes of images fail at once, with one line and no traceback."""
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("image_size=1000000\n")
+        capsys.readouterr()
+        assert run_cli("synth", "--out", tmp_path / "d", "--config", cfg) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("affectmtl: error: Unable to allocate")
+        assert not (tmp_path / "d").exists()
+
 
 class TestStats:
     def test_prints_summary(self, data_dir, capsys):
@@ -273,6 +283,18 @@ class TestTrain:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("affectmtl: divergence: "), proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_width_too_large_to_allocate_exits_2(self, data_dir, tmp_path, capsys):
+        """A first layer of petabytes fails at once, with one line and no
+        traceback, before any output is written."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=1\nhidden_width=10000000000000\n")
+        capsys.readouterr()
+        assert run_cli("train", "--data", data_dir, "--config", cfg,
+                       "--out", tmp_path / "out") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("affectmtl: error: Unable to allocate")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_data_dir_exits_2(self, tmp_path):
         assert run_cli("train", "--data", tmp_path / "nope", "--out", tmp_path / "out") == 2

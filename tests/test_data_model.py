@@ -490,11 +490,18 @@ class TestSynthetic:
         ),
         0,
     )
+    # No samples; one sample, whose unit draws end the draw table with no
+    # class draw after them; noise scales of zero, which normal still draws
+    # for and which scale the negative draws to -0.0.
+    @example(SynthConfig(count=0), 3)
+    @example(SynthConfig(count=1, image_size=4), 5)
+    @example(SynthConfig(count=20, image_size=4, pixel_noise=0.0, va_noise=0.0), 7)
     def test_matches_per_sample_choice_reference(self, config, seed):
         """generate_synthetic searches each class in the cdf that
         Generator.choice(8, p=priors / priors.sum()) builds instead of
-        calling it, and derives everything else in whole-array passes; the
-        per-sample loop that calls choice gives the same bits, and records
+        calling it, draws unscaled noise and 16 doubles per call in place,
+        and derives everything else in whole-array passes; the per-sample
+        loop that calls choice and normal gives the same bits, and records
         that hold the same columns and serialize to the same text."""
         dataset, images = generate_synthetic(config, seed)
         records, ref_images = oracles.generate_synthetic(config, seed)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import oracles
 from affectmtl.errors import DataError
@@ -58,6 +59,56 @@ def test_malformed_rejected(tmp_path, raw):
 def test_write_rejects_bad_shape(tmp_path):
     with pytest.raises(DataError):
         write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_write_rejects_empty_image_before_opening(tmp_path, shape):
+    """No reader accepts a PGM with a zero dimension, so none is written:
+    a new path is not created and an existing file keeps its bytes."""
+    new, kept = tmp_path / "new.pgm", tmp_path / "kept.pgm"
+    kept.write_bytes(b"kept")
+    for path in (new, kept):
+        with pytest.raises(DataError, match=r"expected a non-empty image, got shape \(\d, \d\)"):
+            write_pgm(path, np.zeros(shape))
+    assert not new.exists()
+    assert kept.read_bytes() == b"kept"
+
+
+# Each pixel: any float, an exact half-step between two levels (rint rounds
+# it to even), or one of the values where clipping and casting differ most.
+PIXELS = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers(-3, 258).map(lambda k: (k + 0.5) / 255.0)
+    | st.sampled_from([-0.0, 0.0, 1.0, -1e-300, 1e300, float("nan"), float("inf"), -float("inf")])
+)
+
+
+@pytest.fixture(scope="module")
+def pgm_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("written")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6), elements=PIXELS),
+    st.sampled_from(["new path", "over a longer file"]),
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN casts, inf products
+def test_writer_matches_clip_and_fileio_reference(pgm_dir, image, target):
+    """The descriptor-level writer and its rint/minimum/maximum quantization
+    leave the bytes that np.clip and a FileIO opened in place leave, for
+    every float; a rewrite keeps the file's inode."""
+    got, want = pgm_dir / "got.pgm", pgm_dir / "want.pgm"
+    for path in (got, want):
+        path.unlink(missing_ok=True)
+        if target != "new path":
+            path.write_bytes(bytes(range(256)) * 2)  # longer than any file written here
+    inode = got.stat().st_ino if got.exists() else None
+    write_pgm(got, image)
+    oracles.write_pgm(want, image)
+    assert got.read_bytes() == want.read_bytes()
+    if inode is not None:
+        assert got.stat().st_ino == inode
 
 
 def _outcome(reader, path):
