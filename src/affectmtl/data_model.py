@@ -398,10 +398,13 @@ def generate_synthetic(
     preallocated arrays in place, and they take the same stream:
     normal(0.0, scale) is 0.0 + scale * z, element by element, for the
     standard normals z that standard_normal draws, so the noise is drawn
-    unscaled and scaled afterwards (the + 0.0 turns -0.0 into 0.0, as
-    normal does); and draw 4 of one sample and draw 1 of the next are
-    consecutive doubles, so one random(out=...) call takes both.  Row i of
-    the draw table holds sample i's class draw, then its fifteen others.
+    unscaled and scaled afterwards; and draw 4 of one sample and draw 1 of
+    the next are consecutive doubles, so one random(out=...) call takes
+    both.  Row i of the draw table holds sample i's class draw, then its
+    fifteen others.  normal's + 0.0 only turns a -0.0 into 0.0, so no pass
+    repeats it: the next thing added to the noise is a class template
+    (0.5 + contrast * wave) or a valence/arousal centre, neither is ever
+    -0.0, and adding any other value to -0.0 or to 0.0 gives the same sum.
     """
     rng = np.random.default_rng(seed)
     n, size = config.count, config.image_size
@@ -424,9 +427,7 @@ def generate_synthetic(
         # sample's slice ends with the table, after its fifteen.
         random(out=flat[i * stride + 1:(i + 1) * stride + 1])
     images *= config.pixel_noise
-    images += 0.0
     va *= config.va_noise
-    va += 0.0
     labels = cdf.searchsorted(draws[:, 0], side="right")
     flips = draws[:, 1:1 + N_ACTION_UNITS] < config.au_flip_prob
     rates = (config.exp_mask_rate, config.va_mask_rate, config.au_mask_rate)

@@ -10,7 +10,10 @@ Flattened pixels feed a two-layer perceptron; its output is L2-normalized
 forward_with_cache keeps every intermediate needed by backward, which
 implements reverse mode by hand, including the normalization and tanh
 Jacobians.  Gradients are exact (finite-difference verified in the tests),
-not approximated.
+not approximated.  Each layer adds its bias and applies its activation in
+place on the matmul result, and the cache holds post-activations only:
+backward takes a rectifier's mask from h = max(a, 0) as h > 0, which
+equals a > 0 for every float, NaN and -0.0 included.
 
 Parameters live in one flat float64 buffer, Params.flat, laid out in
 PARAM_FIELDS order (backbone first); each named field is a reshaped view
@@ -137,18 +140,27 @@ class ForwardCache:
     """Everything backward needs, plus the head outputs."""
 
     x: np.ndarray
-    a1: np.ndarray
     h1: np.ndarray
     z2: np.ndarray
     norm: np.ndarray
     features: np.ndarray
-    a_exp: np.ndarray
     h_exp: np.ndarray
     exp_logits: np.ndarray
     au_logits: np.ndarray
-    a_va: np.ndarray
     h_va: np.ndarray
     va: np.ndarray
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b, with the bias added in place on the matmul result."""
+    out = x @ w
+    out += b
+    return out
+
+
+def _relu(a: np.ndarray) -> np.ndarray:
+    """max(a, 0), written over a."""
+    return np.maximum(a, 0.0, out=a)
 
 
 def forward_with_cache(params: Params, images: np.ndarray) -> ForwardCache:
@@ -163,21 +175,19 @@ def forward_with_cache(params: Params, images: np.ndarray) -> ForwardCache:
         raise DataError(
             f"image size {x.shape[1]} does not match model input {params.w1.shape[0]}"
         )
-    a1 = x @ params.w1 + params.b1
-    h1 = np.maximum(a1, 0.0)
-    z2 = h1 @ params.w2 + params.b2
+    h1 = _relu(_affine(x, params.w1, params.b1))
+    z2 = _affine(h1, params.w2, params.b2)
     norm = np.sqrt(np.sum(z2 * z2, axis=1) + FEATURE_NORM_EPS)
     features = z2 / norm[:, None]
 
-    a_exp = features @ params.w_exp1 + params.b_exp1
-    h_exp = np.maximum(a_exp, 0.0)
-    exp_logits = h_exp @ params.w_exp2 + params.b_exp2
+    h_exp = _relu(_affine(features, params.w_exp1, params.b_exp1))
+    exp_logits = _affine(h_exp, params.w_exp2, params.b_exp2)
 
-    au_logits = features @ params.w_au + params.b_au
+    au_logits = _affine(features, params.w_au, params.b_au)
 
-    a_va = features @ params.w_va1 + params.b_va1
-    h_va = np.maximum(a_va, 0.0)
-    va = np.tanh(h_va @ params.w_va2 + params.b_va2)
+    h_va = _relu(_affine(features, params.w_va1, params.b_va1))
+    va = _affine(h_va, params.w_va2, params.b_va2)
+    np.tanh(va, out=va)
 
     for name, arr in (
         ("features", features),
@@ -188,9 +198,8 @@ def forward_with_cache(params: Params, images: np.ndarray) -> ForwardCache:
         if not np.isfinite(arr).all():
             raise DivergenceError(f"non-finite {name} in forward pass")
     return ForwardCache(
-        x=x, a1=a1, h1=h1, z2=z2, norm=norm, features=features,
-        a_exp=a_exp, h_exp=h_exp, exp_logits=exp_logits,
-        au_logits=au_logits, a_va=a_va, h_va=h_va, va=va,
+        x=x, h1=h1, z2=z2, norm=norm, features=features, h_exp=h_exp,
+        exp_logits=exp_logits, au_logits=au_logits, h_va=h_va, va=va,
     )
 
 
@@ -221,7 +230,7 @@ def backward(
         np.matmul(cache.h_exp.T, d_exp_logits, out=grads.w_exp2)
         d_exp_logits.sum(axis=0, out=grads.b_exp2)
         d_h_exp = d_exp_logits @ params.w_exp2.T
-        d_a_exp = d_h_exp * (cache.a_exp > 0)
+        d_a_exp = d_h_exp * (cache.h_exp > 0)
         np.matmul(cache.features.T, d_a_exp, out=grads.w_exp1)
         d_a_exp.sum(axis=0, out=grads.b_exp1)
         d_features += d_a_exp @ params.w_exp1.T
@@ -236,7 +245,7 @@ def backward(
         np.matmul(cache.h_va.T, d_va_pre, out=grads.w_va2)
         d_va_pre.sum(axis=0, out=grads.b_va2)
         d_h_va = d_va_pre @ params.w_va2.T
-        d_a_va = d_h_va * (cache.a_va > 0)
+        d_a_va = d_h_va * (cache.h_va > 0)
         np.matmul(cache.features.T, d_a_va, out=grads.w_va1)
         d_a_va.sum(axis=0, out=grads.b_va1)
         d_features += d_a_va @ params.w_va1.T
@@ -249,7 +258,7 @@ def backward(
     np.matmul(cache.h1.T, d_z2, out=grads.w2)
     d_z2.sum(axis=0, out=grads.b2)
     d_h1 = d_z2 @ params.w2.T
-    d_a1 = d_h1 * (cache.a1 > 0)
+    d_a1 = d_h1 * (cache.h1 > 0)
     np.matmul(cache.x.T, d_a1, out=grads.w1)
     d_a1.sum(axis=0, out=grads.b1)
     return grads

@@ -19,7 +19,11 @@ Adam runs over the flat parameter buffer (see network.Params): its moments
 are flat arrays updated in place, block by block.  The backbone fields come
 first in the buffer, so the step applies lr_base to the slice before the
 backbone size and lr_heads to the rest.  Each step returns its parameters
-in a fresh buffer, so a kept best-epoch Params never changes.
+in a fresh buffer, so a kept best-epoch Params never changes.  A step
+computes its gradients in a helper whose frame ends before Adam starts, so
+its views, forward caches and probabilities are freed by then: at Adam a
+run holds six parameter-sized buffers (params, best, m, v, grads and the
+fresh params).
 
 Samples invalid for every task are skipped by every term, supervised and
 semi-supervised alike, so they contribute exactly zero gradient.
@@ -326,42 +330,13 @@ def train_step(
 
     weak_draws and strong_draws are the batch's rows of the epoch's draw
     tables: one weak row per sample, one strong row per sample that
-    wants_strong marks, in batch order.
+    wants_strong marks, in batch order.  The views, forward caches and
+    probabilities live in _step_grads's frame, so they are freed before
+    Adam runs.
     """
-    targets = slice_targets(packed, batch_indices)
-    ss_mask = wants_strong(targets, config.mode)
-    batch_images = packed.images[batch_indices]
     try:
-        weak, strong = augment_views(
-            batch_images, weak_draws, strong_draws, config.augment, want_strong=ss_mask
-        )
-
-        cache_probe = forward_with_cache(state.params, weak)
-        probs_w = softmax(cache_probe.exp_logits)
-        exp_idx = np.flatnonzero(targets.exp_valid)
-        acc = update_class_stats(
-            state.stats_acc,
-            probs_w[exp_idx],
-            targets.gold_exp[exp_idx],
-            momentum=config.thresholds.momentum,
-        )
-        thresholds = adaptive_thresholds(acc, epoch, config.thresholds)
-
-        ss_rows = np.flatnonzero(ss_mask)
-        part = partition_confident(probs_w[ss_rows], thresholds)
-        breakdown, grads = batch_loss_and_grads(
-            state.params,
-            weak,
-            targets,
-            w_exp,
-            w_au,
-            config.loss_weights,
-            config.mode,
-            strong_images=strong,
-            ss_rows=ss_rows,
-            confident=part.confident,
-            pseudo_labels=part.pseudo_labels,
-            cache_w=cache_probe,
+        breakdown, grads, acc, info = _step_grads(
+            state, packed, batch_indices, weak_draws, strong_draws, config, w_exp, w_au, epoch
         )
     except DivergenceError as exc:
         if exc.epoch is not None:
@@ -374,12 +349,67 @@ def train_step(
     params, adam = adam_step(
         state.params, grads, state.adam, config.lr_base, config.lr_heads
     )
+    return TrainState(params=params, adam=adam, stats_acc=acc), breakdown, info
+
+
+def _step_grads(
+    state: TrainState,
+    packed: PackedDataset,
+    batch_indices: np.ndarray,
+    weak_draws: np.ndarray,
+    strong_draws: np.ndarray,
+    config: RunConfig,
+    w_exp: np.ndarray,
+    w_au: np.ndarray,
+    epoch: int,
+) -> tuple[LossBreakdown, Params, ClassStatAccumulator, StepInfo]:
+    """train_step's gradient half: augment the batch, forward its weak views,
+    refresh the class statistics and thresholds, partition the strong rows,
+    and return the loss, its gradients, the new statistics and the step's
+    pseudo-label counts."""
+    targets = slice_targets(packed, batch_indices)
+    ss_mask = wants_strong(targets, config.mode)
+    weak, strong = augment_views(
+        packed.images[batch_indices],
+        weak_draws,
+        strong_draws,
+        config.augment,
+        want_strong=ss_mask,
+    )
+
+    cache_probe = forward_with_cache(state.params, weak)
+    probs_w = softmax(cache_probe.exp_logits)
+    exp_idx = np.flatnonzero(targets.exp_valid)
+    acc = update_class_stats(
+        state.stats_acc,
+        probs_w[exp_idx],
+        targets.gold_exp[exp_idx],
+        momentum=config.thresholds.momentum,
+    )
+    thresholds = adaptive_thresholds(acc, epoch, config.thresholds)
+
+    ss_rows = np.flatnonzero(ss_mask)
+    part = partition_confident(probs_w[ss_rows], thresholds)
+    breakdown, grads = batch_loss_and_grads(
+        state.params,
+        weak,
+        targets,
+        w_exp,
+        w_au,
+        config.loss_weights,
+        config.mode,
+        strong_images=strong,
+        ss_rows=ss_rows,
+        confident=part.confident,
+        pseudo_labels=part.pseudo_labels,
+        cache_w=cache_probe,
+    )
     info = StepInfo(
         n_unlabeled=int(len(ss_rows)),
         n_confident=int(np.count_nonzero(part.confident)),
         thresholds=tuple(float(t) for t in thresholds),
     )
-    return TrainState(params=params, adam=adam, stats_acc=acc), breakdown, info
+    return breakdown, grads, acc, info
 
 
 def evaluate_packed(params: Params, packed: PackedDataset) -> MtlScore:
@@ -443,10 +473,13 @@ def run_training(
     state = TrainState(
         params=params, adam=adam_init(params), stats_acc=ClassStatAccumulator.fresh()
     )
+    # Only state and best_params hold the initial parameters, so they are
+    # freed once a trained epoch is kept as best.
+    del params
     w_exp = expression_class_weights(train_packed.stats)
     w_au = au_positive_weights(train_packed.stats)
 
-    best_params = params
+    best_params = state.params
     best_epoch = -1
     best_score = -np.inf
     reports: list[EpochReport] = []

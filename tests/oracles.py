@@ -18,6 +18,10 @@ and record_columns, which decodes records into columns and masks one
 value at a time.  generate_synthetic is the per-sample loop, with
 Generator.choice for the class, that builds those records; the package's
 whole-array passes must match it bit for bit.
+forward_with_cache and backward are the model pass that keeps every
+pre-activation in its cache and takes each rectifier's mask from it; the
+package's pass, which keeps post-activations only, must return the same
+outputs and gradients bit for bit.
 """
 
 import math
@@ -37,8 +41,15 @@ from affectmtl.data_model import (
     SynthConfig,
     class_template,
 )
-from affectmtl.errors import DataError
+from affectmtl.errors import DataError, DivergenceError
 from affectmtl.losses import PROB_FLOOR, ccc
+from affectmtl.network import (
+    _AU_FIELDS,
+    _EXP_FIELDS,
+    _VA_FIELDS,
+    FEATURE_NORM_EPS,
+    Params,
+)
 
 
 def weighted_cross_entropy(
@@ -351,3 +362,116 @@ def generate_synthetic(config: SynthConfig, seed: int, prefix: str = "sample"):
         )
         samples.append(Sample(f"images/{prefix}_{i:05d}.pgm", annotations))
     return tuple(samples), images
+
+
+@dataclass(frozen=True, eq=False)
+class ForwardCache:
+    """Every intermediate of the forward pass, pre-activations included."""
+
+    x: np.ndarray
+    a1: np.ndarray
+    h1: np.ndarray
+    z2: np.ndarray
+    norm: np.ndarray
+    features: np.ndarray
+    a_exp: np.ndarray
+    h_exp: np.ndarray
+    exp_logits: np.ndarray
+    au_logits: np.ndarray
+    a_va: np.ndarray
+    h_va: np.ndarray
+    va: np.ndarray
+
+
+def forward_with_cache(params: Params, images: np.ndarray) -> ForwardCache:
+    """The model on a (n, h, w) image batch, one fresh array per step."""
+    n = images.shape[0]
+    x = images.reshape(n, -1)
+    if x.shape[1] != params.w1.shape[0]:
+        raise DataError(
+            f"image size {x.shape[1]} does not match model input {params.w1.shape[0]}"
+        )
+    a1 = x @ params.w1 + params.b1
+    h1 = np.maximum(a1, 0.0)
+    z2 = h1 @ params.w2 + params.b2
+    norm = np.sqrt(np.sum(z2 * z2, axis=1) + FEATURE_NORM_EPS)
+    features = z2 / norm[:, None]
+
+    a_exp = features @ params.w_exp1 + params.b_exp1
+    h_exp = np.maximum(a_exp, 0.0)
+    exp_logits = h_exp @ params.w_exp2 + params.b_exp2
+
+    au_logits = features @ params.w_au + params.b_au
+
+    a_va = features @ params.w_va1 + params.b_va1
+    h_va = np.maximum(a_va, 0.0)
+    va = np.tanh(h_va @ params.w_va2 + params.b_va2)
+
+    for name, arr in (
+        ("features", features),
+        ("expression logits", exp_logits),
+        ("action-unit logits", au_logits),
+        ("valence-arousal output", va),
+    ):
+        if not np.isfinite(arr).all():
+            raise DivergenceError(f"non-finite {name} in forward pass")
+    return ForwardCache(
+        x=x, a1=a1, h1=h1, z2=z2, norm=norm, features=features,
+        a_exp=a_exp, h_exp=h_exp, exp_logits=exp_logits,
+        au_logits=au_logits, a_va=a_va, h_va=h_va, va=va,
+    )
+
+
+def backward(
+    params: Params,
+    cache: ForwardCache,
+    d_exp_logits: np.ndarray | None = None,
+    d_au_logits: np.ndarray | None = None,
+    d_va: np.ndarray | None = None,
+) -> Params:
+    """Gradients given the head-output gradients; each rectifier's mask is
+    its pre-activation > 0."""
+    grads = Params.wrap(np.empty_like(params.flat), params)
+    for upstream, head_fields in (
+        (d_exp_logits, _EXP_FIELDS), (d_au_logits, _AU_FIELDS), (d_va, _VA_FIELDS)
+    ):
+        if upstream is None:
+            for name in head_fields:
+                getattr(grads, name).fill(0.0)
+    d_features = np.zeros_like(cache.features)
+
+    if d_exp_logits is not None:
+        np.matmul(cache.h_exp.T, d_exp_logits, out=grads.w_exp2)
+        d_exp_logits.sum(axis=0, out=grads.b_exp2)
+        d_h_exp = d_exp_logits @ params.w_exp2.T
+        d_a_exp = d_h_exp * (cache.a_exp > 0)
+        np.matmul(cache.features.T, d_a_exp, out=grads.w_exp1)
+        d_a_exp.sum(axis=0, out=grads.b_exp1)
+        d_features += d_a_exp @ params.w_exp1.T
+
+    if d_au_logits is not None:
+        np.matmul(cache.features.T, d_au_logits, out=grads.w_au)
+        d_au_logits.sum(axis=0, out=grads.b_au)
+        d_features += d_au_logits @ params.w_au.T
+
+    if d_va is not None:
+        d_va_pre = d_va * (1.0 - cache.va * cache.va)
+        np.matmul(cache.h_va.T, d_va_pre, out=grads.w_va2)
+        d_va_pre.sum(axis=0, out=grads.b_va2)
+        d_h_va = d_va_pre @ params.w_va2.T
+        d_a_va = d_h_va * (cache.a_va > 0)
+        np.matmul(cache.features.T, d_a_va, out=grads.w_va1)
+        d_a_va.sum(axis=0, out=grads.b_va1)
+        d_features += d_a_va @ params.w_va1.T
+
+    inv_norm = 1.0 / cache.norm
+    dot = np.sum(d_features * cache.z2, axis=1)
+    d_z2 = d_features * inv_norm[:, None] - cache.z2 * (dot * inv_norm**3)[:, None]
+
+    np.matmul(cache.h1.T, d_z2, out=grads.w2)
+    d_z2.sum(axis=0, out=grads.b2)
+    d_h1 = d_z2 @ params.w2.T
+    d_a1 = d_h1 * (cache.a1 > 0)
+    np.matmul(cache.x.T, d_a1, out=grads.w1)
+    d_a1.sum(axis=0, out=grads.b1)
+    return grads

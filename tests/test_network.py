@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from dataclasses import replace
-from hypothesis import given, settings
+from dataclasses import fields, replace
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affectmtl.errors import ConfigError, DataError, DivergenceError
@@ -22,6 +22,7 @@ from affectmtl.network import (
     softmax_backward,
 )
 
+import oracles
 from conftest import map_fields
 
 MC = ModelConfig(6, 6, hidden_width=4)
@@ -185,6 +186,43 @@ class TestBackward:
             assert np.allclose(
                 getattr(doubled, name), 2.0 * getattr(single, name), atol=1e-12
             )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 6),
+    heads=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    pin=st.none() | st.floats(),
+)
+@example(seed=0, n=3, heads=(True, True, True), pin=0.0)
+@example(seed=0, n=3, heads=(True, True, True), pin=-0.0)
+def test_forward_backward_match_reference(seed, n, heads, pin):
+    """The pass that caches post-activations only returns the reference's
+    outputs and gradients byte for byte, for any set of heads.  With pin
+    set, the first unit of every rectifier layer has that pre-activation in
+    both caches (and max(pin, 0) after the rectifier), so each mask is
+    tested at +0.0, -0.0, NaN and the infinities too."""
+    params = init_params(MC, seed)
+    rng = np.random.default_rng(seed)
+    images = rng.random((n, 6, 6))
+    lean = forward_with_cache(params, images)
+    ref = oracles.forward_with_cache(params, images)
+    for f in fields(lean):
+        assert getattr(lean, f.name).tobytes() == getattr(ref, f.name).tobytes(), f.name
+    if pin is not None:
+        for pre, post in (("a1", "h1"), ("a_exp", "h_exp"), ("a_va", "h_va")):
+            getattr(ref, pre)[:, 0] = pin
+            getattr(ref, post)[:, 0] = np.maximum(pin, 0.0)
+            getattr(lean, post)[:, 0] = np.maximum(pin, 0.0)
+    upstream = [
+        rng.normal(size=shape) if on else None
+        for on, shape in zip(heads, ((n, 8), (n, 12), (n, 2)))
+    ]
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = backward(params, lean, *upstream)
+        want = oracles.backward(params, ref, *upstream)
+    assert got.flat.tobytes() == want.flat.tobytes()
 
 
 def test_map_params_and_zeros():
