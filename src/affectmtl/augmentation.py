@@ -95,25 +95,17 @@ def _splitmix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _splitmix_int(z: int) -> int:
-    """The same splitmix64 step on a Python int in [0, 2**64)."""
-    z = (z + _GOLDEN) & _U64_MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _U64_MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _U64_MASK
-    return z ^ (z >> 31)
-
-
 def view_uniforms(seed: int, epoch: int, sample_indices, view: int, count: int) -> np.ndarray:
     """(n, count) uniforms in [0, 1), one row per sample index.
 
     Draw d of a row hashes (seed, epoch, sample index, view, d); its top 53
     bits give a double with every value k / 2**53 equally likely.  The
-    (seed, epoch) prefix is shared by every row and hashed in Python ints.
+    (seed, epoch) prefix is shared by every row and hashed on a one-element
+    array, seed and epoch taken modulo 2**64.
     """
-    prefix = _splitmix_int(_splitmix_int(int(seed) & _U64_MASK) ^ (int(epoch) & _U64_MASK))
-    key = _splitmix(
-        np.uint64(prefix) ^ np.asarray(sample_indices, dtype=np.int64).astype(np.uint64)
-    )
+    prefix = _splitmix(np.array([int(seed) & _U64_MASK], dtype=np.uint64))
+    prefix = _splitmix(prefix ^ np.uint64(int(epoch) & _U64_MASK))
+    key = _splitmix(prefix ^ np.asarray(sample_indices, dtype=np.int64).astype(np.uint64))
     key = _splitmix(key ^ np.uint64(view))
     bits = _splitmix(key[:, None] ^ np.arange(count, dtype=np.uint64))
     bits >>= np.uint64(11)

@@ -171,6 +171,16 @@ class SynthFileConfig:
     class_priors: tuple[float, ...] = LONG_TAIL_PRIORS
     val_class_priors: tuple[float, ...] = UNIFORM_PRIORS
 
+    def __post_init__(self):
+        if self.train_count < 0 or self.val_count < 0:
+            raise ConfigError("counts must be >= 0")
+        # Range checks are the per-split SynthConfig's, which names both
+        # splits' priors class_priors, so the val split's are first checked
+        # by their key.
+        self.train_config()
+        check_class_priors("val_class_priors", self.val_class_priors)
+        self.val_config()
+
     def _split_config(self, count: int, priors: tuple[float, ...]) -> SynthConfig:
         shared = {
             f.name: getattr(self, f.name)
@@ -193,12 +203,4 @@ def parse_synth_config(text: str) -> SynthFileConfig:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
         updates[key] = _convert(key, value, known[key])
-    config = SynthFileConfig(**updates)
-    if config.train_count < 0 or config.val_count < 0:
-        raise ConfigError("counts must be >= 0")
-    # Range checks are the per-split SynthConfig's, which names both splits'
-    # priors class_priors, so the val split's are first checked by their key.
-    config.train_config()
-    check_class_priors("val_class_priors", config.val_class_priors)
-    config.val_config()
-    return config
+    return SynthFileConfig(**updates)

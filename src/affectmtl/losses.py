@@ -2,7 +2,8 @@
 
 Supervised pieces: class-weighted cross entropy (expressions), positive-
 weighted binary cross entropy (action units), and a concordance loss on
-valence/arousal.  Semi-supervised pieces: unweighted cross entropy against
+valence/arousal, built on the two-column concordance that the validation
+score shares.  Semi-supervised pieces: unweighted cross entropy against
 pseudo labels and a symmetric KL between weak- and strong-view expression
 distributions.  Each term is one *_grad function that returns the loss
 value together with its exact gradients with respect to the prediction
@@ -10,9 +11,15 @@ inputs; these drive the hand-written backward pass.  The tests check each
 value against an independent oracle and each gradient by finite
 differences.
 
-Absent-term convention used throughout: a loss over an empty selection is 0
-with zero gradient, so a batch with nothing valid for some task simply
-drops that term.
+Mask convention used throughout: every term takes whole-batch columns, a
+task's sentinel labels included, and a required boolean row mask.  It reads
+labels and predictions on the masked-in rows only and returns gradients
+over the whole batch that are +0.0 on every masked-out row.  A term over an
+empty selection (for the concordance, fewer than two rows) is 0 with zero
+gradient, so a batch with nothing valid for some task simply drops that
+term.  Each value has the bits of the same call on the masked-in rows
+alone, except the action-unit BCE: its sum runs over the batch-shaped array
+with each masked-out pair as 0.0, so its rounding follows the batch layout.
 """
 
 from __future__ import annotations
@@ -60,16 +67,6 @@ class LossBreakdown:
     total: float
 
 
-@dataclass(frozen=True)
-class CccTerms:
-    s_xy: float
-    s_x2: float
-    s_y2: float
-    mean_x: float
-    mean_y: float
-    rho: float
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -81,21 +78,23 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> None:
 
 
 def weighted_cross_entropy_grad(
-    logits: np.ndarray, labels: np.ndarray, class_weights: np.ndarray
+    logits: np.ndarray, labels: np.ndarray, class_weights: np.ndarray, mask: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean over rows of class_weights[label] * (-log softmax(logits)[label])."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        return 0.0, np.zeros_like(logits)
+    """Mean over masked-in rows of class_weights[label] * (-log softmax(logits)[label])."""
+    idx = np.flatnonzero(mask)
+    d_logits = np.zeros_like(logits)
+    if len(idx) == 0:
+        return 0.0, d_logits
+    labels = np.asarray(labels)[idx]
     _check_labels(labels, logits.shape[-1])
-    logp = _log_softmax(logits)
-    rows = np.arange(len(labels))
+    logp = _log_softmax(logits[idx])
+    rows = np.arange(len(idx))
     weights = np.asarray(class_weights)[labels]
     value = float(np.mean(-weights * logp[rows, labels]))
-    probs = np.exp(logp)
-    d_logits = probs * weights[:, None]
-    d_logits[rows, labels] -= weights
-    return value, d_logits / len(labels)
+    d_sub = np.exp(logp) * weights[:, None]
+    d_sub[rows, labels] -= weights
+    d_logits[idx] = d_sub / len(idx)
+    return value, d_logits
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -103,82 +102,48 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 def weighted_bce_grad(
-    logits: np.ndarray,
-    labels: np.ndarray,
-    pos_weights: np.ndarray,
-    mask: np.ndarray | None = None,
+    logits: np.ndarray, labels: np.ndarray, pos_weights: np.ndarray, mask: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Per-unit binary cross entropy, positives scaled by pos_weights.
 
     Mean over (masked-in sample, unit) pairs, computed in the softplus form
     so extreme logits stay finite.
     """
-    n, n_units = logits.shape
-    if mask is None:
-        mask = np.ones(n, dtype=bool)
-    n_in = int(np.count_nonzero(mask))
-    if n_in == 0:
-        return 0.0, np.zeros_like(logits)
-    y = np.asarray(labels, dtype=np.float64)
+    idx = np.flatnonzero(mask)
+    d_logits = np.zeros_like(logits)
+    if len(idx) == 0:
+        return 0.0, d_logits
+    z = logits[idx]
+    y = np.asarray(labels)[idx].astype(np.float64)
     w = np.asarray(pos_weights, dtype=np.float64)
+    denom = len(idx) * logits.shape[1]
     # -[w*y*log s(z) + (1-y)*log(1-s(z))] = w*y*softplus(-z) + (1-y)*softplus(z)
-    per_elem = w * y * _softplus(-logits) + (1.0 - y) * _softplus(logits)
-    per_elem = per_elem * mask[:, None]
-    denom = n_in * n_units
+    # Summed over the batch-shaped array with masked-out pairs as 0.0.
+    per_elem = np.zeros_like(logits)
+    per_elem[idx] = w * y * _softplus(-z) + (1.0 - y) * _softplus(z)
     value = float(per_elem.sum() / denom)
-    sig = 1.0 / (1.0 + np.exp(-np.abs(logits)))
-    sig = np.where(logits >= 0, sig, 1.0 - sig)
-    d_logits = (-w * y * (1.0 - sig) + (1.0 - y) * sig) * mask[:, None] / denom
+    sig = 1.0 / (1.0 + np.exp(-np.abs(z)))
+    sig = np.where(z >= 0, sig, 1.0 - sig)
+    d_logits[idx] = (-w * y * (1.0 - sig) + (1.0 - y) * sig) / denom
     return value, d_logits
 
 
-def ccc(x: np.ndarray, y: np.ndarray) -> CccTerms:
-    """Concordance correlation with population (1/n) moments.
+def concordance(
+    pred_va: np.ndarray, gold_va: np.ndarray
+) -> tuple[list[float], list[float], np.ndarray, list[float]]:
+    """Concordance of the valence and of the arousal columns of two (k, 2)
+    arrays, k >= 2.
 
-    rho = 2*cov / (var_x + var_y + (mean_x - mean_y)^2); a zero denominator
-    (both inputs constant with equal values) yields rho = 0 by convention.
+    rho = 2*cov / (var_pred + var_gold + (mean_pred - mean_gold)^2) with
+    population (1/k) moments; a zero denominator yields rho = 0.  Returns
+    rho, the denominators and the mean differences per dimension, and the
+    (4, k) deviations from the means: predicted valence and arousal, then
+    gold.  Each row reduction over the C-contiguous (4, k) array sums in
+    NumPy's pairwise order, as over one vector, so each rho has the bits of
+    the one-dimension formula.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DataError(f"concordance needs equal-length vectors, got {x.shape}, {y.shape}")
-    if len(x) < 2:
-        raise DataError(f"concordance needs at least 2 points, got {len(x)}")
-    mean_x, mean_y = float(x.mean()), float(y.mean())
-    dx, dy = x - mean_x, y - mean_y
-    s_xy = float(np.mean(dx * dy))
-    s_x2 = float(np.mean(dx * dx))
-    s_y2 = float(np.mean(dy * dy))
-    denom = s_x2 + s_y2 + (mean_x - mean_y) ** 2
-    rho = 0.0 if denom == 0.0 else 2.0 * s_xy / denom
-    return CccTerms(s_xy=s_xy, s_x2=s_x2, s_y2=s_y2, mean_x=mean_x, mean_y=mean_y, rho=rho)
-
-
-def ccc_loss_grad(
-    pred_va: np.ndarray, gold_va: np.ndarray, mask: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
-    """Mean of (1 - rho) over valence and arousal on the masked-in rows.
-
-    Fewer than two valid rows make both coefficients undefined; the term is
-    then absent (0).  A dimension whose rho has a zero denominator gets rho
-    0 and zero gradient; one whose denominator is so small that the gradient
-    scale 2 / (k * denom) overflows keeps its rho and gets zero gradient.
-    Both dimensions' moments come from one pass over a C-contiguous (4, k)
-    array of prediction and gold columns: each row reduction sums in
-    NumPy's pairwise order, as ccc does over one vector, so every value and
-    gradient bit equals the per-dimension computation.
-    """
-    n = pred_va.shape[0]
-    if mask is None:
-        mask = np.ones(n, dtype=bool)
-    idx = np.flatnonzero(mask)
-    d_pred = np.zeros_like(pred_va, dtype=np.float64)
-    k = len(idx)
-    if k < 2:
-        return 0.0, d_pred
-    # Rows: valence and arousal predictions, then valence and arousal gold.
     cols = np.ascontiguousarray(
-        np.concatenate((pred_va[idx], gold_va[idx]), axis=1).T, dtype=np.float64
+        np.concatenate((pred_va, gold_va), axis=1).T, dtype=np.float64
     )
     means = cols.mean(axis=1)
     dev = cols - means[:, None]
@@ -186,17 +151,35 @@ def ccc_loss_grad(
     moments = np.mean(dev[[0, 1, 0, 1, 2, 3]] * dev[[2, 3, 0, 1, 2, 3]], axis=1).tolist()
     means = means.tolist()
     diff = [means[0] - means[2], means[1] - means[3]]
-    rho = [0.0, 0.0]
+    # Python floats: ** 2 here is libm's pow, not NumPy's square.
+    denom = [moments[2 + dim] + moments[4 + dim] + diff[dim] ** 2 for dim in range(2)]
+    rho = [0.0 if d == 0.0 else 2.0 * m / d for m, d in zip(moments, denom)]
+    return rho, denom, dev, diff
+
+
+def ccc_loss_grad(
+    pred_va: np.ndarray, gold_va: np.ndarray, mask: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean of (1 - rho) over valence and arousal on the masked-in rows.
+
+    Fewer than two valid rows make both coefficients undefined; the term is
+    then absent (0).  A dimension whose rho has a zero denominator gets rho
+    0 and zero gradient; one whose denominator is so small that the gradient
+    scale 2 / (k * denom) overflows keeps its rho and gets zero gradient.
+    """
+    idx = np.flatnonzero(mask)
+    d_pred = np.zeros_like(pred_va, dtype=np.float64)
+    k = len(idx)
+    if k < 2:
+        return 0.0, d_pred
+    rho, denom, dev, diff = concordance(pred_va[idx], gold_va[idx])
     scale = [0.0, 0.0]
     dead = []
     for dim in range(2):
-        # Python floats, as in ccc: ** 2 here is libm's pow, not NumPy's square.
-        denom = moments[2 + dim] + moments[4 + dim] + diff[dim] ** 2
-        if denom == 0.0:
+        if denom[dim] == 0.0:
             dead.append(dim)
             continue
-        rho[dim] = 2.0 * moments[dim] / denom
-        dim_scale = 2.0 / (k * denom)
+        dim_scale = 2.0 / (k * denom[dim])
         if math.isinf(dim_scale):  # a subnormal denom: rho stands, the gradient is 0
             dead.append(dim)
         else:
@@ -214,16 +197,8 @@ def unsupervised_ce_grad(
     strong_logits: np.ndarray, pseudo_labels: np.ndarray, mask: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Unweighted mean CE of strong-view logits against pseudo labels."""
-    idx = np.flatnonzero(mask)
-    d_logits = np.zeros_like(strong_logits)
-    if len(idx) == 0:
-        return 0.0, d_logits
     ones = np.ones(strong_logits.shape[-1])
-    value, d_sub = weighted_cross_entropy_grad(
-        strong_logits[idx], np.asarray(pseudo_labels)[idx], ones
-    )
-    d_logits[idx] = d_sub
-    return value, d_logits
+    return weighted_cross_entropy_grad(strong_logits, pseudo_labels, ones, mask)
 
 
 def consistency_loss_grad(

@@ -4,8 +4,11 @@ The combined score sums three parts: mean concordance over the two affect
 dimensions, macro F1 over the 8 expression classes, and macro F1 over the
 12 action units.  Both F1 scores come from one per-column binary F1: the
 expression classes as the columns of one-hot labels, the action units as
-thresholded probabilities.  Per-task validity masks exclude a sample only
-from the tasks it lacks labels for.
+thresholded probabilities.  The concordance is losses.concordance, the
+routine the training loss uses.  Scorers take whole-set label columns, a
+task's sentinel labels included, with that task's validity mask, and read
+labels only on the masked-in rows; so a sample is excluded only from the
+tasks it lacks labels for.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .data_model import N_EXPRESSION_CLASSES
 from .errors import DataError
-from .losses import ccc
+from .losses import concordance
 
 
 def column_f1(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -52,15 +55,13 @@ def macro_f1(
 
 
 def au_macro_f1(
-    probs: np.ndarray, gold: np.ndarray, mask: np.ndarray | None = None
+    probs: np.ndarray, gold: np.ndarray, mask: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Binary F1 per unit (threshold 0.5, ties positive), averaged over units."""
-    probs = np.asarray(probs, dtype=np.float64)
-    gold = np.asarray(gold)
-    if mask is None:
-        mask = np.ones(probs.shape[0], dtype=bool)
+    """Binary F1 per unit (threshold 0.5, ties positive) over the masked-in
+    rows, averaged over units."""
     idx = np.flatnonzero(mask)
-    per_unit = column_f1(probs[idx] >= 0.5, gold[idx] == 1)
+    probs = np.asarray(probs, dtype=np.float64)[idx]
+    per_unit = column_f1(probs >= 0.5, np.asarray(gold)[idx] == 1)
     return float(per_unit.mean()), per_unit
 
 
@@ -95,8 +96,7 @@ def mtl_score(
     """
     va_idx = np.flatnonzero(va_mask)
     if len(va_idx) >= 2:
-        ccc_v = ccc(pred_va[va_idx, 0], gold_va[va_idx, 0]).rho
-        ccc_a = ccc(pred_va[va_idx, 1], gold_va[va_idx, 1]).rho
+        ccc_v, ccc_a = concordance(pred_va[va_idx], gold_va[va_idx])[0]
         p_va = (ccc_v + ccc_a) / 2.0
         degenerate = False
     else:

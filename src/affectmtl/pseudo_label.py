@@ -56,9 +56,11 @@ def update_class_stats(
     acc: ClassStatAccumulator,
     weak_probs: np.ndarray,
     gold_labels: np.ndarray,
+    mask: np.ndarray,
     momentum: float = 0.9,
 ) -> ClassStatAccumulator:
-    """Fold one labeled batch into the per-class statistics.
+    """Fold the masked-in (expression-labeled) rows of one batch into the
+    per-class statistics; gold_labels may hold the sentinel elsewhere.
 
     For class c, collect the class-c probability of samples whose gold label
     is c and whose argmax prediction is also c; if any exist, the batch mean
@@ -68,9 +70,11 @@ def update_class_stats(
 
     Classes with no correct prediction this batch are untouched.
     """
-    gold_labels = np.asarray(gold_labels)
-    if len(gold_labels) == 0:
+    idx = np.flatnonzero(mask)
+    if len(idx) == 0:
         return acc
+    gold_labels = np.asarray(gold_labels)[idx]
+    weak_probs = np.asarray(weak_probs)[idx]
     if gold_labels.min() < 0 or gold_labels.max() >= N_EXPRESSION_CLASSES:
         raise DataError(f"gold labels outside [0, {N_EXPRESSION_CLASSES})")
     pred = np.argmax(weak_probs, axis=1)

@@ -25,6 +25,9 @@ its views, forward caches and probabilities are freed by then: at Adam a
 run holds six parameter-sized buffers (params, best, m, v, grads and the
 fresh params).
 
+The loss terms, the class statistics and the validation score take whole
+label columns, sentinels included, with each task's validity mask; the
+mask decisions live in losses, pseudo_label and metrics, not here.
 Samples invalid for every task are skipped by every term, supervised and
 semi-supervised alike, so they contribute exactly zero gradient.
 
@@ -177,20 +180,11 @@ def batch_loss_and_grads(
     if cache_w is None:
         cache_w = forward_with_cache(params, weak_images)
 
-    exp_idx = np.flatnonzero(targets.exp_valid)
-    l_sup = 0.0
-    d_exp_w = np.zeros_like(cache_w.exp_logits)
-    if len(exp_idx):
-        l_sup, d_sub = weighted_cross_entropy_grad(
-            cache_w.exp_logits[exp_idx], targets.gold_exp[exp_idx], w_exp
-        )
-        d_exp_w[exp_idx] = lam_sup * d_sub
-
-    gold_au = np.where(targets.au_valid[:, None], targets.gold_au, 0)
-    l_au, d_au = weighted_bce_grad(
-        cache_w.au_logits, gold_au, w_au, targets.au_valid
+    l_sup, d_sup = weighted_cross_entropy_grad(
+        cache_w.exp_logits, targets.gold_exp, w_exp, targets.exp_valid
     )
-
+    d_exp_w = lam_sup * d_sup
+    l_au, d_au = weighted_bce_grad(cache_w.au_logits, targets.gold_au, w_au, targets.au_valid)
     l_va, d_va = ccc_loss_grad(cache_w.va, targets.gold_va, targets.va_valid)
 
     l_unsup = 0.0
@@ -339,8 +333,6 @@ def train_step(
             state, packed, batch_indices, weak_draws, strong_draws, config, w_exp, w_au, epoch
         )
     except DivergenceError as exc:
-        if exc.epoch is not None:
-            raise
         raise DivergenceError(exc.args[0], epoch=epoch, batch=batch_number) from None
     if not np.isfinite(breakdown.total):
         raise DivergenceError(
@@ -379,11 +371,11 @@ def _step_grads(
 
     cache_probe = forward_with_cache(state.params, weak)
     probs_w = softmax(cache_probe.exp_logits)
-    exp_idx = np.flatnonzero(targets.exp_valid)
     acc = update_class_stats(
         state.stats_acc,
-        probs_w[exp_idx],
-        targets.gold_exp[exp_idx],
+        probs_w,
+        targets.gold_exp,
+        targets.exp_valid,
         momentum=config.thresholds.momentum,
     )
     thresholds = adaptive_thresholds(acc, epoch, config.thresholds)
@@ -422,10 +414,10 @@ def evaluate_packed(params: Params, packed: PackedDataset) -> MtlScore:
         gold_va=packed.gold_va,
         va_mask=packed.va_valid,
         pred_exp=pred_exp,
-        gold_exp=np.where(packed.exp_valid, packed.gold_exp, 0),
+        gold_exp=packed.gold_exp,
         exp_mask=packed.exp_valid,
         au_probs=au_probs,
-        gold_au=np.where(packed.au_valid[:, None], packed.gold_au, 0),
+        gold_au=packed.gold_au,
         au_mask=packed.au_valid,
     )
 

@@ -3,9 +3,10 @@
 Plain per-definition forms of the cross entropy and the symmetric KL.  The
 package computes these terms only inside its *_grad functions; the tests
 compare those values against these oracles, check the gradients by finite
-differences of the oracles, and hold criterion 2's hand values.  The
-concordance loss has a per-dimension reference built on the package's
-ccc, which the package's two-dimension pass must match bit for bit.
+differences of the oracles, and hold criterion 2's hand values.  ccc is
+the concordance of one dimension, and the concordance loss has a
+per-dimension reference built on it, which the package's two-column
+concordance must match bit for bit.
 read_pgm is a byte-at-a-time header tokenizer that the package's
 regex-based reader must match in every array and every error message;
 write_pgm quantizes with np.clip and writes through a FileIO opened in
@@ -22,6 +23,8 @@ forward_with_cache and backward are the model pass that keeps every
 pre-activation in its cache and takes each rectifier's mask from it; the
 package's pass, which keeps post-activations only, must return the same
 outputs and gradients bit for bit.
+view_uniforms hashes each draw in Python ints with _splitmix_int, the
+reference for the package's hash over uint64 arrays.
 """
 
 import math
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from affectmtl.augmentation import _GOLDEN, _MIX1, _MIX2, _U64_MASK
 from affectmtl.data_model import (
     _AU_PATTERN,
     _VA_CENTERS,
@@ -42,7 +46,7 @@ from affectmtl.data_model import (
     class_template,
 )
 from affectmtl.errors import DataError, DivergenceError
-from affectmtl.losses import PROB_FLOOR, ccc
+from affectmtl.losses import PROB_FLOOR
 from affectmtl.network import (
     _AU_FIELDS,
     _EXP_FIELDS,
@@ -96,6 +100,38 @@ def symmetric_kl_grad(p: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray, 
     return value, d_p, d_q
 
 
+@dataclass(frozen=True)
+class CccTerms:
+    s_xy: float
+    s_x2: float
+    s_y2: float
+    mean_x: float
+    mean_y: float
+    rho: float
+
+
+def ccc(x: np.ndarray, y: np.ndarray) -> CccTerms:
+    """Concordance correlation with population (1/n) moments.
+
+    rho = 2*cov / (var_x + var_y + (mean_x - mean_y)^2); a zero denominator
+    (both inputs constant with equal values) yields rho = 0 by convention.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise DataError(f"concordance needs equal-length vectors, got {x.shape}, {y.shape}")
+    if len(x) < 2:
+        raise DataError(f"concordance needs at least 2 points, got {len(x)}")
+    mean_x, mean_y = float(x.mean()), float(y.mean())
+    dx, dy = x - mean_x, y - mean_y
+    s_xy = float(np.mean(dx * dy))
+    s_x2 = float(np.mean(dx * dx))
+    s_y2 = float(np.mean(dy * dy))
+    denom = s_x2 + s_y2 + (mean_x - mean_y) ** 2
+    rho = 0.0 if denom == 0.0 else 2.0 * s_xy / denom
+    return CccTerms(s_xy=s_xy, s_x2=s_x2, s_y2=s_y2, mean_x=mean_x, mean_y=mean_y, rho=rho)
+
+
 def _ccc_rho_grad(pred: np.ndarray, gold: np.ndarray) -> tuple[float, np.ndarray]:
     """rho and its gradient with respect to pred, one dimension at a time."""
     terms = ccc(pred, gold)
@@ -115,11 +151,9 @@ def _ccc_rho_grad(pred: np.ndarray, gold: np.ndarray) -> tuple[float, np.ndarray
 
 
 def ccc_loss_grad(
-    pred_va: np.ndarray, gold_va: np.ndarray, mask: np.ndarray | None = None
+    pred_va: np.ndarray, gold_va: np.ndarray, mask: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean of (1 - rho) over valence and arousal, each through ccc."""
-    if mask is None:
-        mask = np.ones(pred_va.shape[0], dtype=bool)
     idx = np.flatnonzero(mask)
     d_pred = np.zeros_like(pred_va, dtype=np.float64)
     if len(idx) < 2:
@@ -475,3 +509,21 @@ def backward(
     np.matmul(cache.x.T, d_a1, out=grads.w1)
     d_a1.sum(axis=0, out=grads.b1)
     return grads
+
+
+def _splitmix_int(z: int) -> int:
+    """One splitmix64 step on a Python int in [0, 2**64)."""
+    z = (z + _GOLDEN) & _U64_MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _U64_MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _U64_MASK
+    return z ^ (z >> 31)
+
+
+def view_uniforms(seed: int, epoch: int, sample_indices, view: int, count: int) -> np.ndarray:
+    """The package's view_uniforms, one draw at a time in Python ints."""
+    prefix = _splitmix_int(_splitmix_int(seed & _U64_MASK) ^ (epoch & _U64_MASK))
+    rows = []
+    for index in sample_indices:
+        key = _splitmix_int(_splitmix_int(prefix ^ (int(index) & _U64_MASK)) ^ view)
+        rows.append([(_splitmix_int(key ^ d) >> 11) * 2.0**-53 for d in range(count)])
+    return np.array(rows, dtype=np.float64).reshape(len(rows), count)

@@ -24,8 +24,8 @@ from affectmtl.data_model import (
 )
 from affectmtl.losses import (
     LossWeights,
-    ccc,
     ccc_loss_grad,
+    concordance,
     consistency_loss_grad,
     overall_loss,
     unsupervised_ce_grad,
@@ -58,6 +58,11 @@ from oracles import symmetric_kl
 
 LN2 = math.log(2.0)
 LN8 = math.log(8.0)
+
+
+def ccc(x, y) -> float:
+    """The package's concordance of one pair of vectors."""
+    return concordance(np.column_stack([x, x]), np.column_stack([y, y]))[0][0]
 
 
 def _verdict(capsys, num: int, name: str, failures: list, detail: str = "") -> None:
@@ -226,47 +231,61 @@ def test_criterion_2_loss_values(capsys):
     cases = [
         (
             "weighted CE uniform -> ln 8",
-            weighted_cross_entropy_grad(np.zeros((2, 8)), np.array([0, 3]), np.ones(8))[0],
+            weighted_cross_entropy_grad(
+                np.zeros((2, 8)), np.array([0, 3]), np.ones(8), np.ones(2, dtype=bool)
+            )[0],
             LN8,
         ),
         (
             "weighted CE confident -> 0",
-            weighted_cross_entropy_grad(confident_logits, np.array([2]), np.ones(8))[0],
+            weighted_cross_entropy_grad(
+                confident_logits, np.array([2]), np.ones(8), np.ones(1, dtype=bool)
+            )[0],
             0.0,
         ),
         (
             "weighted CE half prob, class weight 2 -> 2 ln 2",
             weighted_cross_entropy_grad(
-                np.zeros((1, 2)), np.array([0]), np.array([2.0, 1.0])
+                np.zeros((1, 2)), np.array([0]), np.array([2.0, 1.0]), np.ones(1, dtype=bool)
             )[0],
             2.0 * LN2,
         ),
         (
             "BCE sigmoid ~1, positive -> 0",
-            weighted_bce_grad(np.array([[40.0]]), np.array([[1]]), np.array([1.0]))[0],
+            weighted_bce_grad(
+                np.array([[40.0]]), np.array([[1]]), np.array([1.0]), np.ones(1, dtype=bool)
+            )[0],
             0.0,
         ),
         (
             "BCE sigmoid 0.5, positive, weight 3 -> 3 ln 2",
-            weighted_bce_grad(np.array([[0.0]]), np.array([[1]]), np.array([3.0]))[0],
+            weighted_bce_grad(
+                np.array([[0.0]]), np.array([[1]]), np.array([3.0]), np.ones(1, dtype=bool)
+            )[0],
             3.0 * LN2,
         ),
         (
             "BCE sigmoid 0.5, negative, weight ignored -> ln 2",
-            weighted_bce_grad(np.array([[0.0]]), np.array([[0]]), np.array([7.0]))[0],
+            weighted_bce_grad(
+                np.array([[0.0]]), np.array([[0]]), np.array([7.0]), np.ones(1, dtype=bool)
+            )[0],
             LN2,
         ),
-        ("concordance perfect -> 1", ccc(np.array([1.0, -1.0]), np.array([1.0, -1.0])).rho, 1.0),
+        ("concordance perfect -> 1", ccc(np.array([1.0, -1.0]), np.array([1.0, -1.0])), 1.0),
         (
             "concordance zero variance -> 0",
-            ccc(np.array([0.0, 0.0]), np.array([1.0, 1.0])).rho,
+            ccc(np.array([0.0, 0.0]), np.array([1.0, 1.0])),
             0.0,
         ),
-        ("concordance 3-point -> 32/43", ccc(three_x, three_y).rho, 32.0 / 43.0),
-        ("concordance loss perfect -> 0", ccc_loss_grad(perfect_va, perfect_va)[0], 0.0),
+        ("concordance 3-point -> 32/43", ccc(three_x, three_y), 32.0 / 43.0),
+        (
+            "concordance loss perfect -> 0",
+            ccc_loss_grad(perfect_va, perfect_va, np.ones(3, dtype=bool))[0],
+            0.0,
+        ),
         (
             "concordance loss mixed dims -> 11/86",
-            ccc_loss_grad(mixed_pred, mixed_gold)[0],
+            ccc_loss_grad(mixed_pred, mixed_gold, np.ones(3, dtype=bool))[0],
             11.0 / 86.0,
         ),
         (
@@ -383,7 +402,7 @@ def test_criterion_3_metric_oracles(capsys):
         n = int(rng.integers(2, 200))
         x = rng.uniform(-1.0, 1.0, n)
         y = rng.uniform(-1.0, 1.0, n)
-        diff = abs(ccc(x, y).rho - _direct_ccc(x, y))
+        diff = abs(ccc(x, y) - _direct_ccc(x, y))
         worst_ccc = max(worst_ccc, diff)
         if diff > 1e-10:
             failures.append(f"ccc pair {k}: diff {diff:.2e} > 1e-10")

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affectmtl import augmentation
@@ -31,6 +31,7 @@ from affectmtl.augmentation import (
     weak_views,
 )
 from affectmtl.errors import ConfigError
+import oracles
 from conftest import keyed_views as views
 
 
@@ -231,6 +232,25 @@ FROZEN_UNIFORMS = (
 def test_view_uniforms_frozen(key, expected):
     u = view_uniforms(*key)
     assert u.tobytes() == (np.array(expected, dtype=np.float64) * 2.0**-53).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**70 - 1),
+    epoch=st.integers(0, 2**70 - 1),
+    indices=st.lists(st.integers(0, 2**63 - 1), max_size=3),
+    view=st.sampled_from([WEAK_VIEW, STRONG_VIEW]),
+)
+@example(seed=2**64 - 1, epoch=2**64 - 1, indices=[0], view=WEAK_VIEW)
+@example(seed=2**64, epoch=2**64 + 5, indices=[2**63 - 1], view=STRONG_VIEW)
+def test_view_uniforms_match_python_int_reference(seed, epoch, indices, view):
+    """The (seed, epoch) prefix, hashed on a one-element uint64 array with
+    seed and epoch taken modulo 2**64, gives the bits of the Python-int
+    hash, and no overflow warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = view_uniforms(seed, epoch, indices, view, 4)
+    assert u.tobytes() == oracles.view_uniforms(seed, epoch, indices, view, 4).tobytes()
 
 
 def test_reflect_map_matches_np_pad():

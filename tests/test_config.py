@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,24 @@ class TestRunConfig:
         assert a != config_hash(RunConfig(seed=1))
 
 
+def construct_synth_config(text: str) -> SynthFileConfig:
+    """SynthFileConfig built directly from key=value text: each value goes
+    through float or int alone, without the parser's finiteness check."""
+    defaults = {f.name: f.default for f in fields(SynthFileConfig)}
+    kwargs = {}
+    for key, value in parse_kv(text).items():
+        default = defaults[key]
+        if isinstance(default, tuple):
+            kwargs[key] = tuple(float(part) for part in value.split(","))
+        else:
+            kwargs[key] = type(default)(value)
+    return SynthFileConfig(**kwargs)
+
+
+# The error tests below hold for the parser and for direct construction.
+SYNTH_BUILDERS = (parse_synth_config, construct_synth_config)
+
+
 class TestSynthFileConfig:
     def test_defaults(self):
         config = parse_synth_config("")
@@ -176,26 +195,32 @@ class TestSynthFileConfig:
         assert config.class_priors == SynthFileConfig().class_priors
 
     def test_class_priors_wrong_length(self):
-        with pytest.raises(ConfigError, match="class_priors"):
-            parse_synth_config("class_priors=0.5,0.5\n")
+        for build in SYNTH_BUILDERS:
+            with pytest.raises(ConfigError, match="^class_priors "):
+                build("class_priors=0.5,0.5\n")
 
     def test_val_class_priors_wrong_length(self):
-        with pytest.raises(ConfigError, match="val_class_priors"):
-            parse_synth_config("val_class_priors=1,0,0\n")
+        for build in SYNTH_BUILDERS:
+            with pytest.raises(ConfigError, match="^val_class_priors "):
+                build("val_class_priors=1,0,0\n")
 
     @pytest.mark.parametrize("key", ["class_priors", "val_class_priors"])
     @pytest.mark.parametrize("values", [["1e308"] * 8, ["-1"] + ["1"] * 7, ["0"] * 8])
     def test_bad_priors_error_names_their_key(self, key, values):
-        with pytest.raises(ConfigError, match=rf"^{key} must be non-negative with a finite sum"):
-            parse_synth_config(f"{key}={','.join(values)}\n")
+        for build in SYNTH_BUILDERS:
+            with pytest.raises(
+                ConfigError, match=rf"^{key} must be non-negative with a finite sum"
+            ):
+                build(f"{key}={','.join(values)}\n")
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown"):
             parse_synth_config("num_train=5\n")
 
     def test_invalid_rate_propagates(self):
-        with pytest.raises(ConfigError):
-            parse_synth_config("exp_mask_rate=1.5\n")
+        for build in SYNTH_BUILDERS:
+            with pytest.raises(ConfigError, match="^exp_mask_rate must lie in"):
+                build("exp_mask_rate=1.5\n")
 
     @pytest.mark.parametrize(
         "text",
@@ -210,12 +235,15 @@ class TestSynthFileConfig:
         ],
     )
     def test_invalid_values_rejected(self, text):
-        with pytest.raises(ConfigError):
-            parse_synth_config(text)
+        for build in SYNTH_BUILDERS:
+            with pytest.raises(ConfigError):
+                build(text)
 
     def test_negative_count(self):
-        with pytest.raises(ConfigError, match="counts"):
-            parse_synth_config("train_count=-5\n")
+        for build in SYNTH_BUILDERS:
+            for key in ("train_count", "val_count"):
+                with pytest.raises(ConfigError, match="^counts must be >= 0$"):
+                    build(f"{key}=-5\n")
 
     def test_split_construction(self):
         config = parse_synth_config("train_count=40\nimage_size=8\n")

@@ -10,7 +10,6 @@ from affectmtl.losses import (
     PROB_FLOOR,
     LossWeights,
     TrainMode,
-    ccc,
     ccc_loss_grad,
     consistency_loss_grad,
     effective_lambdas,
@@ -21,10 +20,15 @@ from affectmtl.losses import (
 )
 import oracles
 from conftest import finite_va
-from oracles import symmetric_kl, symmetric_kl_grad, weighted_cross_entropy
+from oracles import ccc, symmetric_kl, symmetric_kl_grad, weighted_cross_entropy
 
 ONES8 = np.ones(8)
 ONES12 = np.ones(12)
+
+
+def every(n):
+    """A mask that keeps all n rows."""
+    return np.ones(n, dtype=bool)
 
 
 def fd_check(value_fn, x, analytic, h=1e-6, atol=1e-6):
@@ -65,12 +69,14 @@ class TestWeightedCrossEntropy:
         assert value == pytest.approx(2 * math.log(2), abs=1e-9)
 
     def test_empty_batch(self):
-        value, grad = weighted_cross_entropy_grad(np.zeros((0, 8)), np.array([], int), ONES8)
+        value, grad = weighted_cross_entropy_grad(
+            np.zeros((0, 8)), np.array([], int), ONES8, every(0)
+        )
         assert value == 0.0 and grad.shape == (0, 8)
 
     def test_label_out_of_range(self):
         with pytest.raises(DataError):
-            weighted_cross_entropy_grad(np.zeros((1, 8)), np.array([8]), ONES8)
+            weighted_cross_entropy_grad(np.zeros((1, 8)), np.array([8]), ONES8, every(1))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
@@ -106,7 +112,7 @@ class TestWeightedCrossEntropy:
         logits = rng.normal(size=(3, 8))
         labels = np.array([0, 5, 5])
         weights = rng.uniform(0.5, 2.0, 8)
-        value, grad = weighted_cross_entropy_grad(logits, labels, weights)
+        value, grad = weighted_cross_entropy_grad(logits, labels, weights, every(3))
         assert value == weighted_cross_entropy(logits, labels, weights)
         fd_check(lambda z: weighted_cross_entropy(z, labels, weights), logits, grad)
 
@@ -115,13 +121,15 @@ class TestWeightedBce:
     def test_confident_correct_is_zero(self):
         logits = np.full((1, 12), 60.0)
         labels = np.ones((1, 12), int)
-        assert weighted_bce_grad(logits, labels, ONES12)[0] == pytest.approx(0.0, abs=1e-6)
+        assert weighted_bce_grad(logits, labels, ONES12, every(1))[0] == pytest.approx(
+            0.0, abs=1e-6
+        )
 
     def test_half_probability_positive_weight_three(self):
         logits = np.zeros((1, 12))
         labels = np.ones((1, 12), int)
         weights = np.full(12, 3.0)
-        assert weighted_bce_grad(logits, labels, weights)[0] == pytest.approx(
+        assert weighted_bce_grad(logits, labels, weights, every(1))[0] == pytest.approx(
             3 * math.log(2), abs=1e-9
         )
 
@@ -129,7 +137,7 @@ class TestWeightedBce:
         logits = np.zeros((1, 12))
         labels = np.zeros((1, 12), int)
         weights = np.full(12, 7.0)
-        assert weighted_bce_grad(logits, labels, weights)[0] == pytest.approx(
+        assert weighted_bce_grad(logits, labels, weights, every(1))[0] == pytest.approx(
             math.log(2), abs=1e-9
         )
 
@@ -145,13 +153,13 @@ class TestWeightedBce:
         weights = rng.uniform(0.5, 4.0, 12)
         mask = np.array([True, False, True, True, False])
         masked = weighted_bce_grad(logits, labels, weights, mask)[0]
-        subset = weighted_bce_grad(logits[mask], labels[mask], weights)[0]
+        subset = weighted_bce_grad(logits[mask], labels[mask], weights, every(3))[0]
         assert masked == pytest.approx(subset, abs=1e-12)
 
     def test_extreme_logits_stay_finite(self):
         logits = np.array([[1000.0] * 12, [-1000.0] * 12])
         labels = np.array([[0] * 12, [1] * 12])
-        value = weighted_bce_grad(logits, labels, ONES12)[0]
+        value = weighted_bce_grad(logits, labels, ONES12, every(2))[0]
         assert np.isfinite(value) and value > 100
 
     def test_per_pair_scalar_oracle(self, rng):
@@ -166,7 +174,7 @@ class TestWeightedBce:
                     total += -weights[u] * math.log(s)
                 else:
                     total += -math.log(1 - s)
-        assert weighted_bce_grad(logits, labels, weights)[0] == pytest.approx(
+        assert weighted_bce_grad(logits, labels, weights, every(3))[0] == pytest.approx(
             total / 36, abs=1e-12
         )
 
@@ -211,13 +219,13 @@ class TestCcc:
 class TestCccLoss:
     def test_perfect_predictions_zero(self):
         va = np.array([[0.1, -0.5], [0.8, 0.2], [-0.3, 0.9]])
-        assert ccc_loss_grad(va, va.copy())[0] == pytest.approx(0.0, abs=1e-12)
+        assert ccc_loss_grad(va, va.copy(), every(3))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_composition_hand_value(self):
         pred = np.array([[0.2, 1.0], [0.4, -1.0], [0.6, 0.0]])
         gold = np.array([[0.1, 1.0], [0.5, -1.0], [0.9, 0.0]])
         # valence rho = 0.7442, arousal rho = 1 -> mean(0.2558, 0)
-        assert ccc_loss_grad(pred, gold)[0] == pytest.approx(0.12790697674, abs=1e-6)
+        assert ccc_loss_grad(pred, gold, every(3))[0] == pytest.approx(0.12790697674, abs=1e-6)
 
     def test_empty_and_single_masks_are_absent(self):
         pred = np.array([[0.2, 0.3], [0.1, 0.4]])
@@ -228,7 +236,7 @@ class TestCccLoss:
     def test_in_zero_two_interval(self, rng):
         pred = rng.uniform(-1, 1, (10, 2))
         gold = rng.uniform(-1, 1, (10, 2))
-        value = ccc_loss_grad(pred, gold)[0]
+        value = ccc_loss_grad(pred, gold, every(10))[0]
         assert 0.0 <= value <= 2.0
 
     def test_grad_twin_matches_fd(self, rng):

@@ -95,7 +95,7 @@ class TestAuMacroF1:
         probs[:, 1], gold[:, 1] = [0.9, 0.9, 0.1], [1, 1, 0]
         probs[:, 3], gold[:, 3] = [0.9, 0.9, 0.9], [0, 0, 0]
         probs[:, 4], gold[:, 4] = [0.9, 0.9, 0.9], [1, 1, 0]
-        _, per_unit = au_macro_f1(probs, gold)
+        _, per_unit = au_macro_f1(probs, gold, np.ones(3, bool))
         assert per_unit[0] == pytest.approx(2 / 3, abs=1e-12)
         assert per_unit[1] == 1.0
         assert per_unit[2] == 0.0
@@ -105,7 +105,7 @@ class TestAuMacroF1:
     def test_half_probability_counts_positive(self):
         probs = np.full((2, 12), 0.5)
         gold = np.ones((2, 12), int)
-        mean, per_unit = au_macro_f1(probs, gold)
+        mean, per_unit = au_macro_f1(probs, gold, np.ones(2, bool))
         assert mean == 1.0
 
     def test_mask_drops_rows(self):
@@ -116,13 +116,13 @@ class TestAuMacroF1:
         with_mask = au_macro_f1(probs, gold, np.array([True, True, False]))[0]
         assert with_mask == 0.0
         # Row 2 alone is a clean true positive for every unit: P=1, R=1/3.
-        without = au_macro_f1(probs, gold)[0]
+        without = au_macro_f1(probs, gold, np.ones(3, bool))[0]
         assert without == pytest.approx(0.5, abs=1e-12)
 
     def test_perfect_units(self):
         gold = np.random.default_rng(3).integers(0, 2, (10, 12))
         probs = gold.astype(float)
-        mean, per_unit = au_macro_f1(probs, gold)
+        mean, per_unit = au_macro_f1(probs, gold, np.ones(10, bool))
         assert mean == 1.0 and np.all(per_unit == 1.0)
 
     @settings(max_examples=40, deadline=None)
@@ -131,7 +131,7 @@ class TestAuMacroF1:
         rng = np.random.default_rng(seed)
         probs = rng.uniform(0, 1, (30, 12))
         gold = rng.integers(0, 2, (30, 12))
-        _, per_unit = au_macro_f1(probs, gold)
+        _, per_unit = au_macro_f1(probs, gold, np.ones(30, bool))
         for u in range(12):
             pred_u = (probs[:, u] >= 0.5).astype(int)
             assert per_unit[u] == pytest.approx(
@@ -191,7 +191,9 @@ class TestMtlScore:
         manual_exp, _ = macro_f1(inputs["pred_exp"][m_exp], inputs["gold_exp"][m_exp], 8)
         assert full.p_exp == manual_exp
         m_au = inputs["au_mask"]
-        manual_au, _ = au_macro_f1(inputs["au_probs"][m_au], inputs["gold_au"][m_au])
+        manual_au, _ = au_macro_f1(
+            inputs["au_probs"][m_au], inputs["gold_au"][m_au], np.ones(m_au.sum(), bool)
+        )
         assert full.p_au == manual_au
 
     def test_perfect_predictions_score_three(self, rng):

@@ -24,6 +24,11 @@ def one_hot_probs(rows):
     return out
 
 
+def every(n):
+    """A mask that keeps all n rows."""
+    return np.ones(n, dtype=bool)
+
+
 class TestClassStats:
     def test_fresh_state(self):
         acc = ClassStatAccumulator.fresh()
@@ -32,50 +37,50 @@ class TestClassStats:
     def test_single_correct_sample_momentum(self):
         acc = ClassStatAccumulator.fresh()
         probs = one_hot_probs([(2, 0.9)])
-        updated = update_class_stats(acc, probs, np.array([2]), momentum=0.9)
+        updated = update_class_stats(acc, probs, np.array([2]), every(1), momentum=0.9)
         assert updated.mean_prob[2] == pytest.approx(0.54, abs=1e-12)
 
     def test_second_batch_compounds(self):
         acc = ClassStatAccumulator.fresh()
-        acc = update_class_stats(acc, one_hot_probs([(2, 0.9)]), np.array([2]))
-        acc = update_class_stats(acc, one_hot_probs([(2, 0.8)]), np.array([2]))
+        acc = update_class_stats(acc, one_hot_probs([(2, 0.9)]), np.array([2]), every(1))
+        acc = update_class_stats(acc, one_hot_probs([(2, 0.8)]), np.array([2]), every(1))
         assert acc.mean_prob[2] == pytest.approx(0.9 * 0.54 + 0.1 * 0.8, abs=1e-12)
 
     def test_batch_mean_before_momentum(self):
         acc = ClassStatAccumulator.fresh()
         probs = one_hot_probs([(5, 0.6), (5, 1.0)])
-        updated = update_class_stats(acc, probs, np.array([5, 5]))
+        updated = update_class_stats(acc, probs, np.array([5, 5]), every(2))
         assert updated.mean_prob[5] == pytest.approx(0.9 * 0.5 + 0.1 * 0.8, abs=1e-12)
 
     def test_incorrect_predictions_do_not_count(self):
         acc = ClassStatAccumulator.fresh()
         # Gold is class 1 but the argmax is class 0: no class sees a hit.
         probs = one_hot_probs([(0, 0.9)])
-        updated = update_class_stats(acc, probs, np.array([1]))
+        updated = update_class_stats(acc, probs, np.array([1]), every(1))
         assert np.all(updated.mean_prob == 0.5)
 
     def test_classes_update_in_isolation(self):
         acc = ClassStatAccumulator.fresh()
         probs = one_hot_probs([(3, 0.7)])
-        updated = update_class_stats(acc, probs, np.array([3]))
+        updated = update_class_stats(acc, probs, np.array([3]), every(1))
         others = [c for c in range(8) if c != 3]
         assert np.all(updated.mean_prob[others] == 0.5)
         assert updated.mean_prob[3] == pytest.approx(0.9 * 0.5 + 0.1 * 0.7, abs=1e-12)
 
     def test_input_accumulator_not_mutated(self):
         acc = ClassStatAccumulator.fresh()
-        update_class_stats(acc, one_hot_probs([(0, 0.99)]), np.array([0]))
+        update_class_stats(acc, one_hot_probs([(0, 0.99)]), np.array([0]), every(1))
         assert np.all(acc.mean_prob == 0.5)
 
     def test_empty_batch_is_identity(self):
         acc = ClassStatAccumulator.fresh()
-        updated = update_class_stats(acc, np.zeros((0, 8)), np.array([], int))
+        updated = update_class_stats(acc, np.zeros((0, 8)), np.array([], int), every(0))
         assert np.all(updated.mean_prob == acc.mean_prob)
 
     def test_label_out_of_range(self):
         with pytest.raises(DataError):
             update_class_stats(
-                ClassStatAccumulator.fresh(), one_hot_probs([(0, 0.9)]), np.array([8])
+                ClassStatAccumulator.fresh(), one_hot_probs([(0, 0.9)]), np.array([8]), every(1)
             )
 
     @settings(max_examples=50, deadline=None)
@@ -87,7 +92,7 @@ class TestClassStats:
             n = int(rng.integers(1, 9))
             probs = rng.dirichlet(np.ones(8), size=n)
             gold = rng.integers(0, 8, n)
-            acc = update_class_stats(acc, probs, gold)
+            acc = update_class_stats(acc, probs, gold, every(n))
         assert np.all(acc.mean_prob >= 0.0)
         assert np.all(acc.mean_prob <= 1.0)
 
