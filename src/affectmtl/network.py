@@ -13,7 +13,9 @@ Jacobians.  Gradients are exact (finite-difference verified in the tests),
 not approximated.  Each layer adds its bias and applies its activation in
 place on the matmul result, and the cache holds post-activations only:
 backward takes a rectifier's mask from h = max(a, 0) as h > 0, which
-equals a > 0 for every float, NaN and -0.0 included.
+equals a > 0 for every float, NaN and -0.0 included.  predict runs the
+same operations for scoring, keeps only the head outputs, and frees each
+hidden activation after its last reader.
 
 Parameters live in one flat float64 buffer, Params.flat, laid out in
 PARAM_FIELDS order (backbone first); each named field is a reshaped view
@@ -163,18 +165,36 @@ def _relu(a: np.ndarray) -> np.ndarray:
     return np.maximum(a, 0.0, out=a)
 
 
-def forward_with_cache(params: Params, images: np.ndarray) -> ForwardCache:
-    """Run the model on a (n, h, w) image batch.
-
-    Raises DivergenceError if any head output (or the shared features) is
-    not finite, which is how exploding updates surface.
-    """
+def _inputs(params: Params, images: np.ndarray) -> np.ndarray:
+    """The (n, h, w) image batch as (n, h*w) rows, checked against w1."""
     n = images.shape[0]
     x = images.reshape(n, -1)
     if x.shape[1] != params.w1.shape[0]:
         raise DataError(
             f"image size {x.shape[1]} does not match model input {params.w1.shape[0]}"
         )
+    return x
+
+
+def _check_finite(features, exp_logits, au_logits, va) -> None:
+    """Raise DivergenceError naming the first of these that is not finite."""
+    for name, arr in (
+        ("features", features),
+        ("expression logits", exp_logits),
+        ("action-unit logits", au_logits),
+        ("valence-arousal output", va),
+    ):
+        if not np.isfinite(arr).all():
+            raise DivergenceError(f"non-finite {name} in forward pass")
+
+
+def forward_with_cache(params: Params, images: np.ndarray) -> ForwardCache:
+    """Run the model on a (n, h, w) image batch.
+
+    Raises DivergenceError if any head output (or the shared features) is
+    not finite, which is how exploding updates surface.
+    """
+    x = _inputs(params, images)
     h1 = _relu(_affine(x, params.w1, params.b1))
     z2 = _affine(h1, params.w2, params.b2)
     norm = np.sqrt(np.sum(z2 * z2, axis=1) + FEATURE_NORM_EPS)
@@ -189,18 +209,37 @@ def forward_with_cache(params: Params, images: np.ndarray) -> ForwardCache:
     va = _affine(h_va, params.w_va2, params.b_va2)
     np.tanh(va, out=va)
 
-    for name, arr in (
-        ("features", features),
-        ("expression logits", exp_logits),
-        ("action-unit logits", au_logits),
-        ("valence-arousal output", va),
-    ):
-        if not np.isfinite(arr).all():
-            raise DivergenceError(f"non-finite {name} in forward pass")
+    _check_finite(features, exp_logits, au_logits, va)
     return ForwardCache(
         x=x, h1=h1, z2=z2, norm=norm, features=features, h_exp=h_exp,
         exp_logits=exp_logits, au_logits=au_logits, h_va=h_va, va=va,
     )
+
+
+def predict(
+    params: Params, images: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """forward_with_cache's expression logits, action-unit logits and
+    valence/arousal, bit for bit and with the same checks, without a cache.
+
+    The operations and their order are forward_with_cache's, but each
+    hidden activation is freed after its last reader and the features are
+    normalised in place over z2, so a pass holds at most two
+    (n, hidden_width) arrays at a time where the cache holds five.
+    """
+    x = _inputs(params, images)
+    features = _affine(_relu(_affine(x, params.w1, params.b1)), params.w2, params.b2)
+    features /= np.sqrt(np.sum(features * features, axis=1) + FEATURE_NORM_EPS)[:, None]
+    exp_logits = _affine(
+        _relu(_affine(features, params.w_exp1, params.b_exp1)), params.w_exp2, params.b_exp2
+    )
+    au_logits = _affine(features, params.w_au, params.b_au)
+    va = _affine(
+        _relu(_affine(features, params.w_va1, params.b_va1)), params.w_va2, params.b_va2
+    )
+    np.tanh(va, out=va)
+    _check_finite(features, exp_logits, au_logits, va)
+    return exp_logits, au_logits, va
 
 
 def backward(

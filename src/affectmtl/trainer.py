@@ -18,12 +18,14 @@ views for the rows that use them only.
 Adam runs over the flat parameter buffer (see network.Params): its moments
 are flat arrays updated in place, block by block.  The backbone fields come
 first in the buffer, so the step applies lr_base to the slice before the
-backbone size and lr_heads to the rest.  Each step returns its parameters
-in a fresh buffer, so a kept best-epoch Params never changes.  A step
+backbone size and lr_heads to the rest.  Each step writes its new
+parameters over the gradient buffer it has consumed and never writes the
+old parameters, so a kept best-epoch Params never changes.  A step
 computes its gradients in a helper whose frame ends before Adam starts, so
 its views, forward caches and probabilities are freed by then: at Adam a
-run holds six parameter-sized buffers (params, best, m, v, grads and the
-fresh params).
+run holds five parameter-sized buffers (params, best, m, v, and the
+gradients that become the new params).  Validation scores the heads of
+network.predict, which keeps no forward cache.
 
 The loss terms, the class statistics and the validation score take whole
 label columns, sentinels included, with each task's validity mask; the
@@ -82,6 +84,7 @@ from .network import (
     backward,
     forward_with_cache,
     init_params,
+    predict,
     sigmoid,
     softmax,
     softmax_backward,
@@ -246,26 +249,27 @@ def adam_step(
 ) -> tuple[Params, AdamState]:
     """Bias-corrected Adam: lr_base on the backbone, lr_heads on the heads.
 
-    The moments of state are updated in place, so the state passed in is
-    consumed: use only the returned one afterwards.  params and grads are
-    never written; the new parameters live in a fresh buffer, so callers
-    may keep earlier Params.  Each formula keeps the operation order of
-    the elementwise textbook form, block by block over the flat buffer.
+    The moments of state are updated in place and the new parameters are
+    written over grads.flat, so the state and gradients passed in are
+    consumed: use only the returned ones afterwards.  params is never
+    written, so callers may keep earlier Params.  Each formula keeps the
+    operation order of the elementwise textbook form, block by block over
+    the flat buffer; within a block every read of g comes before the first
+    write to it.
     """
     t = state.t + 1
     corr1 = 1.0 - beta1**t
     corr2 = 1.0 - beta2**t
-    new = np.empty_like(params.flat)
-    scratch = np.empty(min(ADAM_BLOCK, new.size))
+    flat = grads.flat
+    scratch = np.empty(min(ADAM_BLOCK, flat.size))
     split = sum(getattr(params, name).size for name in BACKBONE_FIELDS)
-    for start, stop, lr in ((0, split, lr_base), (split, new.size, lr_heads)):
+    for start, stop, lr in ((0, split, lr_base), (split, flat.size, lr_heads)):
         for lo in range(start, stop, ADAM_BLOCK):
             hi = min(lo + ADAM_BLOCK, stop)
-            g = grads.flat[lo:hi]
+            g = flat[lo:hi]
             m = state.m[lo:hi]
             v = state.v[lo:hi]
             s = scratch[: hi - lo]
-            out = new[lo:hi]
             # m' = beta1*m + (1-beta1)*g
             np.multiply(m, beta1, out=m)
             np.multiply(g, 1 - beta1, out=s)
@@ -275,15 +279,15 @@ def adam_step(
             np.multiply(g, 1 - beta2, out=s)
             np.multiply(s, g, out=s)
             np.add(v, s, out=v)
-            # p' = p - (lr*(m'/c1)) / (sqrt(v'/c2) + eps)
+            # p' = p - (lr*(m'/c1)) / (sqrt(v'/c2) + eps), written over g
             np.divide(v, corr2, out=s)
             np.sqrt(s, out=s)
             np.add(s, eps, out=s)
-            np.divide(m, corr1, out=out)
-            np.multiply(out, lr, out=out)
-            np.divide(out, s, out=out)
-            np.subtract(params.flat[lo:hi], out, out=out)
-    return Params.wrap(new, params), AdamState(m=state.m, v=state.v, t=t)
+            np.divide(m, corr1, out=g)
+            np.multiply(g, lr, out=g)
+            np.divide(g, s, out=g)
+            np.subtract(params.flat[lo:hi], g, out=g)
+    return grads, AdamState(m=state.m, v=state.v, t=t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,17 +410,15 @@ def _step_grads(
 
 def evaluate_packed(params: Params, packed: PackedDataset) -> MtlScore:
     """Score a parameter set on unaugmented images."""
-    cache = forward_with_cache(params, packed.images)
-    pred_exp = np.argmax(cache.exp_logits, axis=1)
-    au_probs = sigmoid(cache.au_logits)
+    exp_logits, au_logits, va = predict(params, packed.images)
     return mtl_score(
-        pred_va=cache.va,
+        pred_va=va,
         gold_va=packed.gold_va,
         va_mask=packed.va_valid,
-        pred_exp=pred_exp,
+        pred_exp=np.argmax(exp_logits, axis=1),
         gold_exp=packed.gold_exp,
         exp_mask=packed.exp_valid,
-        au_probs=au_probs,
+        au_probs=sigmoid(au_logits),
         gold_au=packed.gold_au,
         au_mask=packed.au_valid,
     )

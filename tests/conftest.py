@@ -1,5 +1,6 @@
 """Shared fixtures and hypothesis strategies."""
 
+import tracemalloc
 from dataclasses import fields
 
 import hypothesis.strategies as st
@@ -89,6 +90,21 @@ def keyed_views(images, indices, seed, epoch, config, want):
         config,
         want_strong=want,
     )
+
+
+def traced_peak(fn) -> int:
+    """Bytes fn allocates at its peak, over what was allocated before it."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture

@@ -4,7 +4,11 @@ Three epochs at seed 0 on the default synthetic benchmark (the data
 `affectmtl synth --seed 0` writes), once per training mode, and once more
 for ss-mfar with resampling: resampled epochs repeat sample indices, so
 augmentation draws keyed by schedule position rather than by sample index
-would move that digest.  The sha256 of the epoch log text and of the
+would move that digest; and once more for mfar at hidden_width 256, whose
+Adam step spans several blocks on each side of the backbone/head split
+(width 64 fits in one block) and whose best epoch (1) is not its last, so
+a step that wrote over the kept best parameters would move its best
+digest.  The sha256 of the epoch log text and of the
 final and best parameter bytes must not move: a refactor that changes
 any bit of a loss, a gradient, an Adam update or a score fails here, not
 only in the slow criterion 7/8 runs.
@@ -59,6 +63,13 @@ GOLDEN_RESAMPLE = (
     "a76c8a960aa22d9bb59165338779978159a6bb5554786a638ba2e06d2f036e4f",
 )
 
+# mfar at hidden_width=256: (log text, final, best); best epoch 1 of 0..2
+GOLDEN_WIDE = (
+    "68ccd8f7b758e7d4d7e15ea4d141cc78d1bd220961fd680a0d7ce90974ee839c",
+    "a93a998273e9cbea8dbf789fc398e97c65d09eef528bdbc79647bbe03043be0f",
+    "8902f270f7d1fb8c757f0b6ad8f93cdd27eaeb5041525f4b9cb214d07728b97a",
+)
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -72,8 +83,9 @@ def default_data():
     return train, val
 
 
-def _digests(data, config: RunConfig) -> tuple[str, str, str]:
+def _digests(data, config: RunConfig, best_epoch: int = 2) -> tuple[str, str, str]:
     result = run_training(*data, config)
+    assert result.best_epoch == best_epoch
     return (
         _sha256(format_epoch_log(result.reports).encode("utf-8")),
         _sha256(result.final_params.flat.tobytes()),
@@ -89,6 +101,11 @@ def test_three_epoch_digests(default_data, mode):
 def test_three_epoch_resample_digests(default_data):
     config = RunConfig(mode=TrainMode.SEMI, seed=0, epochs=3, imbalance="resample")
     assert _digests(default_data, config) == GOLDEN_RESAMPLE
+
+
+def test_three_epoch_wide_digests(default_data):
+    config = RunConfig(mode=TrainMode.SUPERVISED, seed=0, epochs=3, hidden_width=256)
+    assert _digests(default_data, config, best_epoch=1) == GOLDEN_WIDE
 
 
 # Every edge of the generator in one config: zero priors (never drawn),

@@ -16,6 +16,7 @@ from affectmtl.network import (
     init_params,
     init_shapes,
     load_checkpoint,
+    predict,
     save_checkpoint,
     sigmoid,
     softmax,
@@ -223,6 +224,46 @@ def test_forward_backward_match_reference(seed, n, heads, pin):
         got = backward(params, lean, *upstream)
         want = oracles.backward(params, ref, *upstream)
     assert got.flat.tobytes() == want.flat.tobytes()
+
+
+def _outputs_or_message(fn, params, images):
+    try:
+        with np.errstate(all="ignore"):
+            return fn(params, images)
+    except DivergenceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 6),
+    width=st.integers(1, 9),
+    poison=st.none() | st.tuples(st.sampled_from(("images",) + PARAM_FIELDS), st.floats()),
+)
+@example(seed=0, n=2, width=4, poison=("images", np.nan))
+@example(seed=0, n=2, width=4, poison=("b_exp2", np.inf))
+@example(seed=0, n=2, width=4, poison=("b_au", -np.inf))
+@example(seed=0, n=2, width=4, poison=("b_va2", np.nan))
+def test_predict_matches_forward_heads(seed, n, width, poison):
+    """predict returns forward_with_cache's three head outputs byte for
+    byte.  With poison set, one pixel or one parameter entry takes that
+    value; where forward_with_cache then raises DivergenceError, predict
+    raises it with the same message."""
+    params = init_params(ModelConfig(6, 6, hidden_width=width), seed)
+    images = np.random.default_rng(seed).random((n, 6, 6))
+    if poison is not None:
+        name, value = poison
+        (images if name == "images" else getattr(params, name)).flat[0] = value
+    cache = _outputs_or_message(forward_with_cache, params, images)
+    heads = _outputs_or_message(predict, params, images)
+    if isinstance(cache, str):
+        assert heads == cache
+    else:
+        want = (cache.exp_logits, cache.au_logits, cache.va)
+        assert [(a.shape, a.tobytes()) for a in heads] == [
+            (a.shape, a.tobytes()) for a in want
+        ]
 
 
 def test_map_params_and_zeros():
