@@ -126,9 +126,9 @@ def cmd_evaluate(args) -> int:
     packed = _load_split(args.data, args.manifest)
     if len(packed) == 0:
         raise DataError(f"manifest {args.manifest} has no samples")
-    if packed.images.shape[1:] != (model_config.image_height, model_config.image_width):
+    if packed.levels.shape[1:] != (model_config.image_height, model_config.image_width):
         raise DataError(
-            f"images are {packed.images.shape[1:]} but the checkpoint expects "
+            f"images are {packed.levels.shape[1:]} but the checkpoint expects "
             f"({model_config.image_height}, {model_config.image_width})"
         )
     score = evaluate_packed(params, packed)

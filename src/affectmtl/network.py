@@ -166,7 +166,13 @@ def _relu(a: np.ndarray) -> np.ndarray:
 
 
 def _inputs(params: Params, images: np.ndarray) -> np.ndarray:
-    """The (n, h, w) image batch as (n, h*w) rows, checked against w1."""
+    """The (n, h, w) image batch as (n, h*w) rows, checked against w1.
+
+    The pixels must be floats in [0, 1]: an integer array (8-bit levels,
+    say) raises DataError rather than reach the model as 0..255 values.
+    """
+    if images.dtype.kind != "f":
+        raise DataError(f"expected floating-point images, got dtype {images.dtype}")
     n = images.shape[0]
     x = images.reshape(n, -1)
     if x.shape[1] != params.w1.shape[0]:
@@ -225,10 +231,15 @@ def predict(
     The operations and their order are forward_with_cache's, but each
     hidden activation is freed after its last reader and the features are
     normalised in place over z2, so a pass holds at most two
-    (n, hidden_width) arrays at a time where the cache holds five.
+    (n, hidden_width) arrays at a time where the cache holds five.  The
+    images are released after the first layer: a caller that passes a
+    temporary, such as a float copy of 8-bit pixels, does not hold it
+    through the rest of the pass.
     """
-    x = _inputs(params, images)
-    features = _affine(_relu(_affine(x, params.w1, params.b1)), params.w2, params.b2)
+    hidden = _relu(_affine(_inputs(params, images), params.w1, params.b1))
+    del images  # freed here if the caller passed its only reference
+    features = _affine(hidden, params.w2, params.b2)
+    del hidden
     features /= np.sqrt(np.sum(features * features, axis=1) + FEATURE_NORM_EPS)[:, None]
     exp_logits = _affine(
         _relu(_affine(features, params.w_exp1, params.b_exp1)), params.w_exp2, params.b_exp2

@@ -1,5 +1,11 @@
 """Training loop: scheduling, loss assembly over masked batches, Adam.
 
+The packed dataset holds its pixels as their 8-bit levels (pgm's grid,
+k / 255.0 for k in 0..255), an eighth of their float64 size.  Float pixels
+exist only where the model reads them: each step's batch rows and each
+validation pass's split, built by pgm.level_pixels, so they are the bits
+the images had before packing.
+
 Each step forwards the weak views of the whole batch, takes supervised
 losses over the per-task valid subsets, refreshes the per-class confidence
 statistics and thresholds, and (in the semi-supervised modes) forwards the
@@ -34,7 +40,14 @@ Samples invalid for every task are skipped by every term, supervised and
 semi-supervised alike, so they contribute exactly zero gradient.
 
 Determinism contract: given a seed, the epoch schedule, every augmented
-view, every loss, and the final parameters are identical across runs.
+view, every loss, and the final parameters are identical across runs on
+one numeric platform: one NumPy build, one OpenBLAS core kernel and one
+SIMD dispatch of float64 exp, tanh and log.  Another kernel or dispatch
+(OPENBLAS_CORETYPE=Haswell, or NPY_DISABLE_CPU_FEATURES=X86_V4 on an
+AVX-512 machine) rounds differently in the last bits and changes them.
+The golden digests in tests/test_golden.py were recorded with AVX-512
+kernels; the portable gate is the acceptance suite's criteria 7 and 8,
+which pass under the Haswell kernel too.
 """
 
 from __future__ import annotations
@@ -89,6 +102,7 @@ from .network import (
     softmax,
     softmax_backward,
 )
+from .pgm import level_pixels, pixel_levels
 from .pseudo_label import (
     ClassStatAccumulator,
     adaptive_thresholds,
@@ -100,21 +114,33 @@ from .pseudo_label import (
 @dataclass(frozen=True, eq=False)
 class PackedDataset(LabelArrays):
     """Dataset flattened to arrays for the training loop: its label table,
-    its images and its annotation counts."""
+    its pixels as 8-bit levels and its annotation counts.
 
-    images: np.ndarray      # (n, h, w) in [0, 1]
+    levels holds pixel k / 255.0 as k; pixels() gives the float pixels
+    back, bit for bit, for the rows a caller reads.
+    """
+
+    levels: np.ndarray      # (n, h, w) uint8
     stats: DatasetStats
 
     def __len__(self) -> int:
-        return self.images.shape[0]
+        return self.levels.shape[0]
+
+    def pixels(self, rows=None) -> np.ndarray:
+        """The float pixels in [0, 1] of the images at rows (all of them by
+        default), in that order, as pack_dataset was given them."""
+        return level_pixels(self.levels if rows is None else self.levels[rows])
 
 
 def pack_dataset(dataset: Dataset, images: np.ndarray) -> PackedDataset:
+    """The dataset's labels and statistics with its (n, h, w) float images
+    held as 8-bit levels.  An image with a pixel that is not exactly
+    k / 255.0 for a k in 0..255 raises DataError (see pgm.pixel_levels)."""
     n = len(dataset)
     if images.shape[0] != n:
         raise DataError(f"{n} samples but {images.shape[0]} images")
     labels = {f.name: getattr(dataset, f.name) for f in fields(LabelArrays)}
-    return PackedDataset(**labels, images=images, stats=dataset_stats(dataset))
+    return PackedDataset(**labels, levels=pixel_levels(images), stats=dataset_stats(dataset))
 
 
 def slice_targets(packed: PackedDataset, indices: np.ndarray) -> LabelArrays:
@@ -366,7 +392,7 @@ def _step_grads(
     targets = slice_targets(packed, batch_indices)
     ss_mask = wants_strong(targets, config.mode)
     weak, strong = augment_views(
-        packed.images[batch_indices],
+        packed.pixels(batch_indices),
         weak_draws,
         strong_draws,
         config.augment,
@@ -409,8 +435,9 @@ def _step_grads(
 
 
 def evaluate_packed(params: Params, packed: PackedDataset) -> MtlScore:
-    """Score a parameter set on unaugmented images."""
-    exp_logits, au_logits, va = predict(params, packed.images)
+    """Score a parameter set on unaugmented images.  Their float pixels
+    are a temporary that predict frees after its first layer."""
+    exp_logits, au_logits, va = predict(params, packed.pixels())
     return mtl_score(
         pred_va=va,
         gold_va=packed.gold_va,
@@ -459,7 +486,7 @@ def run_training(
         raise DataError("training set is empty")
     if len(val_packed) == 0:
         raise DataError("validation set is empty")
-    height, width = train_packed.images.shape[1:]
+    height, width = train_packed.levels.shape[1:]
     model_config = ModelConfig(
         image_height=height, image_width=width, hidden_width=config.hidden_width
     )

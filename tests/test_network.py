@@ -90,6 +90,14 @@ def test_forward_shape_mismatch():
         forward_with_cache(params, np.zeros((1, 5, 5)))
 
 
+@pytest.mark.parametrize("run", [forward_with_cache, predict])
+def test_integer_images_rejected(run):
+    # 8-bit levels must be scaled to [0, 1] before they reach the model.
+    params = init_params(MC, 0)
+    with pytest.raises(DataError, match="dtype uint8"):
+        run(params, np.full((2, 6, 6), 255, dtype=np.uint8))
+
+
 def test_non_finite_forward_raises_divergence():
     params = init_params(MC, 0)
     broken = replace(params, w1=np.full_like(params.w1, np.inf))

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import oracles
 from affectmtl.errors import DataError
-from affectmtl.pgm import read_pgm, write_pgm
+from affectmtl.pgm import LEVEL_PIXELS, read_pgm, write_pgm
 
 
 def test_round_trip_quantized(tmp_path, rng):
@@ -20,6 +20,14 @@ def test_round_trip_quantized(tmp_path, rng):
     back = read_pgm(path)
     assert back.shape == (5, 7)
     assert np.array_equal(back, image)
+
+
+def test_level_table_is_what_read_returns(tmp_path):
+    assert not LEVEL_PIXELS.flags.writeable
+    assert [float(x).hex() for x in LEVEL_PIXELS] == [(k / 255).hex() for k in range(256)]
+    path = tmp_path / "levels.pgm"
+    path.write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
+    assert read_pgm(path).tobytes() == LEVEL_PIXELS.tobytes()
 
 
 def test_write_quantizes_to_8bit(tmp_path, rng):

@@ -1,7 +1,8 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import affectmtl.trainer
 from affectmtl.augmentation import (
@@ -11,8 +12,10 @@ from affectmtl.augmentation import (
     WEAK_VIEW,
     view_uniforms,
 )
-from affectmtl.config import RunConfig
+from affectmtl.config import RunConfig, SynthFileConfig
 from affectmtl.data_model import (
+    LABEL_SENTINEL,
+    VA_SENTINEL,
     LabelArrays,
     SynthConfig,
     au_positive_weights,
@@ -67,6 +70,18 @@ def fully_labeled_packed(count=24, size=8, seed=0):
     return small_packed(count, size, seed, exp_mask=0.0, va_mask=0.0, au_mask=0.0)
 
 
+def pack_images(images):
+    """pack_dataset of images under rows whose every label is missing."""
+    row = (VA_SENTINEL, VA_SENTINEL, LABEL_SENTINEL, (LABEL_SENTINEL,) * 12)
+    return pack_dataset(make_dataset([row] * len(images)), images)
+
+
+# Level k's pixel, k / 255 in Python's own float division, as float.hex():
+# unlike ==, the hex strings tell -0.0 from 0.0.
+GRID = {(k / 255).hex() for k in range(256)}
+ALL_LEVELS = (np.arange(256) / 255.0).reshape(1, 16, 16)
+
+
 def params_equal(a, b):
     return all(
         np.array_equal(getattr(a, f), getattr(b, f)) for f in PARAM_FIELDS
@@ -84,7 +99,7 @@ class TestPackDataset:
     def test_arrays_mirror_annotations(self):
         packed = small_packed(count=50, seed=3)
         assert len(packed) == 50
-        assert packed.images.shape == (50, 8, 8)
+        assert packed.levels.shape == (50, 8, 8)
         # Sentinels and validity flags must agree everywhere.
         assert np.array_equal(packed.exp_valid, packed.gold_exp != -1)
         assert np.array_equal(packed.va_valid, packed.gold_va[:, 0] != -5.0)
@@ -98,10 +113,56 @@ class TestPackDataset:
         au_missing = packed.gold_au == -1
         assert np.all(au_missing.all(axis=1) | (~au_missing).all(axis=1))
 
+    def test_every_level_round_trips(self):
+        packed = pack_images(ALL_LEVELS)
+        assert packed.levels.dtype == np.uint8
+        assert packed.levels.ravel().tolist() == list(range(256))
+        assert packed.pixels().tobytes() == ALL_LEVELS.tobytes()
+
+    @pytest.mark.parametrize(
+        "pixel",
+        [np.nextafter(251 / 255, 1.0), -0.0, np.nan, np.inf, -np.inf, -1 / 255, 256 / 255, 0.5],
+        ids=["251/255+ulp", "-0.0", "nan", "inf", "-inf", "-1/255", "256/255", "0.5"],
+    )
+    def test_off_grid_pixel_rejected(self, pixel):
+        images = ALL_LEVELS.copy()
+        images[0, 3, 5] = pixel
+        with pytest.raises(DataError, match=r"pixel \(0, 3, 5\)"):
+            pack_images(images)
+
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=3, max_dims=3, max_side=4),
+            elements=st.one_of(
+                st.integers(0, 255).map(lambda k: k / 255),
+                st.integers(0, 255).map(lambda k: float(np.nextafter(k / 255, 2.0))),
+                st.floats(),
+            ),
+        )
+    )
+    def test_packs_exactly_or_refuses(self, images):
+        on_grid = all(float(x).hex() in GRID for x in images.ravel())
+        try:
+            packed = pack_images(images)
+        except DataError:
+            assert not on_grid
+        else:
+            assert on_grid
+            assert packed.pixels().tobytes() == images.tobytes()
+
+    def test_default_train_split_holds_a_byte_per_pixel(self):
+        # 2,000 16x16 images: 512,000 bytes of levels, where float64
+        # pixels took 4,096,000.
+        dataset, images = generate_synthetic(SynthFileConfig().train_config(), 0, prefix="train")
+        packed = pack_dataset(dataset, images)
+        assert packed.levels.nbytes == 512_000
+        assert packed.pixels().tobytes() == images.tobytes()
+
     def test_image_count_mismatch(self):
         packed = small_packed(count=5)
         with pytest.raises(DataError):
-            pack_dataset(make_dataset([]), packed.images)
+            pack_dataset(make_dataset([]), packed.pixels())
 
     def test_slice_targets_views(self):
         packed = small_packed(count=20, seed=1)
@@ -178,8 +239,8 @@ class TestBatchLossAndGrads:
             packed.exp_valid & packed.au_valid & packed.va_valid
         )[:4]
         # Build one all-invalid row by hand.
-        images = packed.images[idx_valid]
-        extra = np.concatenate([images, packed.images[:1]])
+        images = packed.pixels(idx_valid)
+        extra = np.concatenate([images, packed.pixels([0])])
         targets_small = slice_targets(packed, idx_valid)
         targets_big = LabelArrays(
             gold_exp=np.concatenate([targets_small.gold_exp, [-1]]),
@@ -210,7 +271,7 @@ class TestBatchLossAndGrads:
     def test_supervised_mode_ignores_partition(self):
         idx = np.arange(6)
         targets = slice_targets(self.packed, idx)
-        images = self.packed.images[idx]
+        images = self.packed.pixels(idx)
         loss, _ = batch_loss_and_grads(
             self.params, images, targets, self.w_exp, self.w_au,
             LossWeights(), TrainMode.SUPERVISED,
@@ -225,7 +286,7 @@ class TestBatchLossAndGrads:
         ss_rows = np.flatnonzero(~targets.exp_valid & targets.any_valid)
         if not len(ss_rows):
             pytest.skip("seed produced no unlabeled rows")
-        images = self.packed.images[idx]
+        images = self.packed.pixels(idx)
         loss, _ = batch_loss_and_grads(
             self.params, images, targets, self.w_exp, self.w_au,
             LossWeights(), TrainMode.SEMI_NO_KL,
@@ -254,7 +315,7 @@ class TestBatchLossAndGrads:
         assert len(ss_rows) >= 2
         rng = np.random.default_rng(3)
         _, grads = batch_loss_and_grads(
-            self.params, self.packed.images[idx], targets, self.w_exp, self.w_au,
+            self.params, self.packed.pixels(idx), targets, self.w_exp, self.w_au,
             LossWeights(), TrainMode.SEMI,
             strong_images=rng.random((len(ss_rows), 6, 6)),
             ss_rows=ss_rows,
@@ -489,12 +550,12 @@ class TestRunTraining:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, epoch)))
             schedule = make_epoch_schedule(train, imbalance, rng, w_exp)
             whole = keyed_views(
-                train.images[schedule], schedule, config.seed, epoch,
+                train.pixels(schedule), schedule, config.seed, epoch,
                 config.augment, want[schedule],
             )
             batches = [
                 keyed_views(
-                    train.images[batch], batch, config.seed, epoch,
+                    train.pixels(batch), batch, config.seed, epoch,
                     config.augment, want[batch],
                 )
                 for batch in np.split(
@@ -567,11 +628,15 @@ class TestRunTraining:
         assert f"batch {exc.batch}" in str(exc)
 
     def test_validation_divergence_carries_epoch(self):
+        # One step at a rate of 1e300 leaves finite parameters whose
+        # features overflow on the validation split.
         train = small_packed(count=24, seed=0)
         val = small_packed(count=10, seed=1)
-        poisoned = replace(val, images=np.full_like(val.images, np.nan))
-        with pytest.raises(DivergenceError) as excinfo:
-            run_training(train, poisoned, self.config(epochs=2))
+        config = self.config(batch_size=24, lr_base=1e300, lr_heads=1e300)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError
+        ) as excinfo:
+            run_training(train, val, config)
         exc = excinfo.value
         assert exc.epoch == 0 and exc.batch is None
         assert "validation" in str(exc) and "epoch 0" in str(exc)
