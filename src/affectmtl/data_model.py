@@ -247,7 +247,9 @@ def dataset_stats(labels: LabelArrays) -> DatasetStats:
     exp_counts = np.bincount(
         labels.gold_exp[labels.exp_valid], minlength=N_EXPRESSION_CLASSES
     )
-    au_pos = np.count_nonzero(labels.gold_au[labels.au_valid] == 1, axis=0)
+    # Masked, not copied: an n x 12 int64 copy of the valid rows would be
+    # the largest transient of packing a split.
+    au_pos = np.count_nonzero((labels.gold_au == 1) & labels.au_valid[:, None], axis=0)
     return DatasetStats(
         total=total,
         exp_valid_count=exp_valid,
@@ -309,7 +311,7 @@ _VA_CENTERS = np.stack(
     axis=1,
 )
 
-# Images per gathered block of class templates in generate_synthetic.
+# Images per block of float noise in generate_synthetic.
 _CHUNK_ROWS = 64
 
 
@@ -373,11 +375,11 @@ def generate_synthetic(
 ) -> tuple[Dataset, np.ndarray]:
     """Generate a seeded synthetic dataset.
 
-    Returns the Dataset plus its images as a (count, size, size) array in
-    [0, 1].  Images are quantized to 8-bit levels so the in-memory pixels
-    equal what a written PGM reads back.  Masking replaces labels with
-    sentinels at the configured rates, always jointly for valence/arousal
-    and for the action units.
+    Returns the Dataset plus its images as a (count, size, size) uint8
+    array of 8-bit levels, the bytes a written PGM holds: each pixel is
+    clipped to [0, 1], scaled by 255 and rounded to its level.  Masking
+    replaces labels with sentinels at the configured rates, always jointly
+    for valence/arousal and for the action units.
 
     The random draws are the contract: a seed gives the same dataset, bit
     for bit, for as long as they stay as they are.  Each sample takes, in
@@ -391,8 +393,10 @@ def generate_synthetic(
     4. rng.random(15): twelve action-unit flip draws, then the expression,
        valence/arousal and action-unit mask draws, in that order.
 
-    Only the draws run per sample; templates, clipping, quantization, flips
-    and masks are whole-array passes over them afterwards.
+    Only the draws run per sample.  The images are built a block of
+    _CHUNK_ROWS samples at a time, as soon as the loop has drawn the
+    block, so the float noise never outlives its block; valence/arousal,
+    flips and masks are whole-array passes over the draws afterwards.
 
     The loop makes these draws with three calls per sample that fill
     preallocated arrays in place, and they take the same stream:
@@ -401,7 +405,8 @@ def generate_synthetic(
     unscaled and scaled afterwards; and draw 4 of one sample and draw 1 of
     the next are consecutive doubles, so one random(out=...) call takes
     both.  Row i of the draw table holds sample i's class draw, then its
-    fifteen others.  normal's + 0.0 only turns a -0.0 into 0.0, so no pass
+    fifteen others, so a block's classes are known once its last sample's
+    draws are.  normal's + 0.0 only turns a -0.0 into 0.0, so no pass
     repeats it: the next thing added to the noise is a class template
     (0.5 + contrast * wave) or a valence/arousal centre, neither is ever
     -0.0, and adding any other value to -0.0 or to 0.0 gives the same sum.
@@ -412,40 +417,41 @@ def generate_synthetic(
     p = p / p.sum()
     cdf = p.cumsum()
     cdf /= cdf[-1]
+    templates = np.stack([
+        class_template(c, size, config.template_contrast)
+        for c in range(N_EXPRESSION_CLASSES)
+    ])
     stride = 1 + N_ACTION_UNITS + 3
     draws = np.empty((n, stride))
-    images = np.empty((n, size, size))
+    labels = np.empty(n, dtype=np.intp)
+    images = np.empty((n, size, size), dtype=np.uint8)
+    noise = np.empty((min(n, _CHUNK_ROWS), size, size))
     va = np.empty((n, 2))
     flat = draws.reshape(-1)
     random, standard_normal = rng.random, rng.standard_normal
     if n:
         flat[0] = random()
-    for i in range(n):
-        standard_normal(out=images[i])
-        standard_normal(out=va[i])
-        # Sample i's fifteen draws and sample i + 1's class draw; the last
-        # sample's slice ends with the table, after its fifteen.
-        random(out=flat[i * stride + 1:(i + 1) * stride + 1])
-    images *= config.pixel_noise
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
+        rows, block = slice(start, stop), noise[: stop - start]
+        for i in range(start, stop):
+            standard_normal(out=block[i - start])
+            standard_normal(out=va[i])
+            # Sample i's fifteen draws and sample i + 1's class draw; the
+            # last sample's slice ends with the table, after its fifteen.
+            random(out=flat[i * stride + 1:(i + 1) * stride + 1])
+        labels[rows] = cdf.searchsorted(draws[rows, 0], side="right")
+        block *= config.pixel_noise
+        block += templates[labels[rows]]
+        np.clip(block, 0.0, 1.0, out=block)
+        block *= 255.0
+        np.rint(block, out=block)
+        np.copyto(images[rows], block, casting="unsafe")  # exact: each is a level
     va *= config.va_noise
-    labels = cdf.searchsorted(draws[:, 0], side="right")
     flips = draws[:, 1:1 + N_ACTION_UNITS] < config.au_flip_prob
     rates = (config.exp_mask_rate, config.va_mask_rate, config.au_mask_rate)
     masked_exp, masked_va, masked_au = (draws[:, 1 + N_ACTION_UNITS:] < rates).T
-    del draws, flat  # the largest transient: freed before the image passes
-
-    templates = np.stack([
-        class_template(c, size, config.template_contrast)
-        for c in range(N_EXPRESSION_CLASSES)
-    ])
-    # Chunks bound the gathered templates' transient to _CHUNK_ROWS images.
-    for start in range(0, n, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        images[rows] += templates[labels[rows]]
-    np.clip(images, 0.0, 1.0, out=images)
-    images *= 255.0
-    np.rint(images, out=images)
-    images /= 255.0
+    del draws, flat, noise  # the largest transients: freed before the label passes
 
     va += _VA_CENTERS[labels]
     np.clip(va, -1.0, 1.0, out=va)
@@ -458,8 +464,9 @@ def generate_synthetic(
 
 
 def write_dataset(root, manifest_name: str, dataset: Dataset, images: np.ndarray) -> None:
-    """Write manifest + one PGM per sample under root, overwriting existing
-    files in place (see write_pgm); not atomic."""
+    """Write manifest + one PGM per sample under root, from images' (n, h, w)
+    uint8 levels, overwriting existing files in place (see write_pgm); not
+    atomic."""
     os.makedirs(root, exist_ok=True)
     made = set()
     for image_ref, image in zip(dataset.image_refs, images):
@@ -491,20 +498,20 @@ def load_manifest(path) -> Dataset:
 
 
 def load_images(dataset: Dataset, root) -> np.ndarray:
-    """Stack every sample's PGM into one (n, h, w) array in [0, 1].
+    """Stack every sample's PGM into one (n, h, w) uint8 array of levels.
 
     Each image is copied into the array as soon as it is read, so that no
     list of n small arrays outlives the loop: it fragments the heap, and
     peak RSS creeps up over repeated loads in one process.
     """
     if len(dataset) == 0:
-        return np.zeros((0, 0, 0))
+        return np.zeros((0, 0, 0), dtype=np.uint8)
     images = None
     shapes = set()
     for i, image_ref in enumerate(dataset.image_refs):
         image = read_pgm(os.path.join(root, image_ref))
         if images is None:
-            images = np.empty((len(dataset),) + image.shape)
+            images = np.empty((len(dataset),) + image.shape, dtype=np.uint8)
         shapes.add(image.shape)
         if len(shapes) == 1:
             images[i] = image

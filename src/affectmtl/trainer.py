@@ -1,10 +1,10 @@
 """Training loop: scheduling, loss assembly over masked batches, Adam.
 
-The packed dataset holds its pixels as their 8-bit levels (pgm's grid,
-k / 255.0 for k in 0..255), an eighth of their float64 size.  Float pixels
-exist only where the model reads them: each step's batch rows and each
-validation pass's split, built by pgm.level_pixels, so they are the bits
-the images had before packing.
+The packed dataset holds its pixels as the 8-bit levels that the PGM
+files and the synthetic generator give (pgm's grid, k / 255.0 for k in
+0..255), an eighth of their float64 size.  Float pixels exist only where
+the model reads them: each step's batch rows and each validation pass's
+split, built by pgm.level_pixels.
 
 Each step forwards the weak views of the whole batch, takes supervised
 losses over the per-task valid subsets, refreshes the per-class confidence
@@ -102,7 +102,7 @@ from .network import (
     softmax,
     softmax_backward,
 )
-from .pgm import level_pixels, pixel_levels
+from .pgm import level_pixels
 from .pseudo_label import (
     ClassStatAccumulator,
     adaptive_thresholds,
@@ -116,8 +116,8 @@ class PackedDataset(LabelArrays):
     """Dataset flattened to arrays for the training loop: its label table,
     its pixels as 8-bit levels and its annotation counts.
 
-    levels holds pixel k / 255.0 as k; pixels() gives the float pixels
-    back, bit for bit, for the rows a caller reads.
+    levels holds pixel k / 255.0 as k; pixels() builds the float pixels
+    for the rows a caller reads.
     """
 
     levels: np.ndarray      # (n, h, w) uint8
@@ -128,19 +128,25 @@ class PackedDataset(LabelArrays):
 
     def pixels(self, rows=None) -> np.ndarray:
         """The float pixels in [0, 1] of the images at rows (all of them by
-        default), in that order, as pack_dataset was given them."""
+        default), in that order: level k reads as pgm.LEVEL_PIXELS[k]."""
         return level_pixels(self.levels if rows is None else self.levels[rows])
 
 
-def pack_dataset(dataset: Dataset, images: np.ndarray) -> PackedDataset:
-    """The dataset's labels and statistics with its (n, h, w) float images
-    held as 8-bit levels.  An image with a pixel that is not exactly
-    k / 255.0 for a k in 0..255 raises DataError (see pgm.pixel_levels)."""
+def pack_dataset(dataset: Dataset, levels: np.ndarray) -> PackedDataset:
+    """The dataset's labels and statistics with its images, a (n, h, w)
+    uint8 array of 8-bit levels, stored as given.  An array of another
+    dtype or rank, or of another length, raises DataError."""
+    levels = np.asarray(levels)
+    if levels.dtype != np.uint8 or levels.ndim != 3:
+        raise DataError(
+            f"expected a uint8 (n, h, w) array of levels, got {levels.dtype} "
+            f"of shape {levels.shape}"
+        )
     n = len(dataset)
-    if images.shape[0] != n:
-        raise DataError(f"{n} samples but {images.shape[0]} images")
+    if levels.shape[0] != n:
+        raise DataError(f"{n} samples but {levels.shape[0]} images")
     labels = {f.name: getattr(dataset, f.name) for f in fields(LabelArrays)}
-    return PackedDataset(**labels, levels=pixel_levels(images), stats=dataset_stats(dataset))
+    return PackedDataset(**labels, levels=levels, stats=dataset_stats(dataset))
 
 
 def slice_targets(packed: PackedDataset, indices: np.ndarray) -> LabelArrays:

@@ -30,6 +30,7 @@ from affectmtl.data_model import (
 )
 from affectmtl.config import SynthFileConfig
 from affectmtl.errors import ConfigError, DataError
+from affectmtl.pgm import LEVEL_PIXELS
 
 import oracles
 from conftest import columns, datasets, label_rows, make_dataset
@@ -399,9 +400,11 @@ class TestSynthetic:
         assert not np.array_equal(imgs1, imgs2)
 
     def test_images_quantized_and_in_range(self):
+        """The images are 8-bit levels, the noise clipped to both ends of
+        the range rather than wrapped around it."""
         _, images = generate_synthetic(SynthConfig(count=20, image_size=8), 0)
-        assert images.min() >= 0.0 and images.max() <= 1.0
-        assert np.array_equal(images, np.rint(images * 255.0) / 255.0)
+        assert images.dtype == np.uint8 and images.shape == (20, 8, 8)
+        assert images.min() == 0 and images.max() == 255
 
     def test_masking_rates_roughly_hold(self):
         cfg = SynthConfig(count=1500, image_size=4, exp_mask_rate=0.4,
@@ -507,22 +510,23 @@ class TestSynthetic:
         records, ref_images = oracles.generate_synthetic(config, seed)
         assert columns(dataset) == oracles.record_columns(records)
         assert serialize_manifest(dataset) == oracles.serialize_manifest(records)
-        assert images.shape == ref_images.shape
-        assert images.tobytes() == ref_images.tobytes()
+        assert images.dtype == np.uint8 and images.shape == ref_images.shape
+        assert LEVEL_PIXELS[images].tobytes() == ref_images.tobytes()
 
     def test_transient_memory_bounded(self):
         """At the default train size, the peak of what generate_synthetic
-        allocates, less what it returns, stays under an eighth of the
-        image bytes: the draws fill preallocated arrays, and the label
-        columns are built from them in whole-array passes."""
+        allocates, less what it returns, stays under the bytes of the
+        levels it returns: the draws fill preallocated arrays, the float
+        pixels live one block of rows at a time, and the label columns are
+        built from the draws in whole-array passes."""
         tracemalloc.start()
         try:
-            dataset, images = generate_synthetic(SynthFileConfig().train_config(), 0)
+            dataset, levels = generate_synthetic(SynthFileConfig().train_config(), 0)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(dataset) == 2000
-        assert peak - retained <= images.nbytes / 8
+        assert peak - retained <= levels.nbytes == 512_000
 
 
 class TestDiskRoundTrip:

@@ -13,8 +13,8 @@ final and best parameter bytes must not move: a refactor that changes
 any bit of a loss, a gradient, an Adam update or a score fails here, not
 only in the slow criterion 7/8 runs.
 
-The synthesized data itself is frozen too: the sha256 of the image bytes
-and of the manifest text that generate_synthetic gives for the default
+The synthesized data itself is frozen too: the sha256 of the float pixel
+bytes of the images' 8-bit levels and of the manifest text that generate_synthetic gives for the default
 train and val splits, for an empty split, and for a config that reaches
 every edge of the generator (zero priors, no pixel noise, clipped
 valence/arousal, frequent action-unit flips, mask rates 0 and 1).
@@ -32,6 +32,7 @@ import pytest
 from affectmtl.config import RunConfig, SynthFileConfig
 from affectmtl.data_model import SynthConfig, generate_synthetic, serialize_manifest
 from affectmtl.losses import TrainMode
+from affectmtl.pgm import level_pixels
 from affectmtl.trainer import format_epoch_log, pack_dataset, run_training
 
 import oracles
@@ -153,8 +154,8 @@ def test_synthetic_digests(case):
     config, seed, prefix, image_digest, manifest_digest = GOLDEN_SYNTH[case]
     dataset, images = generate_synthetic(config, seed, prefix=prefix)
     assert images.shape == (config.count, config.image_size, config.image_size)
-    assert images.dtype == np.float64
-    assert _sha256(images.tobytes()) == image_digest
+    assert images.dtype == np.uint8
+    assert _sha256(level_pixels(images).tobytes()) == image_digest
     assert _sha256(serialize_manifest(dataset).encode("utf-8")) == manifest_digest
     n = config.count
     assert len(dataset) == n and len(dataset.image_refs) == n

@@ -10,15 +10,15 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import oracles
 from affectmtl.errors import DataError
-from affectmtl.pgm import LEVEL_PIXELS, read_pgm, write_pgm
+from affectmtl.pgm import LEVEL_PIXELS, level_pixels, read_pgm, write_pgm
 
 
 def test_round_trip_quantized(tmp_path, rng):
-    image = np.rint(rng.random((5, 7)) * 255.0) / 255.0
+    image = rng.integers(0, 256, (5, 7), dtype=np.uint8)
     path = tmp_path / "img.pgm"
     write_pgm(path, image)
     back = read_pgm(path)
-    assert back.shape == (5, 7)
+    assert back.dtype == np.uint8 and back.shape == (5, 7)
     assert np.array_equal(back, image)
 
 
@@ -27,14 +27,18 @@ def test_level_table_is_what_read_returns(tmp_path):
     assert [float(x).hex() for x in LEVEL_PIXELS] == [(k / 255).hex() for k in range(256)]
     path = tmp_path / "levels.pgm"
     path.write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
-    assert read_pgm(path).tobytes() == LEVEL_PIXELS.tobytes()
+    assert read_pgm(path).tobytes() == bytes(range(256))
+    assert level_pixels(read_pgm(path)).tobytes() == LEVEL_PIXELS.tobytes()
 
 
 def test_write_quantizes_to_8bit(tmp_path, rng):
-    image = rng.random((4, 4))
+    """A pixel is one byte of the file, its level as given, which the
+    float reference reader reads as LEVEL_PIXELS[level]."""
+    image = rng.integers(0, 256, (4, 6), dtype=np.uint8)
     path = tmp_path / "img.pgm"
     write_pgm(path, image)
-    assert np.array_equal(read_pgm(path), np.rint(image * 255.0) / 255.0)
+    assert path.read_bytes() == b"P5\n6 4\n255\n" + image.tobytes()
+    assert oracles.read_pgm(path).tobytes() == LEVEL_PIXELS[image].tobytes()
 
 
 def test_header_comments_tolerated(tmp_path):
@@ -43,7 +47,7 @@ def test_header_comments_tolerated(tmp_path):
     path.write_bytes(raw)
     image = read_pgm(path)
     assert image.shape == (2, 2)
-    assert image[0, 0] == 0.0 and image[1, 1] == 64 / 255
+    assert image.tolist() == [[0, 128], [255, 64]]
 
 
 @pytest.mark.parametrize(
@@ -65,30 +69,38 @@ def test_malformed_rejected(tmp_path, raw):
 
 
 def test_write_rejects_bad_shape(tmp_path):
-    with pytest.raises(DataError):
-        write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 2)))
+    for shape in [(2, 2, 2), (4,), ()]:
+        with pytest.raises(DataError, match=r"expected a 2-d uint8 image, got uint8 of shape"):
+            write_pgm(tmp_path / "x.pgm", np.zeros(shape, dtype=np.uint8))
+    assert not (tmp_path / "x.pgm").exists()
 
 
-@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
-def test_write_rejects_empty_image_before_opening(tmp_path, shape):
-    """No reader accepts a PGM with a zero dimension, so none is written:
-    a new path is not created and an existing file keeps its bytes."""
+# The first three keep the ids they had when they were the only cases.
+@pytest.mark.parametrize(
+    "image, message",
+    [
+        (np.zeros((0, 3), np.uint8), r"a non-empty image, got shape \(0, 3\)"),
+        (np.zeros((3, 0), np.uint8), r"a non-empty image, got shape \(3, 0\)"),
+        (np.zeros((0, 0), np.uint8), r"a non-empty image, got shape \(0, 0\)"),
+        (np.zeros((2, 2)), r"a 2-d uint8 image, got float64 of shape \(2, 2\)"),
+        (np.zeros((2, 2), np.int64), r"a 2-d uint8 image, got int64 of shape \(2, 2\)"),
+        (np.zeros((2, 2), bool), r"a 2-d uint8 image, got bool of shape \(2, 2\)"),
+        (np.zeros((1, 2, 2)), r"a 2-d uint8 image, got float64 of shape \(1, 2, 2\)"),
+        ([[0, 1], [2, 3]], r"a 2-d uint8 image, got int64 of shape \(2, 2\)"),
+    ],
+    ids=["shape0", "shape1", "shape2", "float64", "int64", "bool", "float64 3-d", "list"],
+)
+def test_write_rejects_empty_image_before_opening(tmp_path, image, message):
+    """No reader accepts a PGM with a zero dimension, and the writer takes
+    2-d uint8 levels only, so no other array is written: a new path is not
+    created and an existing file keeps its bytes."""
     new, kept = tmp_path / "new.pgm", tmp_path / "kept.pgm"
     kept.write_bytes(b"kept")
     for path in (new, kept):
-        with pytest.raises(DataError, match=r"expected a non-empty image, got shape \(\d, \d\)"):
-            write_pgm(path, np.zeros(shape))
+        with pytest.raises(DataError, match="^expected " + message + "$"):
+            write_pgm(path, image)
     assert not new.exists()
     assert kept.read_bytes() == b"kept"
-
-
-# Each pixel: any float, an exact half-step between two levels (rint rounds
-# it to even), or one of the values where clipping and casting differ most.
-PIXELS = (
-    st.floats(allow_nan=True, allow_infinity=True)
-    | st.integers(-3, 258).map(lambda k: (k + 0.5) / 255.0)
-    | st.sampled_from([-0.0, 0.0, 1.0, -1e-300, 1e300, float("nan"), float("inf"), -float("inf")])
-)
 
 
 @pytest.fixture(scope="module")
@@ -98,22 +110,21 @@ def pgm_dir(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6), elements=PIXELS),
+    arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, max_side=6)),
     st.sampled_from(["new path", "over a longer file"]),
 )
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN casts, inf products
-def test_writer_matches_clip_and_fileio_reference(pgm_dir, image, target):
-    """The descriptor-level writer and its rint/minimum/maximum quantization
-    leave the bytes that np.clip and a FileIO opened in place leave, for
-    every float; a rewrite keeps the file's inode."""
+def test_writer_matches_clip_and_fileio_reference(pgm_dir, levels, target):
+    """The descriptor-level writer leaves the bytes that the FileIO
+    reference, opened in place, leaves for the levels' pixels; a rewrite
+    keeps the file's inode."""
     got, want = pgm_dir / "got.pgm", pgm_dir / "want.pgm"
     for path in (got, want):
         path.unlink(missing_ok=True)
         if target != "new path":
             path.write_bytes(bytes(range(256)) * 2)  # longer than any file written here
     inode = got.stat().st_ino if got.exists() else None
-    write_pgm(got, image)
-    oracles.write_pgm(want, image)
+    write_pgm(got, levels)
+    oracles.write_pgm(want, LEVEL_PIXELS[levels])
     assert got.read_bytes() == want.read_bytes()
     if inode is not None:
         assert got.stat().st_ino == inode
@@ -126,6 +137,13 @@ def _outcome(reader, path):
     except DataError as exc:
         return "error", str(exc)
     return image.shape, image.dtype, image.tobytes()
+
+
+def _level_pixels_read(path):
+    """read_pgm's levels as the float pixels the reference reader returns."""
+    levels = read_pgm(path)
+    assert levels.dtype == np.uint8
+    return LEVEL_PIXELS[levels]
 
 
 HEADER_SEPARATORS = st.lists(
@@ -177,26 +195,25 @@ def pgm_path(tmp_path_factory):
 @example(b"P5\n3 2\n255 #\n" + bytes(6))
 @example(b"P5 3 2 255")
 def test_reader_matches_token_reference(pgm_path, raw):
-    """The one-regex header parser returns the arrays and DataError messages
-    of the byte-at-a-time tokenizer it replaced."""
+    """The one-regex header parser returns the levels of the arrays, and
+    the DataError messages, of the byte-at-a-time tokenizer it replaced."""
     pgm_path.write_bytes(raw)
-    assert _outcome(read_pgm, pgm_path) == _outcome(oracles.read_pgm, pgm_path)
+    assert _outcome(_level_pixels_read, pgm_path) == _outcome(oracles.read_pgm, pgm_path)
 
 
 @pytest.mark.parametrize("first, second", [((8, 6), (4, 3)), ((4, 3), (8, 6))])
 def test_rewrite_in_place_leaves_exactly_the_new_bytes(tmp_path, rng, first, second):
     """Over a longer and over a shorter file: same inode, the bytes a fresh
-    file gets, and those are the P5 header and the quantized pixels."""
+    file gets, and those are the P5 header and the levels."""
     path = tmp_path / "img.pgm"
-    write_pgm(path, rng.random(first))
+    write_pgm(path, rng.integers(0, 256, first, dtype=np.uint8))
     inode = path.stat().st_ino
-    image = rng.random(second)
+    image = rng.integers(0, 256, second, dtype=np.uint8)
     write_pgm(path, image)
     fresh = tmp_path / "fresh.pgm"
     write_pgm(fresh, image)
-    pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
     assert path.read_bytes() == fresh.read_bytes() == (
-        b"P5\n%d %d\n255\n" % (second[1], second[0]) + pixels.tobytes()
+        b"P5\n%d %d\n255\n" % (second[1], second[0]) + image.tobytes()
     )
     assert path.stat().st_ino == inode
 
@@ -204,7 +221,7 @@ def test_rewrite_in_place_leaves_exactly_the_new_bytes(tmp_path, rng, first, sec
 def test_write_to_a_device_as_open_does():
     """A target with no length to cut, such as a character device, takes
     the bytes as open(path, "wb") gives them to it."""
-    write_pgm(os.devnull, np.zeros((2, 2)))
+    write_pgm(os.devnull, np.zeros((2, 2), np.uint8))
 
 
 def test_write_to_a_fifo_as_open_does(tmp_path):
@@ -213,7 +230,7 @@ def test_write_to_a_fifo_as_open_does(tmp_path):
     received = []
     reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
     reader.start()
-    write_pgm(fifo, np.zeros((2, 2)))
+    write_pgm(fifo, np.zeros((2, 2), np.uint8))
     reader.join(timeout=30)
     assert received == [b"P5\n2 2\n255\n" + bytes(4)]
 
@@ -221,7 +238,7 @@ def test_write_to_a_fifo_as_open_does(tmp_path):
 def test_new_file_mode_matches_open(tmp_path):
     previous = os.umask(0o027)
     try:
-        write_pgm(tmp_path / "new.pgm", np.zeros((2, 2)))
+        write_pgm(tmp_path / "new.pgm", np.zeros((2, 2), np.uint8))
         with open(tmp_path / "opened.pgm", "wb"):
             pass
     finally:
@@ -240,7 +257,7 @@ def test_unwritable_target_raises_as_open_does(tmp_path, target, as_str):
     with pytest.raises(OSError) as expected:
         open(path, "wb")
     with pytest.raises(OSError) as got:
-        write_pgm(path, np.zeros((2, 2)))
+        write_pgm(path, np.zeros((2, 2), np.uint8))
     assert type(got.value) is type(expected.value)
     assert str(got.value) == str(expected.value)
     assert str(path) in str(got.value)

@@ -1,8 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
 
 import affectmtl.trainer
 from affectmtl.augmentation import (
@@ -21,6 +18,9 @@ from affectmtl.data_model import (
     au_positive_weights,
     expression_class_weights,
     generate_synthetic,
+    load_images,
+    load_manifest,
+    write_dataset,
 )
 from affectmtl.errors import DataError, DivergenceError
 from affectmtl.losses import LossWeights, TrainMode
@@ -31,6 +31,7 @@ from affectmtl.network import (
     backward,
     init_params,
 )
+from affectmtl.pgm import LEVEL_PIXELS
 from affectmtl.pseudo_label import ClassStatAccumulator
 from affectmtl.trainer import (
     ADAM_BLOCK,
@@ -76,10 +77,7 @@ def pack_images(images):
     return pack_dataset(make_dataset([row] * len(images)), images)
 
 
-# Level k's pixel, k / 255 in Python's own float division, as float.hex():
-# unlike ==, the hex strings tell -0.0 from 0.0.
-GRID = {(k / 255).hex() for k in range(256)}
-ALL_LEVELS = (np.arange(256) / 255.0).reshape(1, 16, 16)
+ALL_LEVELS = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
 
 
 def params_equal(a, b):
@@ -117,52 +115,46 @@ class TestPackDataset:
         packed = pack_images(ALL_LEVELS)
         assert packed.levels.dtype == np.uint8
         assert packed.levels.ravel().tolist() == list(range(256))
-        assert packed.pixels().tobytes() == ALL_LEVELS.tobytes()
+        # Level k reads as k / 255 in Python's own float division.
+        assert packed.pixels().tobytes() == np.array([k / 255 for k in range(256)]).tobytes()
 
     @pytest.mark.parametrize(
-        "pixel",
-        [np.nextafter(251 / 255, 1.0), -0.0, np.nan, np.inf, -np.inf, -1 / 255, 256 / 255, 0.5],
-        ids=["251/255+ulp", "-0.0", "nan", "inf", "-inf", "-1/255", "256/255", "0.5"],
+        "levels",
+        [
+            np.zeros((4, 64), np.uint8),
+            np.zeros((2, 4, 4)),
+            np.zeros((2, 4, 4), np.int64),
+            np.zeros((2, 1, 4, 4), np.uint8),
+        ],
+        ids=["(4, 64) uint8", "float64", "int64", "4-d uint8"],
     )
-    def test_off_grid_pixel_rejected(self, pixel):
-        images = ALL_LEVELS.copy()
-        images[0, 3, 5] = pixel
-        with pytest.raises(DataError, match=r"pixel \(0, 3, 5\)"):
-            pack_images(images)
-
-    @given(
-        arrays(
-            np.float64,
-            array_shapes(min_dims=3, max_dims=3, max_side=4),
-            elements=st.one_of(
-                st.integers(0, 255).map(lambda k: k / 255),
-                st.integers(0, 255).map(lambda k: float(np.nextafter(k / 255, 2.0))),
-                st.floats(),
-            ),
-        )
-    )
-    def test_packs_exactly_or_refuses(self, images):
-        on_grid = all(float(x).hex() in GRID for x in images.ravel())
-        try:
-            packed = pack_images(images)
-        except DataError:
-            assert not on_grid
-        else:
-            assert on_grid
-            assert packed.pixels().tobytes() == images.tobytes()
+    def test_rejects_other_than_uint8_levels(self, levels):
+        with pytest.raises(DataError, match=r"expected a uint8 \(n, h, w\) array of levels"):
+            pack_images(levels)
 
     def test_default_train_split_holds_a_byte_per_pixel(self):
         # 2,000 16x16 images: 512,000 bytes of levels, where float64
         # pixels took 4,096,000.
-        dataset, images = generate_synthetic(SynthFileConfig().train_config(), 0, prefix="train")
-        packed = pack_dataset(dataset, images)
-        assert packed.levels.nbytes == 512_000
-        assert packed.pixels().tobytes() == images.tobytes()
+        dataset, levels = generate_synthetic(SynthFileConfig().train_config(), 0, prefix="train")
+        packed = pack_dataset(dataset, levels)
+        assert packed.levels is levels and levels.nbytes == 512_000
+        assert packed.pixels().tobytes() == LEVEL_PIXELS[levels].tobytes()
+
+    def test_load_path_allocates_the_levels_only(self, tmp_path):
+        """Loading and packing the default train split from disk holds its
+        pixels as the levels read, with no float copy on the way."""
+        dataset, levels = generate_synthetic(SynthFileConfig().train_config(), 0, prefix="train")
+        write_dataset(tmp_path, "train.csv", dataset, levels)
+        loaded = load_manifest(tmp_path / "train.csv")
+        packed = []
+        peak = traced_peak(lambda: packed.append(pack_dataset(loaded, load_images(loaded, tmp_path))))
+        assert packed[0].levels.tobytes() == levels.tobytes()
+        assert peak <= 1.25 * levels.nbytes == 640_000
 
     def test_image_count_mismatch(self):
         packed = small_packed(count=5)
         with pytest.raises(DataError):
-            pack_dataset(make_dataset([]), packed.pixels())
+            pack_dataset(make_dataset([]), packed.levels)
 
     def test_slice_targets_views(self):
         packed = small_packed(count=20, seed=1)
@@ -216,9 +208,7 @@ class TestSchedule:
         assert np.all(np.abs(share[present] - 0.5) < 0.02)
 
     def test_empty_dataset_rejected(self):
-        packed_empty = pack_dataset(
-            make_dataset([]), np.zeros((0, 8, 8))
-        )
+        packed_empty = pack_dataset(make_dataset([]), np.zeros((0, 8, 8), np.uint8))
         with pytest.raises(DataError):
             make_epoch_schedule(packed_empty, "reweight", np.random.default_rng(0), np.ones(8))
 
@@ -593,7 +583,7 @@ class TestRunTraining:
         assert params_equal(result.final_params, fresh)
 
     def test_empty_training_set_rejected(self):
-        empty = pack_dataset(make_dataset([]), np.zeros((0, 8, 8)))
+        empty = pack_dataset(make_dataset([]), np.zeros((0, 8, 8), np.uint8))
         val = small_packed(count=8, seed=1)
         with pytest.raises(DataError):
             run_training(empty, val, self.config())
@@ -643,7 +633,7 @@ class TestRunTraining:
 
     def test_empty_validation_set_rejected(self):
         train = small_packed(count=24, seed=0)
-        empty = pack_dataset(make_dataset([]), np.zeros((0, 0, 0)))
+        empty = pack_dataset(make_dataset([]), np.zeros((0, 0, 0), np.uint8))
         with pytest.raises(DataError, match="validation set is empty"):
             run_training(train, empty, self.config())
 
