@@ -178,9 +178,7 @@ def strong_op_order(draws: np.ndarray, config: AugConfig) -> np.ndarray:
     The argsort of independent uniforms is a uniformly random permutation;
     its first k entries are k distinct ops in random order.
     """
-    return np.argsort(draws[:, OP_ORDER], axis=1, kind="stable")[
-        :, : config.strong_ops_per_image
-    ]
+    return draws[:, OP_ORDER].argsort(axis=1, kind="stable")[:, : config.strong_ops_per_image]
 
 
 def strong_views(images: np.ndarray, draws: np.ndarray, config: AugConfig) -> np.ndarray:
@@ -197,7 +195,9 @@ def strong_views(images: np.ndarray, draws: np.ndarray, config: AugConfig) -> np
     order = strong_op_order(draws, config)
     slots = order.shape[1]
     picked = order == ROTATION
-    rotation_slot = np.where(picked.any(axis=1), picked.argmax(axis=1), slots)[:, None]
+    rotation_slot = np.where(
+        np.logical_or.reduce(picked, axis=1), picked.argmax(axis=1), slots
+    )[:, None]
     slot_index = np.arange(slots)
     point_ops = (
         (config.brightness_delta * (2.0 * draws[:, BRIGHTNESS_DRAW] - 1.0))[:, None, None],
@@ -208,7 +208,7 @@ def strong_views(images: np.ndarray, draws: np.ndarray, config: AugConfig) -> np
         cutout_boxes(draws[:, CUTOUT_DRAWS], height, width, config.cutout_max_frac),
     )
     _apply_point_ops(out, np.where(slot_index < rotation_slot, order, -1), *point_ops)
-    rotated = np.flatnonzero(rotation_slot < slots)
+    rotated = (rotation_slot[:, 0] < slots).nonzero()[0]
     if len(rotated):
         angle = config.rotation_max_deg * (2.0 * draws[rotated, ROTATION_DRAW] - 1.0)
         out[rotated] = rotate_bilinear(out[rotated], angle)
@@ -314,7 +314,7 @@ def augment_views(
     STRONG_DRAWS) row per marked row, in batch order.  Returns the (n, h, w)
     weak views and the (k, h, w) strong views of the k marked rows.
     """
-    rows = np.flatnonzero(want_strong)
+    rows = np.asarray(want_strong).nonzero()[0]
     if len(strong_draws) != len(rows):
         raise ValueError(f"{len(strong_draws)} strong draw rows for {len(rows)} strong views")
     weak = weak_views(batch_images, weak_draws, config)

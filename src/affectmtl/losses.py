@@ -68,12 +68,14 @@ class LossBreakdown:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def _check_labels(labels: np.ndarray, n_classes: int) -> None:
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+    if labels.size and (
+        np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= n_classes
+    ):
         raise DataError(f"class label outside [0, {n_classes}): {labels}")
 
 
@@ -81,8 +83,8 @@ def weighted_cross_entropy_grad(
     logits: np.ndarray, labels: np.ndarray, class_weights: np.ndarray, mask: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean over masked-in rows of class_weights[label] * (-log softmax(logits)[label])."""
-    idx = np.flatnonzero(mask)
-    d_logits = np.zeros_like(logits)
+    idx = mask.nonzero()[0]
+    d_logits = np.zeros(logits.shape)
     if len(idx) == 0:
         return 0.0, d_logits
     labels = np.asarray(labels)[idx]
@@ -90,7 +92,7 @@ def weighted_cross_entropy_grad(
     logp = _log_softmax(logits[idx])
     rows = np.arange(len(idx))
     weights = np.asarray(class_weights)[labels]
-    value = float(np.mean(-weights * logp[rows, labels]))
+    value = float(np.add.reduce(-weights * logp[rows, labels]) / len(idx))
     d_sub = np.exp(logp) * weights[:, None]
     d_sub[rows, labels] -= weights
     d_logits[idx] = d_sub / len(idx)
@@ -109,8 +111,8 @@ def weighted_bce_grad(
     Mean over (masked-in sample, unit) pairs, computed in the softplus form
     so extreme logits stay finite.
     """
-    idx = np.flatnonzero(mask)
-    d_logits = np.zeros_like(logits)
+    idx = mask.nonzero()[0]
+    d_logits = np.zeros(logits.shape)
     if len(idx) == 0:
         return 0.0, d_logits
     z = logits[idx]
@@ -119,9 +121,9 @@ def weighted_bce_grad(
     denom = len(idx) * logits.shape[1]
     # -[w*y*log s(z) + (1-y)*log(1-s(z))] = w*y*softplus(-z) + (1-y)*softplus(z)
     # Summed over the batch-shaped array with masked-out pairs as 0.0.
-    per_elem = np.zeros_like(logits)
+    per_elem = np.zeros(logits.shape)
     per_elem[idx] = w * y * _softplus(-z) + (1.0 - y) * _softplus(z)
-    value = float(per_elem.sum() / denom)
+    value = float(np.add.reduce(per_elem, axis=None) / denom)
     sig = 1.0 / (1.0 + np.exp(-np.abs(z)))
     sig = np.where(z >= 0, sig, 1.0 - sig)
     d_logits[idx] = (-w * y * (1.0 - sig) + (1.0 - y) * sig) / denom
@@ -145,10 +147,13 @@ def concordance(
     cols = np.ascontiguousarray(
         np.concatenate((pred_va, gold_va), axis=1).T, dtype=np.float64
     )
-    means = cols.mean(axis=1)
+    k = cols.shape[1]
+    means = np.add.reduce(cols, axis=1) / k
     dev = cols - means[:, None]
     # Rows: s_pg of valence and arousal, then s_pp, then s_gg.
-    moments = np.mean(dev[[0, 1, 0, 1, 2, 3]] * dev[[2, 3, 0, 1, 2, 3]], axis=1).tolist()
+    moments = (
+        np.add.reduce(dev[[0, 1, 0, 1, 2, 3]] * dev[[2, 3, 0, 1, 2, 3]], axis=1) / k
+    ).tolist()
     means = means.tolist()
     diff = [means[0] - means[2], means[1] - means[3]]
     # Python floats: ** 2 here is libm's pow, not NumPy's square.
@@ -167,8 +172,8 @@ def ccc_loss_grad(
     0 and zero gradient; one whose denominator is so small that the gradient
     scale 2 / (k * denom) overflows keeps its rho and gets zero gradient.
     """
-    idx = np.flatnonzero(mask)
-    d_pred = np.zeros_like(pred_va, dtype=np.float64)
+    idx = mask.nonzero()[0]
+    d_pred = np.zeros(pred_va.shape)
     k = len(idx)
     if k < 2:
         return 0.0, d_pred
@@ -210,25 +215,25 @@ def consistency_loss_grad(
     renormalizing; an entry at or below the floor is locally constant, so its
     gradient is 0.
     """
-    idx = np.flatnonzero(mask)
-    d_weak = np.zeros_like(weak_probs)
-    d_strong = np.zeros_like(strong_probs)
+    idx = mask.nonzero()[0]
+    d_weak = np.zeros(weak_probs.shape)
+    d_strong = np.zeros(strong_probs.shape)
     if len(idx) == 0:
         return 0.0, d_weak, d_strong
     p = np.asarray(weak_probs[idx], dtype=np.float64)
     q = np.asarray(strong_probs[idx], dtype=np.float64)
     p_floored = np.maximum(p, PROB_FLOOR)
     q_floored = np.maximum(q, PROB_FLOOR)
-    p_sum = p_floored.sum(axis=1, keepdims=True)
-    q_sum = q_floored.sum(axis=1, keepdims=True)
+    p_sum = np.add.reduce(p_floored, axis=1, keepdims=True)
+    q_sum = np.add.reduce(q_floored, axis=1, keepdims=True)
     pn = p_floored / p_sum
     qn = q_floored / q_sum
     log_ratio = np.log(pn) - np.log(qn)
-    values = np.sum(pn * log_ratio, axis=1) - np.sum(qn * log_ratio, axis=1)
+    values = np.add.reduce(pn * log_ratio, axis=1) - np.add.reduce(qn * log_ratio, axis=1)
     g_p = log_ratio + 1.0 - qn / pn
     g_q = -log_ratio + 1.0 - pn / qn
-    d_p = (p > PROB_FLOOR) * (g_p - np.sum(g_p * pn, axis=1, keepdims=True)) / p_sum
-    d_q = (q > PROB_FLOOR) * (g_q - np.sum(g_q * qn, axis=1, keepdims=True)) / q_sum
+    d_p = (p > PROB_FLOOR) * (g_p - np.add.reduce(g_p * pn, axis=1, keepdims=True)) / p_sum
+    d_q = (q > PROB_FLOOR) * (g_q - np.add.reduce(g_q * qn, axis=1, keepdims=True)) / q_sum
     # Added one row at a time, in row order, as the per-row definition does.
     total = 0.0
     for value in values.tolist():

@@ -9,13 +9,17 @@ Flattened pixels feed a two-layer perceptron; its output is L2-normalized
 
 forward_with_cache keeps every intermediate needed by backward, which
 implements reverse mode by hand, including the normalization and tanh
-Jacobians.  Gradients are exact (finite-difference verified in the tests),
-not approximated.  Each layer adds its bias and applies its activation in
+Jacobians.  With expression_only it stops after the expression logits,
+which is all the strong-view pass of the semi-supervised loss reads.
+Gradients are exact (finite-difference verified in the tests), not
+approximated.  Each layer adds its bias and applies its activation in
 place on the matmul result, and the cache holds post-activations only:
 backward takes a rectifier's mask from h = max(a, 0) as h > 0, which
 equals a > 0 for every float, NaN and -0.0 included.  predict runs the
 same operations for scoring, keeps only the head outputs, and frees each
-hidden activation after its last reader.
+hidden activation after its last reader.  Sums and maxima call the ufunc
+reductions (np.add.reduce, np.maximum.reduce) that np.sum and .max()
+forward to: the same loops, without a Python wrapper per call.
 
 Parameters live in one flat float64 buffer, Params.flat, laid out in
 PARAM_FIELDS order (backbone first); each named field is a reshaped view
@@ -139,7 +143,8 @@ def init_params(config: ModelConfig, seed: int) -> Params:
 
 @dataclass(frozen=True, eq=False)
 class ForwardCache:
-    """Everything backward needs, plus the head outputs."""
+    """Everything backward needs, plus the head outputs.  The action-unit
+    and valence/arousal fields are None in an expression-only cache."""
 
     x: np.ndarray
     h1: np.ndarray
@@ -148,9 +153,9 @@ class ForwardCache:
     features: np.ndarray
     h_exp: np.ndarray
     exp_logits: np.ndarray
-    au_logits: np.ndarray
-    h_va: np.ndarray
-    va: np.ndarray
+    au_logits: np.ndarray | None
+    h_va: np.ndarray | None
+    va: np.ndarray | None
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -182,32 +187,44 @@ def _inputs(params: Params, images: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_finite(features, exp_logits, au_logits, va) -> None:
-    """Raise DivergenceError naming the first of these that is not finite."""
+def _check_finite(features, exp_logits, au_logits=None, va=None) -> None:
+    """Raise DivergenceError naming the first of these that is not finite;
+    a head passed as None is not checked."""
     for name, arr in (
         ("features", features),
         ("expression logits", exp_logits),
         ("action-unit logits", au_logits),
         ("valence-arousal output", va),
     ):
-        if not np.isfinite(arr).all():
+        if arr is not None and not np.logical_and.reduce(np.isfinite(arr), axis=None):
             raise DivergenceError(f"non-finite {name} in forward pass")
 
 
-def forward_with_cache(params: Params, images: np.ndarray) -> ForwardCache:
+def forward_with_cache(
+    params: Params, images: np.ndarray, expression_only: bool = False
+) -> ForwardCache:
     """Run the model on a (n, h, w) image batch.
 
     Raises DivergenceError if any head output (or the shared features) is
-    not finite, which is how exploding updates surface.
+    not finite, which is how exploding updates surface.  With
+    expression_only the pass stops after the expression logits: the
+    action-unit and valence/arousal fields of the cache are None, and only
+    the features and the expression logits are checked.
     """
     x = _inputs(params, images)
     h1 = _relu(_affine(x, params.w1, params.b1))
     z2 = _affine(h1, params.w2, params.b2)
-    norm = np.sqrt(np.sum(z2 * z2, axis=1) + FEATURE_NORM_EPS)
+    norm = np.sqrt(np.add.reduce(z2 * z2, axis=1) + FEATURE_NORM_EPS)
     features = z2 / norm[:, None]
 
     h_exp = _relu(_affine(features, params.w_exp1, params.b_exp1))
     exp_logits = _affine(h_exp, params.w_exp2, params.b_exp2)
+    if expression_only:
+        _check_finite(features, exp_logits)
+        return ForwardCache(
+            x=x, h1=h1, z2=z2, norm=norm, features=features, h_exp=h_exp,
+            exp_logits=exp_logits, au_logits=None, h_va=None, va=None,
+        )
 
     au_logits = _affine(features, params.w_au, params.b_au)
 
@@ -240,7 +257,7 @@ def predict(
     del images  # freed here if the caller passed its only reference
     features = _affine(hidden, params.w2, params.b2)
     del hidden
-    features /= np.sqrt(np.sum(features * features, axis=1) + FEATURE_NORM_EPS)[:, None]
+    features /= np.sqrt(np.add.reduce(features * features, axis=1) + FEATURE_NORM_EPS)[:, None]
     exp_logits = _affine(
         _relu(_affine(features, params.w_exp1, params.b_exp1)), params.w_exp2, params.b_exp2
     )
@@ -262,55 +279,56 @@ def backward(
 ) -> Params:
     """Exact gradients of a scalar loss given its head-output gradients.
 
-    Any head whose upstream gradient is None contributes nothing.  d_va is
-    the gradient at the tanh output.  The result views one fresh buffer;
-    each field is written once, and only the fields of absent heads are
-    zero-filled.
+    Any head whose upstream gradient is None contributes nothing, so an
+    expression-only cache serves a backward whose d_au_logits and d_va are
+    None.  d_va is the gradient at the tanh output.  The result views one
+    fresh buffer; each field is written once, and only the fields of absent
+    heads are zero-filled.
     """
-    grads = Params.wrap(np.empty_like(params.flat), params)
+    grads = Params.wrap(np.empty(params.flat.shape), params)
     for upstream, head_fields in (
         (d_exp_logits, _EXP_FIELDS), (d_au_logits, _AU_FIELDS), (d_va, _VA_FIELDS)
     ):
         if upstream is None:
             for name in head_fields:
                 getattr(grads, name).fill(0.0)
-    d_features = np.zeros_like(cache.features)
+    d_features = np.zeros(cache.features.shape)
 
     if d_exp_logits is not None:
         np.matmul(cache.h_exp.T, d_exp_logits, out=grads.w_exp2)
-        d_exp_logits.sum(axis=0, out=grads.b_exp2)
+        np.add.reduce(d_exp_logits, axis=0, out=grads.b_exp2)
         d_h_exp = d_exp_logits @ params.w_exp2.T
         d_a_exp = d_h_exp * (cache.h_exp > 0)
         np.matmul(cache.features.T, d_a_exp, out=grads.w_exp1)
-        d_a_exp.sum(axis=0, out=grads.b_exp1)
+        np.add.reduce(d_a_exp, axis=0, out=grads.b_exp1)
         d_features += d_a_exp @ params.w_exp1.T
 
     if d_au_logits is not None:
         np.matmul(cache.features.T, d_au_logits, out=grads.w_au)
-        d_au_logits.sum(axis=0, out=grads.b_au)
+        np.add.reduce(d_au_logits, axis=0, out=grads.b_au)
         d_features += d_au_logits @ params.w_au.T
 
     if d_va is not None:
         d_va_pre = d_va * (1.0 - cache.va * cache.va)
         np.matmul(cache.h_va.T, d_va_pre, out=grads.w_va2)
-        d_va_pre.sum(axis=0, out=grads.b_va2)
+        np.add.reduce(d_va_pre, axis=0, out=grads.b_va2)
         d_h_va = d_va_pre @ params.w_va2.T
         d_a_va = d_h_va * (cache.h_va > 0)
         np.matmul(cache.features.T, d_a_va, out=grads.w_va1)
-        d_a_va.sum(axis=0, out=grads.b_va1)
+        np.add.reduce(d_a_va, axis=0, out=grads.b_va1)
         d_features += d_a_va @ params.w_va1.T
 
     # Through f = z / norm(z): dz = g/norm - z * (g . z) / norm^3.
     inv_norm = 1.0 / cache.norm
-    dot = np.sum(d_features * cache.z2, axis=1)
+    dot = np.add.reduce(d_features * cache.z2, axis=1)
     d_z2 = d_features * inv_norm[:, None] - cache.z2 * (dot * inv_norm**3)[:, None]
 
     np.matmul(cache.h1.T, d_z2, out=grads.w2)
-    d_z2.sum(axis=0, out=grads.b2)
+    np.add.reduce(d_z2, axis=0, out=grads.b2)
     d_h1 = d_z2 @ params.w2.T
     d_a1 = d_h1 * (cache.h1 > 0)
     np.matmul(cache.x.T, d_a1, out=grads.w1)
-    d_a1.sum(axis=0, out=grads.b1)
+    np.add.reduce(d_a1, axis=0, out=grads.b1)
     return grads
 
 
@@ -323,14 +341,14 @@ def add_grads(a: Params, b: Params) -> Params:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    return exps / exps.sum(axis=-1, keepdims=True)
+    return exps / np.add.reduce(exps, axis=-1, keepdims=True)
 
 
 def softmax_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
     """Gradient at the logits given the gradient at softmax(logits)."""
-    inner = np.sum(d_probs * probs, axis=-1, keepdims=True)
+    inner = np.add.reduce(d_probs * probs, axis=-1, keepdims=True)
     return probs * (d_probs - inner)
 
 

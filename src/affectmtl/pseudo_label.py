@@ -70,20 +70,24 @@ def update_class_stats(
 
     Classes with no correct prediction this batch are untouched.
     """
-    idx = np.flatnonzero(mask)
+    idx = mask.nonzero()[0]
     if len(idx) == 0:
         return acc
     gold_labels = np.asarray(gold_labels)[idx]
     weak_probs = np.asarray(weak_probs)[idx]
-    if gold_labels.min() < 0 or gold_labels.max() >= N_EXPRESSION_CLASSES:
+    if (
+        np.minimum.reduce(gold_labels) < 0
+        or np.maximum.reduce(gold_labels) >= N_EXPRESSION_CLASSES
+    ):
         raise DataError(f"gold labels outside [0, {N_EXPRESSION_CLASSES})")
-    pred = np.argmax(weak_probs, axis=1)
+    pred = weak_probs.argmax(axis=1)
     mean_prob = acc.mean_prob.copy()
     correct = pred == gold_labels
     hit_counts = np.bincount(gold_labels[correct], minlength=N_EXPRESSION_CLASSES)
-    for c in np.flatnonzero(hit_counts).tolist():
+    for c in hit_counts.nonzero()[0].tolist():
         hits = correct & (gold_labels == c)
-        batch_mean = float(weak_probs[hits, c].mean())
+        hit_probs = weak_probs[hits, c]
+        batch_mean = float(np.add.reduce(hit_probs) / len(hit_probs))
         mean_prob[c] = momentum * mean_prob[c] + (1.0 - momentum) * batch_mean
     return ClassStatAccumulator(mean_prob=mean_prob)
 
@@ -116,7 +120,7 @@ def partition_confident(
     weak_probs = np.asarray(weak_probs)
     if weak_probs.ndim != 2 or weak_probs.shape[1] != N_EXPRESSION_CLASSES:
         raise DataError(f"expected (n, {N_EXPRESSION_CLASSES}) probabilities")
-    pseudo = np.argmax(weak_probs, axis=1)
+    pseudo = weak_probs.argmax(axis=1)
     top = weak_probs[np.arange(len(pseudo)), pseudo]
     confident = top > np.asarray(thresholds)[pseudo]
     return ConfidencePartition(confident=confident, pseudo_labels=pseudo)

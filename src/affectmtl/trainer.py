@@ -9,10 +9,12 @@ split, built by pgm.level_pixels.
 Each step forwards the weak views of the whole batch, takes supervised
 losses over the per-task valid subsets, refreshes the per-class confidence
 statistics and thresholds, and (in the semi-supervised modes) forwards the
-strong views of expression-unlabeled samples: confident ones get a
-pseudo-label cross entropy, the rest a weak/strong symmetric KL.  Gradients
-flow through both forward passes; the backbone and the heads update with
-separate Adam learning rates.
+strong views of expression-unlabeled samples through the expression head
+only, the one head their losses read: confident ones get a pseudo-label
+cross entropy, the rest a weak/strong symmetric KL, which reuses the weak
+probabilities the thresholds were probed with.  Gradients flow through
+both forward passes; the backbone and the heads update with separate Adam
+learning rates.
 
 Each epoch draws its augmentation randomness once: one table of weak-view
 draws over the schedule and one of strong-view draws over the scheduled
@@ -200,6 +202,7 @@ def batch_loss_and_grads(
     confident: np.ndarray | None = None,
     pseudo_labels: np.ndarray | None = None,
     cache_w: ForwardCache | None = None,
+    probs_w: np.ndarray | None = None,
 ) -> tuple[LossBreakdown, Params]:
     """Loss value and exact parameter gradients for one batch.
 
@@ -210,10 +213,16 @@ def batch_loss_and_grads(
     over each task's valid subset; a task with nothing valid contributes 0.
     cache_w, when given, must be forward_with_cache(params, weak_images);
     passing it saves the weak forward pass a caller has already run.
+    probs_w, when given, must be softmax(cache_w.exp_logits), which the
+    function otherwise computes itself; the consistency term reads its
+    ss_rows.  The strong views are forwarded through the expression head
+    only.
     """
     lam_sup, lam_unsup, lam_cons = effective_lambdas(weights, mode)
     if cache_w is None:
         cache_w = forward_with_cache(params, weak_images)
+    if probs_w is None:
+        probs_w = softmax(cache_w.exp_logits)
 
     l_sup, d_sup = weighted_cross_entropy_grad(
         cache_w.exp_logits, targets.gold_exp, w_exp, targets.exp_valid
@@ -227,18 +236,18 @@ def batch_loss_and_grads(
     cache_s = None
     d_exp_s = None
     if mode is not TrainMode.SUPERVISED and ss_rows is not None and len(ss_rows):
-        cache_s = forward_with_cache(params, strong_images)
+        cache_s = forward_with_cache(params, strong_images, expression_only=True)
         l_unsup, d_unsup = unsupervised_ce_grad(
             cache_s.exp_logits, pseudo_labels, confident
         )
         d_exp_s = lam_unsup * d_unsup
         if lam_cons > 0.0:
-            probs_w = softmax(cache_w.exp_logits[ss_rows])
+            probs_ss = probs_w[ss_rows]
             probs_s = softmax(cache_s.exp_logits)
             l_cons, d_probs_w, d_probs_s = consistency_loss_grad(
-                probs_w, probs_s, ~confident
+                probs_ss, probs_s, ~confident
             )
-            d_exp_w[ss_rows] += lam_cons * softmax_backward(probs_w, d_probs_w)
+            d_exp_w[ss_rows] += lam_cons * softmax_backward(probs_ss, d_probs_w)
             d_exp_s += lam_cons * softmax_backward(probs_s, d_probs_s)
 
     breakdown = overall_loss(l_sup, l_unsup, l_cons, l_au, l_va, weights, mode)
@@ -416,7 +425,7 @@ def _step_grads(
     )
     thresholds = adaptive_thresholds(acc, epoch, config.thresholds)
 
-    ss_rows = np.flatnonzero(ss_mask)
+    ss_rows = ss_mask.nonzero()[0]
     part = partition_confident(probs_w[ss_rows], thresholds)
     breakdown, grads = batch_loss_and_grads(
         state.params,
@@ -431,6 +440,7 @@ def _step_grads(
         confident=part.confident,
         pseudo_labels=part.pseudo_labels,
         cache_w=cache_probe,
+        probs_w=probs_w,
     )
     info = StepInfo(
         n_unlabeled=int(len(ss_rows)),
@@ -448,7 +458,7 @@ def evaluate_packed(params: Params, packed: PackedDataset) -> MtlScore:
         pred_va=va,
         gold_va=packed.gold_va,
         va_mask=packed.va_valid,
-        pred_exp=np.argmax(exp_logits, axis=1),
+        pred_exp=exp_logits.argmax(axis=1),
         gold_exp=packed.gold_exp,
         exp_mask=packed.exp_valid,
         au_probs=sigmoid(au_logits),

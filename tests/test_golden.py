@@ -8,10 +8,11 @@ would move that digest; and once more for mfar at hidden_width 256, whose
 Adam step spans several blocks on each side of the backbone/head split
 (width 64 fits in one block) and whose best epoch (1) is not its last, so
 a step that wrote over the kept best parameters would move its best
-digest.  The sha256 of the epoch log text and of the
-final and best parameter bytes must not move: a refactor that changes
-any bit of a loss, a gradient, an Adam update or a score fails here, not
-only in the slow criterion 7/8 runs.
+digest; and once more for ss-mfar at hidden_width 256, whose strong-view
+gradient is the one a width-256 step adds to the weak one.  The sha256
+of the epoch log text and of the final and best parameter bytes must not
+move: a refactor that changes any bit of a loss, a gradient, an Adam
+update or a score fails here, not only in the slow criterion 7/8 runs.
 
 The synthesized data itself is frozen too: the sha256 of the float pixel
 bytes of the images' 8-bit levels and of the manifest text that generate_synthetic gives for the default
@@ -71,6 +72,13 @@ GOLDEN_WIDE = (
     "8902f270f7d1fb8c757f0b6ad8f93cdd27eaeb5041525f4b9cb214d07728b97a",
 )
 
+# ss-mfar at hidden_width=256: (log text, final, best); best epoch 1 of 0..2
+GOLDEN_WIDE_SEMI = (
+    "b016880f3835d20cfcc7f6f4cdeb3a7cf225106ab7a82ac72777199b681fe704",
+    "26e443e9ee770216bebd0ed51f8ff741b05132e626163725292ddf8ab7199f1f",
+    "e5900a08623cc8940c05b7a63b9ddfa47a9d30ae3125a59cd11797854497703a",
+)
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -107,6 +115,11 @@ def test_three_epoch_resample_digests(default_data):
 def test_three_epoch_wide_digests(default_data):
     config = RunConfig(mode=TrainMode.SUPERVISED, seed=0, epochs=3, hidden_width=256)
     assert _digests(default_data, config, best_epoch=1) == GOLDEN_WIDE
+
+
+def test_three_epoch_wide_semi_digests(default_data):
+    config = RunConfig(mode=TrainMode.SEMI, seed=0, epochs=3, hidden_width=256)
+    assert _digests(default_data, config, best_epoch=1) == GOLDEN_WIDE_SEMI
 
 
 # Every edge of the generator in one config: zero priors (never drawn),

@@ -274,6 +274,72 @@ def test_predict_matches_forward_heads(seed, n, width, poison):
         ]
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 6),
+    width=st.integers(1, 9),
+    poison=st.none() | st.tuples(st.sampled_from(("images",) + PARAM_FIELDS), st.floats()),
+)
+@example(seed=0, n=2, width=4, poison=("b_au", np.inf))
+@example(seed=0, n=2, width=4, poison=("b_va2", np.nan))
+@example(seed=0, n=2, width=4, poison=("b_exp2", -np.inf))
+@example(seed=0, n=2, width=4, poison=("images", np.nan))
+def test_expression_only_cache_matches_full_cache(seed, n, width, poison):
+    """An expression-only pass caches the full pass's backbone and
+    expression arrays byte for byte, leaves the action-unit and
+    valence/arousal fields None, and gives the same bytes of gradient from
+    an expression-only upstream.  It checks the features and the expression
+    logits only: a poisoned action-unit or valence/arousal head raises in
+    the full pass alone, and any other divergence raises the same message."""
+    params = init_params(ModelConfig(6, 6, hidden_width=width), seed)
+    clean = replace(params)
+    rng = np.random.default_rng(seed)
+    images = rng.random((n, 6, 6))
+    if poison is not None:
+        name, value = poison
+        (images if name == "images" else getattr(params, name)).flat[0] = value
+    full = _outputs_or_message(forward_with_cache, params, images)
+    lean = _outputs_or_message(
+        lambda p, x: forward_with_cache(p, x, expression_only=True), params, images
+    )
+    if isinstance(lean, str):
+        assert full == lean
+        return
+    assert (lean.au_logits, lean.h_va, lean.va) == (None, None, None)
+    if isinstance(full, str):
+        # Only a head the expression-only pass skips diverged; the clean
+        # parameters differ from the poisoned ones in that head alone.
+        assert poison[0].endswith(("_au", "_va1", "_va2")), full
+        full = forward_with_cache(clean, images)
+    for name in ("x", "h1", "z2", "norm", "features", "h_exp", "exp_logits"):
+        assert getattr(lean, name).tobytes() == getattr(full, name).tobytes(), name
+    upstream = rng.normal(size=(n, 8))
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = backward(params, lean, upstream, None, None)
+        want = backward(params, full, upstream, None, None)
+    assert got.flat.tobytes() == want.flat.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 79),
+    scale=st.sampled_from((1e-3, 1.0, 10.0, 300.0)),
+    picks=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=80),
+)
+@example(seed=0, n=1, scale=1.0, picks=[0.0])
+@example(seed=0, n=64, scale=1.0, picks=[])
+def test_softmax_of_row_subset_is_subset_of_softmax(seed, n, scale, picks):
+    """softmax works row by row, so the rows of softmax(x) are the bytes of
+    softmax(x[rows]) for any rows, repeated or reordered: the consistency
+    term may slice its rows out of the probabilities the thresholds were
+    probed with."""
+    logits = np.random.default_rng(seed).normal(size=(n, 8)) * scale
+    rows = (np.array(picks) * n).astype(np.int64)
+    assert softmax(logits)[rows].tobytes() == softmax(logits[rows]).tobytes()
+
+
 def test_map_params_and_zeros():
     params = init_params(MC, 5)
     expected = params.flat.tobytes()

@@ -228,10 +228,18 @@ def test_write_to_a_fifo_as_open_does(tmp_path):
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
     received = []
-    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
     reader.start()
-    write_pgm(fifo, np.zeros((2, 2), np.uint8))
+    try:
+        write_pgm(fifo, np.zeros((2, 2), np.uint8))
+    except BaseException:
+        # The reader waits in open() for a writer; a read-write open is one
+        # and never blocks, so the reader reads an empty pipe and the
+        # failure is reported instead of hanging the run.
+        os.close(os.open(fifo, os.O_RDWR | os.O_NONBLOCK))
+        raise
     reader.join(timeout=30)
+    assert not reader.is_alive()
     assert received == [b"P5\n2 2\n255\n" + bytes(4)]
 
 

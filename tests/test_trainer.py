@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -29,7 +32,9 @@ from affectmtl.network import (
     PARAM_FIELDS,
     ModelConfig,
     backward,
+    forward_with_cache,
     init_params,
+    softmax,
 )
 from affectmtl.pgm import LEVEL_PIXELS
 from affectmtl.pseudo_label import ClassStatAccumulator
@@ -316,6 +321,33 @@ class TestBatchLossAndGrads:
         assert not np.array_equal(returned[1], np.zeros_like(returned[1]))
         assert grads.flat.tobytes() == (returned[0] + returned[1]).tobytes()
 
+    def test_probe_probabilities_give_the_same_bits(self):
+        """Without cache_w and probs_w (as the finite-difference checks call
+        it) the function gives the loss and gradient bytes of a call with
+        the probe's cache and softmax (as a training step calls it); the
+        consistency term is active (some rows are not confident)."""
+        idx = np.arange(12)
+        targets = slice_targets(self.packed, idx)
+        weak = self.packed.pixels(idx)
+        ss_rows = np.flatnonzero(~targets.exp_valid & targets.any_valid)
+        assert len(ss_rows) >= 3
+        kwargs = dict(
+            strong_images=np.random.default_rng(3).random((len(ss_rows), 6, 6)),
+            ss_rows=ss_rows,
+            confident=np.arange(len(ss_rows)) % 2 == 1,
+            pseudo_labels=np.arange(len(ss_rows)) % 8,
+        )
+        args = (self.params, weak, targets, self.w_exp, self.w_au, LossWeights(), TrainMode.SEMI)
+        alone, alone_grads = batch_loss_and_grads(*args, **kwargs)
+        cache = forward_with_cache(self.params, weak)
+        probs = softmax(cache.exp_logits)
+        probed, probed_grads = batch_loss_and_grads(
+            *args, **kwargs, cache_w=cache, probs_w=probs
+        )
+        assert repr(probed) == repr(alone)
+        assert alone.l_exp_cons > 0.0
+        assert probed_grads.flat.tobytes() == alone_grads.flat.tobytes()
+
 
 class TestAdam:
     def setup_method(self):
@@ -455,6 +487,47 @@ def test_semi_supervised_step_peak_allocation():
         lambda: train_step(state, packed, batch, *draws, config, w_exp, w_au, 0, 0)
     )
     assert peak <= 3.5 * params.flat.nbytes, peak / params.flat.nbytes
+
+
+@pytest.mark.parametrize("mode, bound", [(TrainMode.SEMI, 50), (TrainMode.SUPERVISED, 20)])
+def test_step_numpy_python_calls(mode, bound):
+    """One width-64 step of a 64-row batch enters NumPy's Python layer
+    (its wrapper functions, dispatchers and _methods) at most `bound`
+    times: per-step code calls ufunc reductions and array methods directly.
+    Measured with NumPy 2.4.6: 16 and 5 frames; calling np.sum, np.mean,
+    np.flatnonzero, np.zeros_like, .sum() and the like, and forwarding the
+    strong views through all three heads, 224 and 125.  The counts depend
+    on how a NumPy version splits work between Python and C, so a failure
+    after a NumPy upgrade need not be a regression here."""
+    packed = small_packed(count=64, size=16, seed=0)
+    config = RunConfig(mode=mode)
+    params = init_params(ModelConfig(16, 16, config.hidden_width), 0)
+    state = TrainState(params, adam_init(params), ClassStatAccumulator.fresh())
+    w_exp = expression_class_weights(packed.stats)
+    w_au = au_positive_weights(packed.stats)
+    batch = np.arange(64)
+    want = wants_strong(packed, mode)
+    assert (np.count_nonzero(want) > 0) == (mode is not TrainMode.SUPERVISED)
+    draws = (
+        view_uniforms(config.seed, 1, batch, WEAK_VIEW, WEAK_DRAWS),
+        view_uniforms(config.seed, 1, batch[want], STRONG_VIEW, STRONG_DRAWS),
+    )
+    step = lambda state: train_step(state, packed, batch, *draws, config, w_exp, w_au, 1, 0)
+    state, _, _ = step(state)  # fills the crop-map cache
+    numpy_dir = os.path.dirname(np.__file__) + os.sep
+    frames = 0
+
+    def count(frame, event, arg):
+        nonlocal frames
+        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            frames += 1
+
+    sys.setprofile(count)
+    try:
+        step(state)
+    finally:
+        sys.setprofile(None)
+    assert 0 < frames <= bound, frames
 
 
 @pytest.mark.parametrize(
