@@ -119,21 +119,6 @@ def _below(u: np.ndarray, count) -> np.ndarray:
     return np.minimum((u * count).astype(np.int64), np.asarray(count) - 1)
 
 
-def reflect_map(size: int, pad: int) -> np.ndarray:
-    """np.pad(np.arange(size), pad, mode="reflect"), without np.pad's overhead.
-
-    Reflection that does not repeat the edge has period 2 * (size - 1), so
-    any pad, even one wider than size, folds onto 0..size-1; a size-1 axis
-    maps everything to 0.
-    """
-    index = np.arange(-pad, size + pad)
-    if size == 1:
-        return np.zeros_like(index)
-    period = 2 * (size - 1)
-    index %= period
-    return np.minimum(index, period - index)
-
-
 @functools.lru_cache(maxsize=8)
 def _crop_maps(height: int, width: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat-index maps of every crop offset: rows[t] and cols[flip, l].
@@ -141,11 +126,14 @@ def _crop_maps(height: int, width: int, pad: int) -> tuple[np.ndarray, np.ndarra
     rows[t] is the source row of each output row at crop offset t, times
     width; cols[0, l] is the source column of each output column at offset
     l, and cols[1, l] the same read right to left.  Both are read-only and
-    hold (2 * pad + 1) * (height + 2 * width) integers.
+    hold (2 * pad + 1) * (height + 2 * width) integers.  The reflection
+    does not repeat the edge, and a pad wider than the image folds back
+    and forth across it.
     """
     offsets = np.arange(2 * pad + 1)[:, None]
-    rows = reflect_map(height, pad)[offsets + np.arange(height)] * width
-    col_map = reflect_map(width, pad)
+    row_map = np.pad(np.arange(height), pad, mode="reflect")
+    rows = row_map[offsets + np.arange(height)] * width
+    col_map = np.pad(np.arange(width), pad, mode="reflect")
     cols = np.stack(
         [col_map[offsets + np.arange(width)], col_map[offsets + np.arange(width - 1, -1, -1)]]
     )

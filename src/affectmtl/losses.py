@@ -30,9 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_model import N_EXPRESSION_CLASSES
 from .errors import ConfigError, DataError
 
 PROB_FLOOR = 1e-8
+
+# The pseudo-label cross entropy's class weights: one read-only vector.
+_UNIT_WEIGHTS = np.ones(N_EXPRESSION_CLASSES)
+_UNIT_WEIGHTS.flags.writeable = False
 
 
 class TrainMode(str, enum.Enum):
@@ -201,9 +206,8 @@ def ccc_loss_grad(
 def unsupervised_ce_grad(
     strong_logits: np.ndarray, pseudo_labels: np.ndarray, mask: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Unweighted mean CE of strong-view logits against pseudo labels."""
-    ones = np.ones(strong_logits.shape[-1])
-    return weighted_cross_entropy_grad(strong_logits, pseudo_labels, ones, mask)
+    """Unweighted mean CE of (n, 8) strong-view logits against pseudo labels."""
+    return weighted_cross_entropy_grad(strong_logits, pseudo_labels, _UNIT_WEIGHTS, mask)
 
 
 def consistency_loss_grad(

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .atomic import atomic_open
+from .data_model import N_ACTION_UNITS, N_EXPRESSION_CLASSES
 from .errors import ConfigError, DataError, DivergenceError
 
 FEATURE_NORM_EPS = 1e-8
@@ -118,8 +119,9 @@ def init_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     h, d = config.hidden_width, config.input_dim
     return {
         "w1": (d, h), "b1": (h,), "w2": (h, h), "b2": (h,),
-        "w_exp1": (h, h), "b_exp1": (h,), "w_exp2": (h, 8), "b_exp2": (8,),
-        "w_au": (h, 12), "b_au": (12,),
+        "w_exp1": (h, h), "b_exp1": (h,),
+        "w_exp2": (h, N_EXPRESSION_CLASSES), "b_exp2": (N_EXPRESSION_CLASSES,),
+        "w_au": (h, N_ACTION_UNITS), "b_au": (N_ACTION_UNITS,),
         "w_va1": (h, h), "b_va1": (h,), "w_va2": (h, 2), "b_va2": (2,),
     }
 

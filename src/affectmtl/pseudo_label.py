@@ -1,7 +1,9 @@
 """Adaptive per-class confidence thresholds for pseudo-labeling.
 
 A running, momentum-smoothed mean of each class's correct-prediction
-probability feeds a threshold that warms up over epochs:
+probability, a plain (8,) array mean_prob that starts at the neutral 0.5
+per class (fresh_class_stats), feeds a threshold that warms up over
+epochs:
 
     T[c] = beta * mean_prob[c] / (1 + gamma^(-epoch))
 
@@ -37,28 +39,19 @@ class ThresholdConfig:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
-@dataclass(frozen=True, eq=False)
-class ClassStatAccumulator:
-    """Running mean correct-prediction probability per class.
-
-    mean_prob starts at the neutral 0.5 for every class and stays in [0, 1]
-    (each update is a convex combination of values in [0, 1]).
-    """
-
-    mean_prob: np.ndarray
-
-    @staticmethod
-    def fresh() -> "ClassStatAccumulator":
-        return ClassStatAccumulator(mean_prob=np.full(N_EXPRESSION_CLASSES, 0.5))
+def fresh_class_stats() -> np.ndarray:
+    """The neutral start of mean_prob: 0.5 for every class.  Each update is
+    a convex combination of values in [0, 1], so mean_prob stays in it."""
+    return np.full(N_EXPRESSION_CLASSES, 0.5)
 
 
 def update_class_stats(
-    acc: ClassStatAccumulator,
+    mean_prob: np.ndarray,
     weak_probs: np.ndarray,
     gold_labels: np.ndarray,
     mask: np.ndarray,
     momentum: float = 0.9,
-) -> ClassStatAccumulator:
+) -> np.ndarray:
     """Fold the masked-in (expression-labeled) rows of one batch into the
     per-class statistics; gold_labels may hold the sentinel elsewhere.
 
@@ -68,11 +61,12 @@ def update_class_stats(
 
         mean_prob[c] <- momentum * mean_prob[c] + (1 - momentum) * batch_mean
 
-    Classes with no correct prediction this batch are untouched.
+    Classes with no correct prediction this batch are untouched; the
+    mean_prob passed in is never written.
     """
     idx = mask.nonzero()[0]
     if len(idx) == 0:
-        return acc
+        return mean_prob
     gold_labels = np.asarray(gold_labels)[idx]
     weak_probs = np.asarray(weak_probs)[idx]
     if (
@@ -81,7 +75,7 @@ def update_class_stats(
     ):
         raise DataError(f"gold labels outside [0, {N_EXPRESSION_CLASSES})")
     pred = weak_probs.argmax(axis=1)
-    mean_prob = acc.mean_prob.copy()
+    mean_prob = mean_prob.copy()
     correct = pred == gold_labels
     hit_counts = np.bincount(gold_labels[correct], minlength=N_EXPRESSION_CLASSES)
     for c in hit_counts.nonzero()[0].tolist():
@@ -89,7 +83,7 @@ def update_class_stats(
         hit_probs = weak_probs[hits, c]
         batch_mean = float(np.add.reduce(hit_probs) / len(hit_probs))
         mean_prob[c] = momentum * mean_prob[c] + (1.0 - momentum) * batch_mean
-    return ClassStatAccumulator(mean_prob=mean_prob)
+    return mean_prob
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,13 +95,13 @@ class ConfidencePartition:
 
 
 def adaptive_thresholds(
-    acc: ClassStatAccumulator, epoch: int, config: ThresholdConfig
+    mean_prob: np.ndarray, epoch: int, config: ThresholdConfig
 ) -> np.ndarray:
     """T[c] = beta * mean_prob[c] / (1 + gamma^(-epoch)); epoch counts from 0."""
     if epoch < 0:
         raise DataError(f"epoch must be >= 0, got {epoch}")
     divisor = 1.0 + config.gamma ** (-float(epoch))
-    return config.beta * acc.mean_prob / divisor
+    return config.beta * mean_prob / divisor
 
 
 def partition_confident(

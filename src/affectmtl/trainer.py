@@ -8,13 +8,14 @@ split, built by pgm.level_pixels.
 
 Each step forwards the weak views of the whole batch, takes supervised
 losses over the per-task valid subsets, refreshes the per-class confidence
-statistics and thresholds, and (in the semi-supervised modes) forwards the
-strong views of expression-unlabeled samples through the expression head
-only, the one head their losses read: confident ones get a pseudo-label
-cross entropy, the rest a weak/strong symmetric KL, which reuses the weak
-probabilities the thresholds were probed with.  Gradients flow through
-both forward passes; the backbone and the heads update with separate Adam
-learning rates.
+statistics (TrainState.mean_prob, one (8,) array) and the thresholds, and
+(in the semi-supervised modes) forwards the strong views of
+expression-unlabeled samples through the expression head only, the one
+head their losses read: confident ones get a pseudo-label cross entropy,
+the rest a weak/strong symmetric KL, which reuses the weak probabilities
+the thresholds were probed with.  Gradients flow through both forward
+passes; the backbone and the heads update with separate Adam learning
+rates.
 
 Each epoch draws its augmentation randomness once: one table of weak-view
 draws over the schedule and one of strong-view draws over the scheduled
@@ -69,8 +70,8 @@ from .augmentation import (
 )
 from .config import RunConfig
 from .data_model import (
+    N_EXPRESSION_CLASSES,
     Dataset,
-    DatasetStats,
     LabelArrays,
     au_positive_weights,
     dataset_stats,
@@ -106,8 +107,8 @@ from .network import (
 )
 from .pgm import level_pixels
 from .pseudo_label import (
-    ClassStatAccumulator,
     adaptive_thresholds,
+    fresh_class_stats,
     partition_confident,
     update_class_stats,
 )
@@ -115,15 +116,14 @@ from .pseudo_label import (
 
 @dataclass(frozen=True, eq=False)
 class PackedDataset(LabelArrays):
-    """Dataset flattened to arrays for the training loop: its label table,
-    its pixels as 8-bit levels and its annotation counts.
+    """Dataset flattened to arrays for the training loop: its label table
+    and its pixels as 8-bit levels.
 
     levels holds pixel k / 255.0 as k; pixels() builds the float pixels
     for the rows a caller reads.
     """
 
     levels: np.ndarray      # (n, h, w) uint8
-    stats: DatasetStats
 
     def __len__(self) -> int:
         return self.levels.shape[0]
@@ -135,9 +135,9 @@ class PackedDataset(LabelArrays):
 
 
 def pack_dataset(dataset: Dataset, levels: np.ndarray) -> PackedDataset:
-    """The dataset's labels and statistics with its images, a (n, h, w)
-    uint8 array of 8-bit levels, stored as given.  An array of another
-    dtype or rank, or of another length, raises DataError."""
+    """The dataset's labels with its images, a (n, h, w) uint8 array of
+    8-bit levels, stored as given.  An array of another dtype or rank, or
+    of another length, raises DataError."""
     levels = np.asarray(levels)
     if levels.dtype != np.uint8 or levels.ndim != 3:
         raise DataError(
@@ -148,7 +148,7 @@ def pack_dataset(dataset: Dataset, levels: np.ndarray) -> PackedDataset:
     if levels.shape[0] != n:
         raise DataError(f"{n} samples but {levels.shape[0]} images")
     labels = {f.name: getattr(dataset, f.name) for f in fields(LabelArrays)}
-    return PackedDataset(**labels, levels=levels, stats=dataset_stats(dataset))
+    return PackedDataset(**labels, levels=levels)
 
 
 def slice_targets(packed: PackedDataset, indices: np.ndarray) -> LabelArrays:
@@ -177,12 +177,9 @@ def make_epoch_schedule(
     unlabeled = np.flatnonzero(~packed.exp_valid)
     parts = []
     if len(labeled):
+        # Every labelled class c weighs valid / count[c] >= 1, so the sum is > 0.
         probs = w_exp[packed.gold_exp[labeled]].astype(np.float64)
-        total = probs.sum()
-        if total <= 0:
-            probs = np.full(len(labeled), 1.0 / len(labeled))
-        else:
-            probs = probs / total
+        probs = probs / probs.sum()
         parts.append(rng.choice(labeled, size=len(labeled), replace=True, p=probs))
     if len(unlabeled):
         parts.append(rng.permutation(unlabeled))
@@ -264,6 +261,11 @@ def batch_loss_and_grads(
 # blocks of 2^15, 3.6 ms at 2^13 and 3.8 ms as whole-array passes.
 ADAM_BLOCK = 1 << 15
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class AdamState:
@@ -284,11 +286,9 @@ def adam_step(
     state: AdamState,
     lr_base: float,
     lr_heads: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> tuple[Params, AdamState]:
-    """Bias-corrected Adam: lr_base on the backbone, lr_heads on the heads.
+    """Bias-corrected Adam with ADAM_BETA1, ADAM_BETA2 and ADAM_EPS:
+    lr_base on the backbone, lr_heads on the heads.
 
     The moments of state are updated in place and the new parameters are
     written over grads.flat, so the state and gradients passed in are
@@ -299,8 +299,8 @@ def adam_step(
     write to it.
     """
     t = state.t + 1
-    corr1 = 1.0 - beta1**t
-    corr2 = 1.0 - beta2**t
+    corr1 = 1.0 - ADAM_BETA1**t
+    corr2 = 1.0 - ADAM_BETA2**t
     flat = grads.flat
     scratch = np.empty(min(ADAM_BLOCK, flat.size))
     split = sum(getattr(params, name).size for name in BACKBONE_FIELDS)
@@ -312,18 +312,18 @@ def adam_step(
             v = state.v[lo:hi]
             s = scratch[: hi - lo]
             # m' = beta1*m + (1-beta1)*g
-            np.multiply(m, beta1, out=m)
-            np.multiply(g, 1 - beta1, out=s)
+            np.multiply(m, ADAM_BETA1, out=m)
+            np.multiply(g, 1 - ADAM_BETA1, out=s)
             np.add(m, s, out=m)
             # v' = beta2*v + ((1-beta2)*g)*g
-            np.multiply(v, beta2, out=v)
-            np.multiply(g, 1 - beta2, out=s)
+            np.multiply(v, ADAM_BETA2, out=v)
+            np.multiply(g, 1 - ADAM_BETA2, out=s)
             np.multiply(s, g, out=s)
             np.add(v, s, out=v)
             # p' = p - (lr*(m'/c1)) / (sqrt(v'/c2) + eps), written over g
             np.divide(v, corr2, out=s)
             np.sqrt(s, out=s)
-            np.add(s, eps, out=s)
+            np.add(s, ADAM_EPS, out=s)
             np.divide(m, corr1, out=g)
             np.multiply(g, lr, out=g)
             np.divide(g, s, out=g)
@@ -335,7 +335,7 @@ def adam_step(
 class TrainState:
     params: Params
     adam: AdamState
-    stats_acc: ClassStatAccumulator
+    mean_prob: np.ndarray  # pseudo_label's per-class statistics
 
 
 @dataclass(frozen=True)
@@ -374,7 +374,7 @@ def train_step(
     Adam runs.
     """
     try:
-        breakdown, grads, acc, info = _step_grads(
+        breakdown, grads, mean_prob, info = _step_grads(
             state, packed, batch_indices, weak_draws, strong_draws, config, w_exp, w_au, epoch
         )
     except DivergenceError as exc:
@@ -386,7 +386,7 @@ def train_step(
     params, adam = adam_step(
         state.params, grads, state.adam, config.lr_base, config.lr_heads
     )
-    return TrainState(params=params, adam=adam, stats_acc=acc), breakdown, info
+    return TrainState(params=params, adam=adam, mean_prob=mean_prob), breakdown, info
 
 
 def _step_grads(
@@ -399,7 +399,7 @@ def _step_grads(
     w_exp: np.ndarray,
     w_au: np.ndarray,
     epoch: int,
-) -> tuple[LossBreakdown, Params, ClassStatAccumulator, StepInfo]:
+) -> tuple[LossBreakdown, Params, np.ndarray, StepInfo]:
     """train_step's gradient half: augment the batch, forward its weak views,
     refresh the class statistics and thresholds, partition the strong rows,
     and return the loss, its gradients, the new statistics and the step's
@@ -416,14 +416,14 @@ def _step_grads(
 
     cache_probe = forward_with_cache(state.params, weak)
     probs_w = softmax(cache_probe.exp_logits)
-    acc = update_class_stats(
-        state.stats_acc,
+    mean_prob = update_class_stats(
+        state.mean_prob,
         probs_w,
         targets.gold_exp,
         targets.exp_valid,
         momentum=config.thresholds.momentum,
     )
-    thresholds = adaptive_thresholds(acc, epoch, config.thresholds)
+    thresholds = adaptive_thresholds(mean_prob, epoch, config.thresholds)
 
     ss_rows = ss_mask.nonzero()[0]
     part = partition_confident(probs_w[ss_rows], thresholds)
@@ -447,7 +447,7 @@ def _step_grads(
         n_confident=int(np.count_nonzero(part.confident)),
         thresholds=tuple(float(t) for t in thresholds),
     )
-    return breakdown, grads, acc, info
+    return breakdown, grads, mean_prob, info
 
 
 def evaluate_packed(params: Params, packed: PackedDataset) -> MtlScore:
@@ -507,14 +507,13 @@ def run_training(
         image_height=height, image_width=width, hidden_width=config.hidden_width
     )
     params = init_params(model_config, config.seed)
-    state = TrainState(
-        params=params, adam=adam_init(params), stats_acc=ClassStatAccumulator.fresh()
-    )
+    state = TrainState(params=params, adam=adam_init(params), mean_prob=fresh_class_stats())
     # Only state and best_params hold the initial parameters, so they are
     # freed once a trained epoch is kept as best.
     del params
-    w_exp = expression_class_weights(train_packed.stats)
-    w_au = au_positive_weights(train_packed.stats)
+    stats = dataset_stats(train_packed)
+    w_exp = expression_class_weights(stats)
+    w_au = au_positive_weights(stats)
 
     best_params = state.params
     best_epoch = -1
@@ -542,7 +541,7 @@ def run_training(
         n_batches = 0
         unlabeled_total = 0
         confident_total = 0
-        thresholds = tuple([0.0] * 8)
+        thresholds = tuple([0.0] * N_EXPRESSION_CLASSES)
         for batch_number, start in enumerate(range(0, len(schedule), config.batch_size)):
             stop = min(start + config.batch_size, len(schedule))
             state, breakdown, info = train_step(

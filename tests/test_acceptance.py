@@ -19,6 +19,7 @@ from affectmtl.config import RunConfig, SynthFileConfig, TrainMode
 from affectmtl.data_model import (
     LabelArrays,
     SynthConfig,
+    dataset_stats,
     expression_class_weights,
     generate_synthetic,
 )
@@ -41,7 +42,6 @@ from affectmtl.network import (
     softmax,
 )
 from affectmtl.pseudo_label import (
-    ClassStatAccumulator,
     ThresholdConfig,
     adaptive_thresholds,
     partition_confident,
@@ -443,14 +443,13 @@ def test_criterion_3_metric_oracles(capsys):
 def test_criterion_4_threshold_rules(capsys):
     failures = []
     cfg = ThresholdConfig()
-    acc = ClassStatAccumulator(mean_prob=np.full(8, 0.8))
-    t0 = adaptive_thresholds(acc, 0, cfg)
+    t0 = adaptive_thresholds(np.full(8, 0.8), 0, cfg)
     if abs(t0[0] - 0.38) > 1e-9:
         failures.append(f"epoch-0 value {t0[0]!r} differs from 0.38 by > 1e-9")
 
     rng = np.random.default_rng(44)
-    stats = ClassStatAccumulator(mean_prob=rng.uniform(0.0, 1.0, 8))
-    series = [adaptive_thresholds(stats, e, cfg) for e in range(60)]
+    mean_prob = rng.uniform(0.0, 1.0, 8)
+    series = [adaptive_thresholds(mean_prob, e, cfg) for e in range(60)]
     for e in range(59):
         if np.any(series[e + 1] < series[e]):
             failures.append(f"thresholds decreased between epochs {e} and {e + 1}")
@@ -459,7 +458,7 @@ def test_criterion_4_threshold_rules(capsys):
         if np.any(values > cfg.beta):
             failures.append(f"epoch {e} threshold exceeds beta {cfg.beta}")
             break
-        if np.any(values > cfg.beta * stats.mean_prob + 1e-15):
+        if np.any(values > cfg.beta * mean_prob + 1e-15):
             failures.append(f"epoch {e} threshold exceeds beta * mean_prob")
             break
 
@@ -606,7 +605,7 @@ def test_criterion_6_determinism(capsys):
     if n_lines != 20:
         failures.append(f"expected 20 log lines, got {n_lines}")
 
-    w_exp = expression_class_weights(train.stats)
+    w_exp = expression_class_weights(dataset_stats(train))
     want = (~train.exp_valid) & (train.exp_valid | train.au_valid | train.va_valid)
     for epoch in (0, config.epochs - 1):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, epoch)))

@@ -12,7 +12,10 @@ from affectmtl.augmentation import (
     BRIGHTNESS_DRAW,
     CONTRAST,
     CONTRAST_DRAW,
+    CROP_LEFT,
+    CROP_TOP,
     CUTOUT_DRAWS,
+    FLIP,
     ROTATION,
     ROTATION_DRAW,
     STRONG_DRAWS,
@@ -23,7 +26,6 @@ from affectmtl.augmentation import (
     AugConfig,
     augment_views,
     cutout_boxes,
-    reflect_map,
     rotate_bilinear,
     strong_op_order,
     strong_views,
@@ -253,13 +255,33 @@ def test_view_uniforms_match_python_int_reference(seed, epoch, indices, view):
     assert u.tobytes() == oracles.view_uniforms(seed, epoch, indices, view, 4).tobytes()
 
 
-def test_reflect_map_matches_np_pad():
-    for size in range(1, 21):
-        for pad in range(0, 3 * size + 1):
-            expected = np.pad(np.arange(size), pad, mode="reflect")
-            got = reflect_map(size, pad)
-            assert got.dtype == expected.dtype, (size, pad)
-            assert np.array_equal(got, expected), (size, pad)
+def weak_view_one(image, draw, config):
+    """Per-image reference for weak_views: np.pad the image, crop it back to
+    size at the drawn offsets, and flip it left to right if drawn."""
+    height, width = image.shape
+    pad = config.crop_padding
+    span = 2 * pad + 1
+    top = min(int(draw[CROP_TOP] * span), span - 1)
+    left = min(int(draw[CROP_LEFT] * span), span - 1)
+    crop = np.pad(image, pad, mode="reflect")[top : top + height, left : left + width]
+    return crop[:, ::-1] if draw[FLIP] < config.flip_prob else crop
+
+
+def test_weak_views_match_per_image_np_pad_reference():
+    """Every height and width from 1 to 12, square or not, and every pad up
+    to three times the longer side, where the reflection folds back and
+    forth across the image: the bytes of np.pad, crop and flip."""
+    rng = np.random.default_rng(11)
+    for height in range(1, 13):
+        for width in range(1, 13):
+            imgs = rng.random((4, height, width))
+            for pad in range(3 * max(height, width) + 1):
+                cfg = AugConfig(crop_padding=pad)
+                key = (pad, height * 13 + width, np.arange(4))
+                draws = view_uniforms(*key, WEAK_VIEW, WEAK_DRAWS)
+                expected = np.stack([weak_view_one(i, d, cfg) for i, d in zip(imgs, draws)])
+                got = weak_views(imgs, draws, cfg)
+                assert got.tobytes() == expected.tobytes(), (height, width, pad)
 
 
 def test_augment_views_order_independent(rng):

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-module-level definition of the package is read somewhere in the package."""
+"""Every name a package module imports is used in that module, every
+module-level definition of the package is read somewhere in the package,
+and every parameter of a package function is read in its body."""
 
 import ast
 from pathlib import Path
@@ -108,3 +109,61 @@ def test_detector_finds_unreferenced_definitions():
 def test_package_defines_nothing_only_tests_use():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert unreferenced_definitions(sources) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """function.parameter for each parameter that its function never reads.
+
+    A read anywhere in the function counts, in a nested function or lambda
+    too; methods are named Class.method.
+    """
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a is not None]
+                read = {
+                    n.id
+                    for n in ast.walk(child)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+                found.extend(
+                    f"{prefix}{child.name}.{a.arg}" for a in params if a.arg not in read
+                )
+                visit(child, f"{prefix}{child.name}.")
+
+    visit(ast.parse(source), "")
+    return found
+
+
+# Parameters kept unread on purpose, each with its reason.
+UNREAD_PARAMETERS = {
+    "trainer.run_training.workers": "accepted and ignored: the benchmark harness "
+    "(perfbench/run.py) passes workers=1",
+}
+
+
+def test_detector_finds_unread_parameters():
+    source = (
+        "def f(a, b, *args, c, **kw):\n    return a + kw['x']\n"
+        "def g(x):\n    return lambda: x\n"
+        "class K:\n    def m(self, y):\n        def inner(z):\n            return self\n"
+        "        return inner\n"
+    )
+    assert unread_parameters(source) == [
+        "f.b", "f.c", "f.args", "K.m.y", "K.m.inner.z",
+    ]
+
+
+def test_package_reads_every_parameter():
+    found = sorted(
+        f"{path.stem}.{name}"
+        for path in PACKAGE.glob("*.py")
+        for name in unread_parameters(path.read_text(encoding="utf-8"))
+    )
+    assert found == sorted(UNREAD_PARAMETERS)

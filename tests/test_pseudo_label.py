@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from affectmtl.errors import ConfigError, DataError
 from affectmtl.pseudo_label import (
-    ClassStatAccumulator,
     ThresholdConfig,
     adaptive_thresholds,
+    fresh_class_stats,
     partition_confident,
     update_class_stats,
 )
@@ -31,93 +31,93 @@ def every(n):
 
 class TestClassStats:
     def test_fresh_state(self):
-        acc = ClassStatAccumulator.fresh()
-        assert np.all(acc.mean_prob == 0.5)
+        stats = fresh_class_stats()
+        assert np.all(stats == 0.5)
 
     def test_single_correct_sample_momentum(self):
-        acc = ClassStatAccumulator.fresh()
+        stats = fresh_class_stats()
         probs = one_hot_probs([(2, 0.9)])
-        updated = update_class_stats(acc, probs, np.array([2]), every(1), momentum=0.9)
-        assert updated.mean_prob[2] == pytest.approx(0.54, abs=1e-12)
+        updated = update_class_stats(stats, probs, np.array([2]), every(1), momentum=0.9)
+        assert updated[2] == pytest.approx(0.54, abs=1e-12)
 
     def test_second_batch_compounds(self):
-        acc = ClassStatAccumulator.fresh()
-        acc = update_class_stats(acc, one_hot_probs([(2, 0.9)]), np.array([2]), every(1))
-        acc = update_class_stats(acc, one_hot_probs([(2, 0.8)]), np.array([2]), every(1))
-        assert acc.mean_prob[2] == pytest.approx(0.9 * 0.54 + 0.1 * 0.8, abs=1e-12)
+        stats = fresh_class_stats()
+        stats = update_class_stats(stats, one_hot_probs([(2, 0.9)]), np.array([2]), every(1))
+        stats = update_class_stats(stats, one_hot_probs([(2, 0.8)]), np.array([2]), every(1))
+        assert stats[2] == pytest.approx(0.9 * 0.54 + 0.1 * 0.8, abs=1e-12)
 
     def test_batch_mean_before_momentum(self):
-        acc = ClassStatAccumulator.fresh()
+        stats = fresh_class_stats()
         probs = one_hot_probs([(5, 0.6), (5, 1.0)])
-        updated = update_class_stats(acc, probs, np.array([5, 5]), every(2))
-        assert updated.mean_prob[5] == pytest.approx(0.9 * 0.5 + 0.1 * 0.8, abs=1e-12)
+        updated = update_class_stats(stats, probs, np.array([5, 5]), every(2))
+        assert updated[5] == pytest.approx(0.9 * 0.5 + 0.1 * 0.8, abs=1e-12)
 
     def test_incorrect_predictions_do_not_count(self):
-        acc = ClassStatAccumulator.fresh()
+        stats = fresh_class_stats()
         # Gold is class 1 but the argmax is class 0: no class sees a hit.
         probs = one_hot_probs([(0, 0.9)])
-        updated = update_class_stats(acc, probs, np.array([1]), every(1))
-        assert np.all(updated.mean_prob == 0.5)
+        updated = update_class_stats(stats, probs, np.array([1]), every(1))
+        assert np.all(updated == 0.5)
 
     def test_classes_update_in_isolation(self):
-        acc = ClassStatAccumulator.fresh()
+        stats = fresh_class_stats()
         probs = one_hot_probs([(3, 0.7)])
-        updated = update_class_stats(acc, probs, np.array([3]), every(1))
+        updated = update_class_stats(stats, probs, np.array([3]), every(1))
         others = [c for c in range(8) if c != 3]
-        assert np.all(updated.mean_prob[others] == 0.5)
-        assert updated.mean_prob[3] == pytest.approx(0.9 * 0.5 + 0.1 * 0.7, abs=1e-12)
+        assert np.all(updated[others] == 0.5)
+        assert updated[3] == pytest.approx(0.9 * 0.5 + 0.1 * 0.7, abs=1e-12)
 
     def test_input_accumulator_not_mutated(self):
-        acc = ClassStatAccumulator.fresh()
-        update_class_stats(acc, one_hot_probs([(0, 0.99)]), np.array([0]), every(1))
-        assert np.all(acc.mean_prob == 0.5)
+        stats = fresh_class_stats()
+        update_class_stats(stats, one_hot_probs([(0, 0.99)]), np.array([0]), every(1))
+        assert np.all(stats == 0.5)
 
     def test_empty_batch_is_identity(self):
-        acc = ClassStatAccumulator.fresh()
-        updated = update_class_stats(acc, np.zeros((0, 8)), np.array([], int), every(0))
-        assert np.all(updated.mean_prob == acc.mean_prob)
+        stats = fresh_class_stats()
+        updated = update_class_stats(stats, np.zeros((0, 8)), np.array([], int), every(0))
+        assert np.all(updated == stats)
 
     def test_label_out_of_range(self):
         with pytest.raises(DataError):
             update_class_stats(
-                ClassStatAccumulator.fresh(), one_hot_probs([(0, 0.9)]), np.array([8]), every(1)
+                fresh_class_stats(), one_hot_probs([(0, 0.9)]), np.array([8]), every(1)
             )
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 100_000), st.integers(1, 6))
     def test_mean_prob_stays_in_unit_interval(self, seed, n_batches):
         rng = np.random.default_rng(seed)
-        acc = ClassStatAccumulator.fresh()
+        stats = fresh_class_stats()
         for _ in range(n_batches):
             n = int(rng.integers(1, 9))
             probs = rng.dirichlet(np.ones(8), size=n)
             gold = rng.integers(0, 8, n)
-            acc = update_class_stats(acc, probs, gold, every(n))
-        assert np.all(acc.mean_prob >= 0.0)
-        assert np.all(acc.mean_prob <= 1.0)
+            stats = update_class_stats(stats, probs, gold, every(n))
+        assert np.all(stats >= 0.0)
+        assert np.all(stats <= 1.0)
 
 
 class TestAdaptiveThresholds:
     CONFIG = ThresholdConfig()
 
-    def acc_with(self, value):
-        return ClassStatAccumulator(mean_prob=np.full(8, value))
+    def stats_of(self, value):
+        return np.full(8, value)
 
     def test_epoch_zero_halves(self):
-        t = adaptive_thresholds(self.acc_with(0.8), 0, self.CONFIG)
+        t = adaptive_thresholds(self.stats_of(0.8), 0, self.CONFIG)
         assert np.all(np.abs(t - 0.38) < 1e-9)
 
     def test_large_epoch_limit(self):
-        t = adaptive_thresholds(self.acc_with(0.8), 200, self.CONFIG)
+        t = adaptive_thresholds(self.stats_of(0.8), 200, self.CONFIG)
         assert np.all(np.abs(t - 0.95 * 0.8) < 1e-9)
 
     def test_zero_mean_prob_gives_zero(self):
-        t = adaptive_thresholds(self.acc_with(0.0), 5, self.CONFIG)
+        t = adaptive_thresholds(self.stats_of(0.0), 5, self.CONFIG)
         assert np.all(t == 0.0)
 
     def test_strictly_increasing_in_epoch(self):
-        acc = self.acc_with(0.6)
-        values = [adaptive_thresholds(acc, e, self.CONFIG)[0] for e in range(12)]
+        stats = self.stats_of(0.6)
+        values = [adaptive_thresholds(stats, e, self.CONFIG)[0] for e in range(12)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     @settings(max_examples=50, deadline=None)
@@ -129,17 +129,17 @@ class TestAdaptiveThresholds:
     )
     def test_bounded_below_asymptote(self, mean_prob, epoch, beta, gamma):
         config = ThresholdConfig(beta=beta, gamma=gamma)
-        acc = self.acc_with(mean_prob)
-        t = adaptive_thresholds(acc, epoch, config)
+        stats = self.stats_of(mean_prob)
+        t = adaptive_thresholds(stats, epoch, config)
         assert np.all(t < beta * mean_prob + 1e-15)
         assert np.all(t >= 0.0)
 
     def test_negative_epoch_rejected(self):
         with pytest.raises(DataError):
-            adaptive_thresholds(self.acc_with(0.5), -1, self.CONFIG)
+            adaptive_thresholds(self.stats_of(0.5), -1, self.CONFIG)
 
     def test_epoch_one_exact_formula(self):
-        t = adaptive_thresholds(self.acc_with(0.8), 1, self.CONFIG)
+        t = adaptive_thresholds(self.stats_of(0.8), 1, self.CONFIG)
         expected = 0.95 * 0.8 / (1.0 + math.exp(-1.0))
         assert t[0] == pytest.approx(expected, abs=1e-12)
 

@@ -19,6 +19,7 @@ from affectmtl.data_model import (
     LabelArrays,
     SynthConfig,
     au_positive_weights,
+    dataset_stats,
     expression_class_weights,
     generate_synthetic,
     load_images,
@@ -37,7 +38,7 @@ from affectmtl.network import (
     softmax,
 )
 from affectmtl.pgm import LEVEL_PIXELS
-from affectmtl.pseudo_label import ClassStatAccumulator
+from affectmtl.pseudo_label import fresh_class_stats
 from affectmtl.trainer import (
     ADAM_BLOCK,
     LOG_FIELDS,
@@ -180,7 +181,7 @@ class TestSchedule:
     def test_resample_preserves_length_and_keeps_unlabeled_once(self):
         packed = small_packed(count=40, seed=5)
         rng = np.random.default_rng(0)
-        w_exp = expression_class_weights(packed.stats)
+        w_exp = expression_class_weights(dataset_stats(packed))
         schedule = make_epoch_schedule(packed, "resample", rng, w_exp)
         assert len(schedule) == 40
         unlabeled = np.flatnonzero(~packed.exp_valid)
@@ -200,7 +201,7 @@ class TestSchedule:
         )
         dataset, images = generate_synthetic(config, 9)
         packed = pack_dataset(dataset, images)
-        w_exp = expression_class_weights(packed.stats)
+        w_exp = expression_class_weights(dataset_stats(packed))
         rng = np.random.default_rng(123)
         counts = np.zeros(8)
         draws = 0
@@ -209,7 +210,7 @@ class TestSchedule:
             counts += np.bincount(packed.gold_exp[schedule], minlength=8)
             draws += len(schedule)
         share = counts / draws
-        present = np.array(packed.stats.exp_class_counts) > 0
+        present = np.array(dataset_stats(packed).exp_class_counts) > 0
         assert np.all(np.abs(share[present] - 0.5) < 0.02)
 
     def test_empty_dataset_rejected(self):
@@ -223,8 +224,9 @@ class TestBatchLossAndGrads:
         self.packed = small_packed(count=12, size=6, seed=7)
         self.mc = ModelConfig(image_height=6, image_width=6, hidden_width=4)
         self.params = init_params(self.mc, 0)
-        self.w_exp = expression_class_weights(self.packed.stats)
-        self.w_au = au_positive_weights(self.packed.stats)
+        stats = dataset_stats(self.packed)
+        self.w_exp = expression_class_weights(stats)
+        self.w_au = au_positive_weights(stats)
 
     def test_all_invalid_sample_contributes_nothing(self):
         # Compare a batch with an extra all-invalid sample against the batch
@@ -472,9 +474,10 @@ def test_semi_supervised_step_peak_allocation():
     packed = small_packed(count=64, size=16, seed=0)
     config = RunConfig(hidden_width=256)
     params = init_params(ModelConfig(16, 16, 256), 0)
-    state = TrainState(params, adam_init(params), ClassStatAccumulator.fresh())
-    w_exp = expression_class_weights(packed.stats)
-    w_au = au_positive_weights(packed.stats)
+    state = TrainState(params, adam_init(params), fresh_class_stats())
+    stats = dataset_stats(packed)
+    w_exp = expression_class_weights(stats)
+    w_au = au_positive_weights(stats)
     batch = np.arange(64)
     want = wants_strong(packed, config.mode)
     assert np.count_nonzero(want) > 0
@@ -502,9 +505,10 @@ def test_step_numpy_python_calls(mode, bound):
     packed = small_packed(count=64, size=16, seed=0)
     config = RunConfig(mode=mode)
     params = init_params(ModelConfig(16, 16, config.hidden_width), 0)
-    state = TrainState(params, adam_init(params), ClassStatAccumulator.fresh())
-    w_exp = expression_class_weights(packed.stats)
-    w_au = au_positive_weights(packed.stats)
+    state = TrainState(params, adam_init(params), fresh_class_stats())
+    stats = dataset_stats(packed)
+    w_exp = expression_class_weights(stats)
+    w_au = au_positive_weights(stats)
     batch = np.arange(64)
     want = wants_strong(packed, mode)
     assert (np.count_nonzero(want) > 0) == (mode is not TrainMode.SUPERVISED)
@@ -607,7 +611,7 @@ class TestRunTraining:
         # views must not depend on which batch it landed in.
         train = small_packed(count=50, seed=0)
         config = self.config(imbalance=imbalance)
-        w_exp = expression_class_weights(train.stats)
+        w_exp = expression_class_weights(dataset_stats(train))
         want = ~train.exp_valid
         for epoch in range(2):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, epoch)))
