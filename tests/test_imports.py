@@ -136,6 +136,8 @@ def unread_parameters(source: str) -> list[str]:
                     f"{prefix}{child.name}.{a.arg}" for a in params if a.arg not in read
                 )
                 visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
 
     visit(ast.parse(source), "")
     return found
@@ -154,9 +156,10 @@ def test_detector_finds_unread_parameters():
         "def g(x):\n    return lambda: x\n"
         "class K:\n    def m(self, y):\n        def inner(z):\n            return self\n"
         "        return inner\n"
+        "if True:\n    def h(u):\n        pass\n"
     )
     assert unread_parameters(source) == [
-        "f.b", "f.c", "f.args", "K.m.y", "K.m.inner.z",
+        "f.b", "f.c", "f.args", "K.m.y", "K.m.inner.z", "h.u",
     ]
 
 
