@@ -9,9 +9,11 @@ A sample's views therefore depend only on its own key and pixels: they are
 byte-identical however the samples are batched or ordered.
 
 The draws come in as arrays, one view_uniforms row per image, so a caller
-can draw a whole epoch's rows in one call and hand each batch its slice.
+can draw a whole epoch's rows in one call and hand each call its slice.
 The weak view is one gather through crop maps cached per (height, width,
-padding), with the flip folded into the column maps.  Every strong op acts
+padding), with the flip folded into the column maps; it moves pixels
+without changing them, so augment_views gathers the 8-bit levels and
+leaves their float pixels to the reader.  Every strong op acts
 on one row alone, so a batch rotates once: the ops each row picked before
 its rotation run slot by slot, then every rotating row turns in one call,
 then the ops picked after it run.
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .pgm import level_pixels
 
 STRONG_OP_NAMES = ("brightness", "contrast", "rotation", "cutout")
 BRIGHTNESS, CONTRAST, ROTATION, CUTOUT = range(len(STRONG_OP_NAMES))
@@ -147,7 +150,8 @@ def weak_views(images: np.ndarray, draws: np.ndarray, config: AugConfig) -> np.n
 
     One gather serves the whole batch: the reflect padding is a map from
     padded to source coordinates, each row reads its own crop window
-    through it, and the flip is folded into the column maps.
+    through it, and the flip is folded into the column maps.  The gather
+    copies images of any dtype as they are, 8-bit levels included.
     """
     n, height, width = images.shape
     pad = config.crop_padding
@@ -232,6 +236,8 @@ def rotate_bilinear(images: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     Source coordinates are computed for the whole (n, h, w) batch.  The
     batch gets a two-pixel zero border, so clipping a corner's index onto
     the border reads the fill; each of the four corners is one gather.
+    Each coordinate, weight and blend pass writes into an array the
+    function already holds.
     """
     n, height, width = images.shape
     # libm per angle: a vectorised sin/cos may round differently in SIMD
@@ -242,30 +248,49 @@ def rotate_bilinear(images: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     cy, cx = (height - 1) / 2.0, (width - 1) / 2.0
     dy = (np.arange(height, dtype=np.float64) - cy)[None, :, None]
     dx = (np.arange(width, dtype=np.float64) - cx)[None, None, :]
-    src_y = cos_t * dy + sin_t * dx + cy
-    src_x = -sin_t * dy + cos_t * dx + cx
-    y0 = np.floor(src_y)
-    x0 = np.floor(src_x)
-    wy = src_y - y0
-    wx = src_x - x0
+    # wy and wx start as the source coordinates and end as their fractions.
+    wy = np.add(cos_t * dy, sin_t * dx)
+    np.add(wy, cy, out=wy)
+    wx = np.add(-sin_t * dy, cos_t * dx)
+    np.add(wx, cx, out=wx)
+    y0 = np.floor(wy)
+    x0 = np.floor(wx)
+    np.subtract(wy, y0, out=wy)
+    np.subtract(wx, x0, out=wx)
     # A corner row clipped to [-2, height] keeps itself and the row below
     # inside a two-pixel border, and an out-of-range one lands on the border.
     # Clipping the whole-number floats and then converting is the cheapest
     # form (np.clip, and integer clips, cost more per call).
-    top = np.minimum(np.maximum(y0, -2.0), float(height)).astype(np.int64)
-    left = np.minimum(np.maximum(x0, -2.0), float(width)).astype(np.int64)
+    np.maximum(y0, -2.0, out=y0)
+    np.minimum(y0, float(height), out=y0)
+    np.maximum(x0, -2.0, out=x0)
+    np.minimum(x0, float(width), out=x0)
     stride = width + 4
+    corner = y0.astype(np.int64)
+    np.multiply(corner, stride, out=corner)
+    np.add(corner, x0.astype(np.int64), out=corner)
     bordered = np.zeros((n, height + 4, stride))
     bordered[:, 2:-2, 2:-2] = images
     bordered = bordered.reshape(-1)
     # Flat index of each image's pixel (0, 0); shifted views of the bordered
     # batch read the right, lower and lower-right neighbours.
     origin = (np.arange(n) * (height + 4) + 2) * stride + 2
-    corner = top * stride + left + origin[:, None, None]
-    wx_left = 1 - wx
-    upper = wx_left * bordered[corner] + wx * bordered[1:][corner]
-    lower = wx_left * bordered[stride:][corner] + wx * bordered[stride + 1 :][corner]
-    return (1 - wy) * upper + wy * lower
+    np.add(corner, origin[:, None, None], out=corner)
+    upper_right = bordered[1:][corner]
+    lower_right = bordered[stride + 1 :][corner]
+    np.multiply(wx, upper_right, out=upper_right)
+    np.multiply(wx, lower_right, out=lower_right)
+    np.subtract(1.0, wx, out=wx)
+    upper = bordered[corner]
+    lower = bordered[stride:][corner]
+    np.multiply(wx, upper, out=upper)
+    np.add(upper, upper_right, out=upper)
+    np.multiply(wx, lower, out=lower)
+    np.add(lower, lower_right, out=lower)
+    np.multiply(wy, lower, out=lower)
+    np.subtract(1.0, wy, out=wy)
+    np.multiply(wy, upper, out=upper)
+    return np.add(upper, lower, out=upper)
 
 
 def cutout_boxes(draws: np.ndarray, height: int, width: int, max_frac: float) -> np.ndarray:
@@ -288,7 +313,7 @@ def cutout_boxes(draws: np.ndarray, height: int, width: int, max_frac: float) ->
 
 
 def augment_views(
-    batch_images: np.ndarray,
+    levels: np.ndarray,
     weak_draws: np.ndarray,
     strong_draws: np.ndarray,
     config: AugConfig,
@@ -297,15 +322,20 @@ def augment_views(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weak view of every row, strong view of the rows want_strong marks.
 
-    batch_images is (n, h, w).  weak_draws holds each row's view_uniforms
-    row (WEAK_VIEW, WEAK_DRAWS); strong_draws holds one (STRONG_VIEW,
-    STRONG_DRAWS) row per marked row, in batch order.  Returns the (n, h, w)
-    weak views and the (k, h, w) strong views of the k marked rows.
+    levels is a (n, h, w) uint8 array of 8-bit levels.  weak_draws holds
+    each row's view_uniforms row (WEAK_VIEW, WEAK_DRAWS); strong_draws holds
+    one (STRONG_VIEW, STRONG_DRAWS) row per marked row, in row order.
+    Crop and flip only move pixels, so the (n, h, w) weak views come back
+    as levels: level_pixels of them is the weak view of the float pixels.
+    The (k, h, w) strong views of the k marked rows are float pixels, built
+    from level_pixels of those rows only.
     """
+    if levels.dtype != np.uint8:
+        raise ValueError(f"expected uint8 levels, got {levels.dtype}")
     rows = np.asarray(want_strong).nonzero()[0]
     if len(strong_draws) != len(rows):
         raise ValueError(f"{len(strong_draws)} strong draw rows for {len(rows)} strong views")
-    weak = weak_views(batch_images, weak_draws, config)
+    weak = weak_views(levels, weak_draws, config)
     if not len(rows):
-        return weak, np.empty((0,) + batch_images.shape[1:])
-    return weak, strong_views(batch_images[rows], strong_draws, config)
+        return weak, np.empty((0,) + levels.shape[1:])
+    return weak, strong_views(level_pixels(levels[rows]), strong_draws, config)

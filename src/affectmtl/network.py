@@ -30,7 +30,6 @@ arithmetic.
 
 from __future__ import annotations
 
-import math
 import zipfile
 import zlib
 from dataclasses import dataclass, field, fields
@@ -89,22 +88,28 @@ class Params:
 
     def __post_init__(self):
         arrays = [np.asarray(getattr(self, name), dtype=np.float64) for name in PARAM_FIELDS]
-        flat = np.concatenate([a.ravel() for a in arrays])
-        self._bind(flat, [a.shape for a in arrays])
-
-    def _bind(self, flat: np.ndarray, shapes) -> None:
-        object.__setattr__(self, "flat", flat)
+        layout = []
         offset = 0
-        for name, shape in zip(PARAM_FIELDS, shapes):
-            end = offset + math.prod(shape)
-            object.__setattr__(self, name, flat[offset:end].reshape(shape))
-            offset = end
+        for name, array in zip(PARAM_FIELDS, arrays):
+            layout.append((name, slice(offset, offset + array.size), array.shape))
+            offset += array.size
+        self._bind(np.concatenate([a.ravel() for a in arrays]), tuple(layout))
+
+    def _bind(self, flat: np.ndarray, layout) -> None:
+        """View flat through layout, one (name, slice of flat, shape) per
+        field; the layout is kept so that wrap can reuse it."""
+        # The instance dict, written directly: the class is frozen.
+        attrs = vars(self)
+        attrs["flat"] = flat
+        attrs["_layout"] = layout
+        for name, span, shape in layout:
+            attrs[name] = flat[span].reshape(shape)
 
     @classmethod
     def wrap(cls, flat: np.ndarray, like: Params) -> Params:
         """Params viewing flat (not copied), with the field shapes of like."""
         params = cls.__new__(cls)
-        params._bind(flat, [getattr(like, name).shape for name in PARAM_FIELDS])
+        params._bind(flat, like._layout)
         return params
 
 

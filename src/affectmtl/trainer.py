@@ -3,8 +3,9 @@
 The packed dataset holds its pixels as the 8-bit levels that the PGM
 files and the synthetic generator give (pgm's grid, k / 255.0 for k in
 0..255), an eighth of their float64 size.  Float pixels exist only where
-the model reads them: each step's batch rows and each validation pass's
-split, built by pgm.level_pixels.
+they are read, built by pgm.level_pixels: each step's weak views, each
+group's strong views (inside augment_views) and each validation pass's
+split.
 
 Each step forwards the weak views of the whole batch, takes supervised
 losses over the per-task valid subsets, refreshes the per-class confidence
@@ -20,9 +21,13 @@ rates.
 Each epoch draws its augmentation randomness once: one table of weak-view
 draws over the schedule and one of strong-view draws over the scheduled
 samples that get a strong view, both keyed by sample index (so a sample
-resampled twice in an epoch gets the same views twice).  Every step
-augments its batch from its slices of the two tables and receives strong
-views for the rows that use them only.
+resampled twice in an epoch gets the same views twice).  The views are
+built once per group of scheduled batches, AUGMENT_GROUP_ROWS rows at
+most, from the group's 8-bit levels and its slices of the two tables:
+weak views as levels, strong views as float pixels of the rows that use
+them only.  A view depends on its key and pixels alone, so grouping moves
+no bit.  Each step takes its slices of the group's views and turns its
+weak levels into float pixels; no step augments anything.
 
 Adam runs over the flat parameter buffer (see network.Params): its moments
 are flat arrays updated in place, block by block.  The backbone fields come
@@ -134,6 +139,20 @@ class PackedDataset(LabelArrays):
         return level_pixels(self.levels if rows is None else self.levels[rows])
 
 
+# LabelArrays' field names, in declaration order.
+LABEL_FIELDS = tuple(f.name for f in fields(LabelArrays))
+
+# Rows per augment_views call: the views of this many scheduled rows, two
+# batches at the default batch size of 64, are built in one call, so the
+# strong views' fixed cost (about 0.2 ms a call) is paid once per group.
+# A larger group holds a larger weak gather index (8 bytes a pixel).  A
+# 10-epoch ss-mfar run on the default benchmark (fresh process, one BLAS
+# thread) peaked at 41.5, 41.7, 42.2 and 42.6 MB RSS with groups of 64,
+# 128, 192 and 384 rows, and took 27 minor page faults a step at 384 rows
+# against 14-15 at the others.
+AUGMENT_GROUP_ROWS = 128
+
+
 def pack_dataset(dataset: Dataset, levels: np.ndarray) -> PackedDataset:
     """The dataset's labels with its images, a (n, h, w) uint8 array of
     8-bit levels, stored as given.  An array of another dtype or rank, or
@@ -147,15 +166,13 @@ def pack_dataset(dataset: Dataset, levels: np.ndarray) -> PackedDataset:
     n = len(dataset)
     if levels.shape[0] != n:
         raise DataError(f"{n} samples but {levels.shape[0]} images")
-    labels = {f.name: getattr(dataset, f.name) for f in fields(LabelArrays)}
+    labels = {name: getattr(dataset, name) for name in LABEL_FIELDS}
     return PackedDataset(**labels, levels=levels)
 
 
 def slice_targets(packed: PackedDataset, indices: np.ndarray) -> LabelArrays:
     """The label table of the samples at indices, in that order."""
-    return LabelArrays(
-        **{f.name: getattr(packed, f.name)[indices] for f in fields(LabelArrays)}
-    )
+    return LabelArrays(**{name: getattr(packed, name)[indices] for name in LABEL_FIELDS})
 
 
 def make_epoch_schedule(
@@ -357,8 +374,8 @@ def train_step(
     state: TrainState,
     packed: PackedDataset,
     batch_indices: np.ndarray,
-    weak_draws: np.ndarray,
-    strong_draws: np.ndarray,
+    weak_levels: np.ndarray,
+    strong_images: np.ndarray,
     config: RunConfig,
     w_exp: np.ndarray,
     w_au: np.ndarray,
@@ -367,15 +384,15 @@ def train_step(
 ) -> tuple[TrainState, LossBreakdown, StepInfo]:
     """One optimization step over one scheduled batch.
 
-    weak_draws and strong_draws are the batch's rows of the epoch's draw
-    tables: one weak row per sample, one strong row per sample that
-    wants_strong marks, in batch order.  The views, forward caches and
-    probabilities live in _step_grads's frame, so they are freed before
-    Adam runs.
+    weak_levels and strong_images are the batch's rows of augment_views's
+    output: the weak view of every sample as 8-bit levels, and the float
+    strong view of each sample that wants_strong marks, in batch order.
+    The float weak views, forward caches and probabilities live in
+    _step_grads's frame, so they are freed before Adam runs.
     """
     try:
         breakdown, grads, mean_prob, info = _step_grads(
-            state, packed, batch_indices, weak_draws, strong_draws, config, w_exp, w_au, epoch
+            state, packed, batch_indices, weak_levels, strong_images, config, w_exp, w_au, epoch
         )
     except DivergenceError as exc:
         raise DivergenceError(exc.args[0], epoch=epoch, batch=batch_number) from None
@@ -393,26 +410,22 @@ def _step_grads(
     state: TrainState,
     packed: PackedDataset,
     batch_indices: np.ndarray,
-    weak_draws: np.ndarray,
-    strong_draws: np.ndarray,
+    weak_levels: np.ndarray,
+    strong_images: np.ndarray,
     config: RunConfig,
     w_exp: np.ndarray,
     w_au: np.ndarray,
     epoch: int,
 ) -> tuple[LossBreakdown, Params, np.ndarray, StepInfo]:
-    """train_step's gradient half: augment the batch, forward its weak views,
+    """train_step's gradient half: forward the batch's weak views,
     refresh the class statistics and thresholds, partition the strong rows,
     and return the loss, its gradients, the new statistics and the step's
     pseudo-label counts."""
     targets = slice_targets(packed, batch_indices)
-    ss_mask = wants_strong(targets, config.mode)
-    weak, strong = augment_views(
-        packed.pixels(batch_indices),
-        weak_draws,
-        strong_draws,
-        config.augment,
-        want_strong=ss_mask,
-    )
+    ss_rows = wants_strong(targets, config.mode).nonzero()[0]
+    if len(strong_images) != len(ss_rows):
+        raise ValueError(f"{len(strong_images)} strong views for {len(ss_rows)} strong rows")
+    weak = level_pixels(weak_levels)
 
     cache_probe = forward_with_cache(state.params, weak)
     probs_w = softmax(cache_probe.exp_logits)
@@ -425,7 +438,6 @@ def _step_grads(
     )
     thresholds = adaptive_thresholds(mean_prob, epoch, config.thresholds)
 
-    ss_rows = ss_mask.nonzero()[0]
     part = partition_confident(probs_w[ss_rows], thresholds)
     breakdown, grads = batch_loss_and_grads(
         state.params,
@@ -435,7 +447,7 @@ def _step_grads(
         w_au,
         config.loss_weights,
         config.mode,
-        strong_images=strong,
+        strong_images=strong_images,
         ss_rows=ss_rows,
         confident=part.confident,
         pseudo_labels=part.pseudo_labels,
@@ -521,6 +533,7 @@ def run_training(
     reports: list[EpochReport] = []
     loss_names = [f.name for f in fields(LossBreakdown)]
     strong_rows = wants_strong(train_packed, config.mode)
+    group_rows = max(1, AUGMENT_GROUP_ROWS // config.batch_size) * config.batch_size
     for epoch in range(config.epochs):
         schedule_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=(config.seed, epoch))
@@ -531,6 +544,8 @@ def run_training(
         # The epoch's draw tables, keyed by sample index: row i of weak_table
         # belongs to schedule[i]; strong_table holds the strong rows in
         # schedule order, and strong_start[i] counts those before position i.
+        # The views of one group of whole batches are built at a time; views
+        # and draws are sliced by position, the strong ones by strong_start.
         scheduled_strong = strong_rows[schedule]
         weak_table = view_uniforms(config.seed, epoch, schedule, WEAK_VIEW, WEAK_DRAWS)
         strong_table = view_uniforms(
@@ -544,12 +559,22 @@ def run_training(
         thresholds = tuple([0.0] * N_EXPRESSION_CLASSES)
         for batch_number, start in enumerate(range(0, len(schedule), config.batch_size)):
             stop = min(start + config.batch_size, len(schedule))
+            if start % group_rows == 0:
+                group, group_stop = start, min(start + group_rows, len(schedule))
+                strong_base = strong_start[group]
+                weak_group, strong_group = augment_views(
+                    train_packed.levels[schedule[group:group_stop]],
+                    weak_table[group:group_stop],
+                    strong_table[strong_base : strong_start[group_stop]],
+                    config.augment,
+                    want_strong=scheduled_strong[group:group_stop],
+                )
             state, breakdown, info = train_step(
                 state,
                 train_packed,
                 schedule[start:stop],
-                weak_table[start:stop],
-                strong_table[strong_start[start] : strong_start[stop]],
+                weak_group[start - group : stop - group],
+                strong_group[strong_start[start] - strong_base : strong_start[stop] - strong_base],
                 config,
                 w_exp,
                 w_au,

@@ -79,12 +79,13 @@ def map_fields(fn, params: Params) -> Params:
     return Params(**{name: fn(getattr(params, name)) for name in PARAM_FIELDS})
 
 
-def keyed_views(images, indices, seed, epoch, config, want):
-    """augment_views with each row's draws keyed by its sample index in
-    indices, as run_training keys them; want marks the strong rows."""
+def keyed_views(levels, indices, seed, epoch, config, want):
+    """augment_views of uint8 levels with each row's draws keyed by its
+    sample index in indices, as run_training keys them; want marks the
+    strong rows."""
     indices, want = np.asarray(indices), np.asarray(want, dtype=bool)
     return augment_views(
-        images,
+        levels,
         view_uniforms(seed, epoch, indices, WEAK_VIEW, WEAK_DRAWS),
         view_uniforms(seed, epoch, indices[want], STRONG_VIEW, STRONG_DRAWS),
         config,

@@ -24,7 +24,9 @@ pre-activation in its cache and takes each rectifier's mask from it; the
 package's pass, which keeps post-activations only, must return the same
 outputs and gradients bit for bit.
 view_uniforms hashes each draw in Python ints with _splitmix_int, the
-reference for the package's hash over uint64 arrays.
+reference for the package's hash over uint64 arrays.  rotate_bilinear
+allocates a fresh array at every step, the reference for the package's
+rotation, which writes its passes into arrays it already holds.
 """
 
 import math
@@ -527,3 +529,34 @@ def view_uniforms(seed: int, epoch: int, sample_indices, view: int, count: int) 
         key = _splitmix_int(_splitmix_int(prefix ^ (int(index) & _U64_MASK)) ^ view)
         rows.append([(_splitmix_int(key ^ d) >> 11) * 2.0**-53 for d in range(count)])
     return np.array(rows, dtype=np.float64).reshape(len(rows), count)
+
+
+def rotate_bilinear(images: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """The package's rotate_bilinear as it was before its passes wrote into
+    arrays it already holds: every coordinate, weight and blend step makes a
+    fresh array.  The in-place form must return the same bytes."""
+    n, height, width = images.shape
+    theta = [math.radians(float(d)) for d in degrees]
+    cos_t = np.array([math.cos(t) for t in theta]).reshape(-1, 1, 1)
+    sin_t = np.array([math.sin(t) for t in theta]).reshape(-1, 1, 1)
+    cy, cx = (height - 1) / 2.0, (width - 1) / 2.0
+    dy = (np.arange(height, dtype=np.float64) - cy)[None, :, None]
+    dx = (np.arange(width, dtype=np.float64) - cx)[None, None, :]
+    src_y = cos_t * dy + sin_t * dx + cy
+    src_x = -sin_t * dy + cos_t * dx + cx
+    y0 = np.floor(src_y)
+    x0 = np.floor(src_x)
+    wy = src_y - y0
+    wx = src_x - x0
+    top = np.minimum(np.maximum(y0, -2.0), float(height)).astype(np.int64)
+    left = np.minimum(np.maximum(x0, -2.0), float(width)).astype(np.int64)
+    stride = width + 4
+    bordered = np.zeros((n, height + 4, stride))
+    bordered[:, 2:-2, 2:-2] = images
+    bordered = bordered.reshape(-1)
+    origin = (np.arange(n) * (height + 4) + 2) * stride + 2
+    corner = top * stride + left + origin[:, None, None]
+    wx_left = 1 - wx
+    upper = wx_left * bordered[corner] + wx * bordered[1:][corner]
+    lower = wx_left * bordered[stride:][corner] + wx * bordered[stride + 1 :][corner]
+    return (1 - wy) * upper + wy * lower

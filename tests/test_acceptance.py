@@ -611,11 +611,11 @@ def test_criterion_6_determinism(capsys):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, epoch)))
         schedule = make_epoch_schedule(train, config.imbalance, rng, w_exp)
         whole = keyed_views(
-            train.pixels(schedule), schedule, config.seed, epoch, config.augment, want[schedule]
+            train.levels[schedule], schedule, config.seed, epoch, config.augment, want[schedule]
         )
         batches = [
             keyed_views(
-                train.pixels(batch), batch, config.seed, epoch, config.augment, want[batch]
+                train.levels[batch], batch, config.seed, epoch, config.augment, want[batch]
             )
             for batch in np.split(
                 schedule, range(config.batch_size, len(schedule), config.batch_size)

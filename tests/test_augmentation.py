@@ -33,12 +33,17 @@ from affectmtl.augmentation import (
     weak_views,
 )
 from affectmtl.errors import ConfigError
+from affectmtl.pgm import level_pixels
 import oracles
 from conftest import keyed_views as views
 
 
 def images(rng, n=6, size=8):
     return rng.random((n, size, size))
+
+
+def levels(rng, n=6, size=8):
+    return rng.integers(0, 256, (n, size, size), dtype=np.uint8)
 
 
 def weak_draws(n, seed=0, epoch=0):
@@ -97,7 +102,7 @@ def rotate_one(image, degrees):
 
 
 def test_weak_deterministic_per_stream(rng):
-    imgs = images(rng)
+    imgs = levels(rng)
     cfg = AugConfig()
     out1, _ = views(imgs, np.arange(6), 5, 2, cfg, np.zeros(6, bool))
     out2, _ = views(imgs, np.arange(6), 5, 2, cfg, np.zeros(6, bool))
@@ -142,10 +147,10 @@ def test_strong_stays_in_range(rng):
 
 
 def test_strong_differs_from_weak(rng):
-    imgs = images(rng, size=16)
+    imgs = levels(rng, size=16)
     weak, strong = views(imgs, np.arange(6), 0, 0, AugConfig(), np.ones(6, bool))
     for row in range(6):
-        assert not np.array_equal(weak[row], strong[row])
+        assert not np.array_equal(level_pixels(weak[row]), strong[row])
 
 
 def test_rotate_zero_degrees_identity(rng):
@@ -286,7 +291,7 @@ def test_weak_views_match_per_image_np_pad_reference():
 
 def test_augment_views_order_independent(rng):
     """A sample's views depend on its dataset index, not its batch slot."""
-    imgs = images(rng, n=4)
+    imgs = levels(rng, n=4)
     indices = np.array([10, 11, 12, 13])
     cfg = AugConfig()
     weak, strong = views(imgs, indices, 0, 0, cfg, np.ones(4, bool))
@@ -313,7 +318,7 @@ def test_augment_views_batch_split_invariant(case, seed, epoch):
     """Views are byte-identical under any split and permutation of the batch."""
     perm, cuts, want, indices = case
     n = len(perm)
-    imgs = np.random.default_rng(seed % 1000).random((n, 8, 8))
+    imgs = levels(np.random.default_rng(seed % 1000), n)
     indices, want, perm = np.array(indices), np.array(want), np.array(perm)
     cfg = AugConfig()
     weak, strong = views(imgs, indices, seed, epoch, cfg, want)
@@ -333,7 +338,7 @@ def test_augment_views_batch_split_invariant(case, seed, epoch):
 
 def test_augment_views_skips_unwanted_strong(rng):
     """Strong views are built, and returned, for the marked rows only."""
-    imgs = images(rng, n=3)
+    imgs = levels(rng, n=3)
     want = np.array([True, False, True])
     _, strong = views(imgs, np.arange(3), 0, 0, AugConfig(), want)
     _, alone = views(imgs[[0, 2]], [0, 2], 0, 0, AugConfig(), np.ones(2, bool))
@@ -344,6 +349,51 @@ def test_augment_views_skips_unwanted_strong(rng):
     # One strong draw row per marked row, or the call is refused.
     with pytest.raises(ValueError):
         augment_views(imgs, weak_draws(3), strong_draws(3), AugConfig(), want_strong=want)
+    # Float pixels are not levels.
+    with pytest.raises(ValueError, match="uint8"):
+        augment_views(level_pixels(imgs), weak_draws(3), strong_draws(2), AugConfig(),
+                      want_strong=want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 6), st.integers(0, 2**32))
+def test_weak_views_of_levels_read_as_weak_views_of_pixels(height, width, pad, seed):
+    """Crop and flip only move pixels: the float pixels of the weak views of
+    levels are the weak views of the levels' float pixels, byte for byte."""
+    rng = np.random.default_rng(seed % 1000)
+    imgs = rng.integers(0, 256, (5, height, width), dtype=np.uint8)
+    draws = view_uniforms(seed, 0, np.arange(5), WEAK_VIEW, WEAK_DRAWS)
+    cfg = AugConfig(crop_padding=pad)
+    gathered = weak_views(imgs, draws, cfg)
+    assert gathered.dtype == np.uint8
+    assert level_pixels(gathered).tobytes() == weak_views(level_pixels(imgs), draws, cfg).tobytes()
+
+
+def test_augment_views_strong_rows_read_float_pixels(rng):
+    """The strong views are strong_views of the marked rows' float pixels."""
+    imgs = levels(rng, n=7)
+    want = np.array([True, False, True, True, False, False, True])
+    weak, strong = views(imgs, np.arange(7), 3, 1, AugConfig(), want)
+    draws = view_uniforms(3, 1, np.arange(7)[want], STRONG_VIEW, STRONG_DRAWS)
+    expected = strong_views(level_pixels(imgs[want]), draws, AugConfig())
+    assert strong.tobytes() == expected.tobytes()
+    assert weak.dtype == np.uint8 and strong.dtype == np.float64
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 20), st.integers(1, 20), st.integers(0, 2**32))
+def test_rotate_bilinear_matches_allocating_reference(n, height, width, seed):
+    """Writing each pass into an array already held keeps every byte of the
+    allocating form, at angles 0 and +-rotation_max_deg too."""
+    rng = np.random.default_rng(seed)
+    imgs = rng.random((n, height, width))
+    limit = AugConfig().rotation_max_deg
+    degrees = rng.uniform(-limit, limit, n)
+    degrees[rng.random(n) < 0.2] = 0.0
+    degrees[rng.random(n) < 0.1] = limit
+    degrees[rng.random(n) < 0.1] = -limit
+    got = rotate_bilinear(imgs, degrees)
+    assert got.tobytes() == oracles.rotate_bilinear(imgs, degrees).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

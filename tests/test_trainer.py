@@ -10,6 +10,7 @@ from affectmtl.augmentation import (
     STRONG_VIEW,
     WEAK_DRAWS,
     WEAK_VIEW,
+    augment_views,
     view_uniforms,
 )
 from affectmtl.config import RunConfig, SynthFileConfig
@@ -37,10 +38,11 @@ from affectmtl.network import (
     init_params,
     softmax,
 )
-from affectmtl.pgm import LEVEL_PIXELS
+from affectmtl.pgm import LEVEL_PIXELS, level_pixels
 from affectmtl.pseudo_label import fresh_class_stats
 from affectmtl.trainer import (
     ADAM_BLOCK,
+    AUGMENT_GROUP_ROWS,
     LOG_FIELDS,
     AdamState,
     TrainState,
@@ -481,43 +483,53 @@ def test_semi_supervised_step_peak_allocation():
     batch = np.arange(64)
     want = wants_strong(packed, config.mode)
     assert np.count_nonzero(want) > 0
-    draws = (
-        view_uniforms(config.seed, 0, batch, WEAK_VIEW, WEAK_DRAWS),
-        view_uniforms(config.seed, 0, batch[want], STRONG_VIEW, STRONG_DRAWS),
-    )
-    state, _, _ = train_step(state, packed, batch, *draws, config, w_exp, w_au, 0, 0)
+    views = keyed_views(packed.levels, batch, config.seed, 0, config.augment, want)
+    state, _, _ = train_step(state, packed, batch, *views, config, w_exp, w_au, 0, 0)
     peak = traced_peak(
-        lambda: train_step(state, packed, batch, *draws, config, w_exp, w_au, 0, 0)
+        lambda: train_step(state, packed, batch, *views, config, w_exp, w_au, 0, 0)
     )
     assert peak <= 3.5 * params.flat.nbytes, peak / params.flat.nbytes
 
 
 @pytest.mark.parametrize("mode, bound", [(TrainMode.SEMI, 50), (TrainMode.SUPERVISED, 20)])
 def test_step_numpy_python_calls(mode, bound):
-    """One width-64 step of a 64-row batch enters NumPy's Python layer
-    (its wrapper functions, dispatchers and _methods) at most `bound`
+    """One group of width-64 steps, its augment_views call over
+    AUGMENT_GROUP_ROWS rows and its two 64-row steps, enters NumPy's Python
+    layer (its wrapper functions, dispatchers and _methods) at most `bound`
     times: per-step code calls ufunc reductions and array methods directly.
-    Measured with NumPy 2.4.6: 16 and 5 frames; calling np.sum, np.mean,
-    np.flatnonzero, np.zeros_like, .sum() and the like, and forwarding the
-    strong views through all three heads, 224 and 125.  The counts depend
-    on how a NumPy version splits work between Python and C, so a failure
-    after a NumPy upgrade need not be a regression here."""
-    packed = small_packed(count=64, size=16, seed=0)
+    Measured with NumPy 2.4.6: 20 and 10 frames for the group, where one
+    step that augmented its own batch took 14 and 5; calling np.sum,
+    np.mean, np.flatnonzero, np.zeros_like, .sum() and the like, and
+    forwarding the strong views through all three heads, took 224 and 125
+    for one step.  The counts depend on how a NumPy version splits work
+    between Python and C, so a failure after a NumPy upgrade need not be a
+    regression here."""
+    packed = small_packed(count=AUGMENT_GROUP_ROWS, size=16, seed=0)
     config = RunConfig(mode=mode)
+    assert AUGMENT_GROUP_ROWS == 2 * config.batch_size
     params = init_params(ModelConfig(16, 16, config.hidden_width), 0)
     state = TrainState(params, adam_init(params), fresh_class_stats())
     stats = dataset_stats(packed)
     w_exp = expression_class_weights(stats)
     w_au = au_positive_weights(stats)
-    batch = np.arange(64)
+    group = np.arange(AUGMENT_GROUP_ROWS)
     want = wants_strong(packed, mode)
     assert (np.count_nonzero(want) > 0) == (mode is not TrainMode.SUPERVISED)
-    draws = (
-        view_uniforms(config.seed, 1, batch, WEAK_VIEW, WEAK_DRAWS),
-        view_uniforms(config.seed, 1, batch[want], STRONG_VIEW, STRONG_DRAWS),
-    )
-    step = lambda state: train_step(state, packed, batch, *draws, config, w_exp, w_au, 1, 0)
-    state, _, _ = step(state)  # fills the crop-map cache
+    half = config.batch_size
+    strong_half = np.count_nonzero(want[:half])
+
+    def group_steps(state):
+        weak, strong = keyed_views(packed.levels, group, config.seed, 1, config.augment, want)
+        for batch, weak_rows, strong_rows in (
+            (group[:half], weak[:half], strong[:strong_half]),
+            (group[half:], weak[half:], strong[strong_half:]),
+        ):
+            state, _, _ = train_step(
+                state, packed, batch, weak_rows, strong_rows, config, w_exp, w_au, 1, 0
+            )
+        return state
+
+    state = group_steps(state)  # fills the crop-map cache
     numpy_dir = os.path.dirname(np.__file__) + os.sep
     frames = 0
 
@@ -528,7 +540,7 @@ def test_step_numpy_python_calls(mode, bound):
 
     sys.setprofile(count)
     try:
-        step(state)
+        group_steps(state)
     finally:
         sys.setprofile(None)
     assert 0 < frames <= bound, frames
@@ -550,6 +562,25 @@ def test_run_peak_allocation(mode, bound):
     nbytes = init_params(ModelConfig(16, 16, 256), 0).flat.nbytes
     peak = traced_peak(lambda: run_training(train, val, config))
     assert peak <= bound * nbytes, peak / nbytes
+
+
+def test_augment_group_peak_allocation():
+    """One group's augment_views call, AUGMENT_GROUP_ROWS rows of 16x16
+    with the default benchmark's share of strong rows, allocates at most
+    1 MB at its peak.  Measured: 778,112 bytes at 128 rows (44 strong),
+    1,659,190 at 256 rows (91 strong)."""
+    packed = small_packed(count=AUGMENT_GROUP_ROWS, size=16, seed=0)
+    config = RunConfig()
+    group = np.arange(AUGMENT_GROUP_ROWS)
+    want = wants_strong(packed, config.mode)
+    draws = (
+        view_uniforms(config.seed, 0, group, WEAK_VIEW, WEAK_DRAWS),
+        view_uniforms(config.seed, 0, group[want], STRONG_VIEW, STRONG_DRAWS),
+    )
+    views = lambda: augment_views(packed.levels, *draws, config.augment, want_strong=want)
+    views()
+    peak = traced_peak(views)
+    assert peak <= 1_000_000, peak
 
 
 def test_evaluate_packed_peak_allocation():
@@ -607,8 +638,10 @@ class TestRunTraining:
 
     @pytest.mark.parametrize("imbalance", ["reweight", "resample"])
     def test_whole_dataset_views_match_per_batch_views(self, imbalance):
-        # The trainer augments one scheduled batch at a time; a sample's
-        # views must not depend on which batch it landed in.
+        # The trainer augments a group of scheduled batches at a time; a
+        # sample's views must not depend on which group or batch it landed
+        # in.  50 rows in batches of 8 leave a ragged last batch, and groups
+        # of 1, 2 and 3 batches a ragged last group.
         train = small_packed(count=50, seed=0)
         config = self.config(imbalance=imbalance)
         w_exp = expression_class_weights(dataset_stats(train))
@@ -616,22 +649,57 @@ class TestRunTraining:
         for epoch in range(2):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, epoch)))
             schedule = make_epoch_schedule(train, imbalance, rng, w_exp)
-            whole = keyed_views(
-                train.pixels(schedule), schedule, config.seed, epoch,
-                config.augment, want[schedule],
+
+            def split_views(rows):
+                return [
+                    keyed_views(
+                        train.levels[part], part, config.seed, epoch,
+                        config.augment, want[part],
+                    )
+                    for part in np.split(schedule, range(rows, len(schedule), rows))
+                ]
+
+            (whole,) = split_views(len(schedule))
+            for group_batches in (1, 2, 3):
+                pieces = split_views(group_batches * config.batch_size)
+                weak = np.concatenate([views[0] for views in pieces])
+                assert level_pixels(weak).tobytes() == level_pixels(whole[0]).tobytes()
+                strong = np.concatenate([views[1] for views in pieces])
+                assert strong.tobytes() == whole[1].tobytes()
+
+    @pytest.mark.parametrize("group_rows", [8, 16, 20, 24, 128])
+    @pytest.mark.parametrize("imbalance", ["reweight", "resample"])
+    def test_steps_get_their_batch_views_from_groups(self, imbalance, group_rows, monkeypatch):
+        """Every step gets the views a call on its batch alone would build,
+        in groups of 1, 2, 2, 3 and all 7 batches of 8 rows (50 rows leave
+        a ragged last batch); one augment_views call per group."""
+        calls, steps = [], []
+
+        def augmenting(levels, *args, **kwargs):
+            calls.append(len(levels))
+            return augment_views(levels, *args, **kwargs)
+
+        def stepping(state, packed, batch, weak, strong, *args):
+            steps.append((batch, weak, strong))
+            return train_step(state, packed, batch, weak, strong, *args)
+
+        monkeypatch.setattr(affectmtl.trainer, "AUGMENT_GROUP_ROWS", group_rows)
+        monkeypatch.setattr(affectmtl.trainer, "augment_views", augmenting)
+        monkeypatch.setattr(affectmtl.trainer, "train_step", stepping)
+        train = small_packed(count=50, seed=0)
+        config = self.config(imbalance=imbalance, epochs=1)
+        run_training(train, small_packed(count=10, seed=1), config)
+        batches_per_group = max(1, group_rows // config.batch_size)
+        group = batches_per_group * config.batch_size
+        assert calls == [min(group, 50 - start) for start in range(0, 50, group)]
+        assert [len(batch) for batch, _, _ in steps] == [8] * 6 + [2]
+        want = wants_strong(train, config.mode)
+        for batch, weak, strong in steps:
+            alone = keyed_views(
+                train.levels[batch], batch, config.seed, 0, config.augment, want[batch]
             )
-            batches = [
-                keyed_views(
-                    train.pixels(batch), batch, config.seed, epoch,
-                    config.augment, want[batch],
-                )
-                for batch in np.split(
-                    schedule, range(config.batch_size, len(schedule), config.batch_size)
-                )
-            ]
-            for part in (0, 1):
-                joined = np.concatenate([views[part] for views in batches])
-                assert joined.tobytes() == whole[part].tobytes()
+            assert weak.tobytes() == alone[0].tobytes()
+            assert strong.tobytes() == alone[1].tobytes()
 
     @pytest.mark.parametrize("mode", list(TrainMode))
     def test_one_epoch_draws_two_tables(self, mode, monkeypatch):
