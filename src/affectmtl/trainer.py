@@ -124,19 +124,14 @@ class PackedDataset(LabelArrays):
     """Dataset flattened to arrays for the training loop: its label table
     and its pixels as 8-bit levels.
 
-    levels holds pixel k / 255.0 as k; pixels() builds the float pixels
-    for the rows a caller reads.
+    levels holds pixel k / 255.0 as k; pgm.level_pixels builds the float
+    pixels of the rows a reader takes.
     """
 
     levels: np.ndarray      # (n, h, w) uint8
 
     def __len__(self) -> int:
         return self.levels.shape[0]
-
-    def pixels(self, rows=None) -> np.ndarray:
-        """The float pixels in [0, 1] of the images at rows (all of them by
-        default), in that order: level k reads as pgm.LEVEL_PIXELS[k]."""
-        return level_pixels(self.levels if rows is None else self.levels[rows])
 
 
 # LabelArrays' field names, in declaration order.
@@ -465,7 +460,7 @@ def _step_grads(
 def evaluate_packed(params: Params, packed: PackedDataset) -> MtlScore:
     """Score a parameter set on unaugmented images.  Their float pixels
     are a temporary that predict frees after its first layer."""
-    exp_logits, au_logits, va = predict(params, packed.pixels())
+    exp_logits, au_logits, va = predict(params, level_pixels(packed.levels))
     return mtl_score(
         pred_va=va,
         gold_va=packed.gold_va,

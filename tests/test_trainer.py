@@ -124,7 +124,8 @@ class TestPackDataset:
         assert packed.levels.dtype == np.uint8
         assert packed.levels.ravel().tolist() == list(range(256))
         # Level k reads as k / 255 in Python's own float division.
-        assert packed.pixels().tobytes() == np.array([k / 255 for k in range(256)]).tobytes()
+        expected = np.array([k / 255 for k in range(256)])
+        assert level_pixels(packed.levels).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "levels",
@@ -146,7 +147,7 @@ class TestPackDataset:
         dataset, levels = generate_synthetic(SynthFileConfig().train_config(), 0, prefix="train")
         packed = pack_dataset(dataset, levels)
         assert packed.levels is levels and levels.nbytes == 512_000
-        assert packed.pixels().tobytes() == LEVEL_PIXELS[levels].tobytes()
+        assert level_pixels(packed.levels).tobytes() == LEVEL_PIXELS[levels].tobytes()
 
     def test_load_path_allocates_the_levels_only(self, tmp_path):
         """Loading and packing the default train split from disk holds its
@@ -238,8 +239,8 @@ class TestBatchLossAndGrads:
             packed.exp_valid & packed.au_valid & packed.va_valid
         )[:4]
         # Build one all-invalid row by hand.
-        images = packed.pixels(idx_valid)
-        extra = np.concatenate([images, packed.pixels([0])])
+        images = level_pixels(packed.levels[idx_valid])
+        extra = np.concatenate([images, level_pixels(packed.levels[[0]])])
         targets_small = slice_targets(packed, idx_valid)
         targets_big = LabelArrays(
             gold_exp=np.concatenate([targets_small.gold_exp, [-1]]),
@@ -270,7 +271,7 @@ class TestBatchLossAndGrads:
     def test_supervised_mode_ignores_partition(self):
         idx = np.arange(6)
         targets = slice_targets(self.packed, idx)
-        images = self.packed.pixels(idx)
+        images = level_pixels(self.packed.levels[idx])
         loss, _ = batch_loss_and_grads(
             self.params, images, targets, self.w_exp, self.w_au,
             LossWeights(), TrainMode.SUPERVISED,
@@ -285,7 +286,7 @@ class TestBatchLossAndGrads:
         ss_rows = np.flatnonzero(~targets.exp_valid & targets.any_valid)
         if not len(ss_rows):
             pytest.skip("seed produced no unlabeled rows")
-        images = self.packed.pixels(idx)
+        images = level_pixels(self.packed.levels[idx])
         loss, _ = batch_loss_and_grads(
             self.params, images, targets, self.w_exp, self.w_au,
             LossWeights(), TrainMode.SEMI_NO_KL,
@@ -314,7 +315,7 @@ class TestBatchLossAndGrads:
         assert len(ss_rows) >= 2
         rng = np.random.default_rng(3)
         _, grads = batch_loss_and_grads(
-            self.params, self.packed.pixels(idx), targets, self.w_exp, self.w_au,
+            self.params, level_pixels(self.packed.levels[idx]), targets, self.w_exp, self.w_au,
             LossWeights(), TrainMode.SEMI,
             strong_images=rng.random((len(ss_rows), 6, 6)),
             ss_rows=ss_rows,
@@ -332,7 +333,7 @@ class TestBatchLossAndGrads:
         consistency term is active (some rows are not confident)."""
         idx = np.arange(12)
         targets = slice_targets(self.packed, idx)
-        weak = self.packed.pixels(idx)
+        weak = level_pixels(self.packed.levels[idx])
         ss_rows = np.flatnonzero(~targets.exp_valid & targets.any_valid)
         assert len(ss_rows) >= 3
         kwargs = dict(
