@@ -313,7 +313,7 @@ def cutout_boxes(draws: np.ndarray, height: int, width: int, max_frac: float) ->
 
 
 def augment_views(
-    levels: np.ndarray,
+    batch_images: np.ndarray,
     weak_draws: np.ndarray,
     strong_draws: np.ndarray,
     config: AugConfig,
@@ -322,20 +322,22 @@ def augment_views(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weak view of every row, strong view of the rows want_strong marks.
 
-    levels is a (n, h, w) uint8 array of 8-bit levels.  weak_draws holds
-    each row's view_uniforms row (WEAK_VIEW, WEAK_DRAWS); strong_draws holds
-    one (STRONG_VIEW, STRONG_DRAWS) row per marked row, in row order.
+    batch_images is a (n, h, w) uint8 array of 8-bit levels, one batch or
+    a group of batches; perfbench's tracer reads a keyword call by this
+    name.  weak_draws holds each row's view_uniforms row (WEAK_VIEW,
+    WEAK_DRAWS); strong_draws holds one (STRONG_VIEW, STRONG_DRAWS) row per
+    marked row, in row order.
     Crop and flip only move pixels, so the (n, h, w) weak views come back
     as levels: level_pixels of them is the weak view of the float pixels.
     The (k, h, w) strong views of the k marked rows are float pixels, built
     from level_pixels of those rows only.
     """
-    if levels.dtype != np.uint8:
-        raise ValueError(f"expected uint8 levels, got {levels.dtype}")
+    if batch_images.dtype != np.uint8:
+        raise ValueError(f"expected uint8 levels, got {batch_images.dtype}")
     rows = np.asarray(want_strong).nonzero()[0]
     if len(strong_draws) != len(rows):
         raise ValueError(f"{len(strong_draws)} strong draw rows for {len(rows)} strong views")
-    weak = weak_views(levels, weak_draws, config)
+    weak = weak_views(batch_images, weak_draws, config)
     if not len(rows):
-        return weak, np.empty((0,) + levels.shape[1:])
-    return weak, strong_views(level_pixels(levels[rows]), strong_draws, config)
+        return weak, np.empty((0,) + batch_images.shape[1:])
+    return weak, strong_views(level_pixels(batch_images[rows]), strong_draws, config)
