@@ -6,7 +6,8 @@ within a pair flips every pair, so a drift in machine speed lands on both
 sides alike.  Each side trains on data it generated and packed itself from
 the same synth config; the two epoch logs must be byte-equal, or the
 script stops.  It prints each side's median and minimum seconds, the pairs
-that side B won and the median of B's time over A's.
+that side B won and the median of B's time over A's.  The run is `ss-mfar`
+on default-size `synth` data at the default hidden width.
 
     python3 scripts/ab_train.py PARENT_TREE CHANGED_TREE --pairs 30 --epochs 3
 """
@@ -20,6 +21,9 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+SYNTH_SIZES = {"train_count": 2000, "val_count": 500, "image_size": 16}
+HIDDEN_WIDTH = 64
 
 
 def load_tree(root, name: str):
@@ -39,14 +43,11 @@ def trainer_run(package, args):
     (seconds, epoch log)."""
     part = lambda module: importlib.import_module(f"{package.__name__}.{module}")
     trainer, data_model, config = part("trainer"), part("data_model"), part("config")
-    synth = config.SynthFileConfig(
-        train_count=args.train_count, val_count=args.val_count, image_size=args.image_size
-    )
+    synth = config.SynthFileConfig(**SYNTH_SIZES)
     train = trainer.pack_dataset(*data_model.generate_synthetic(synth.train_config(), 0))
     val = trainer.pack_dataset(*data_model.generate_synthetic(synth.val_config(), 1))
     run_config = config.RunConfig(
-        mode=part("losses").TrainMode(args.mode), seed=0, epochs=args.epochs,
-        hidden_width=args.hidden_width,
+        mode=part("losses").TrainMode.SEMI, seed=0, epochs=args.epochs, hidden_width=HIDDEN_WIDTH
     )
 
     def run():
@@ -63,11 +64,6 @@ def main(argv=None) -> dict:
     parser.add_argument("tree_b")
     parser.add_argument("--pairs", type=int, default=30)
     parser.add_argument("--epochs", type=int, default=3)
-    parser.add_argument("--mode", default="ss-mfar")
-    parser.add_argument("--hidden-width", type=int, default=64)
-    parser.add_argument("--train-count", type=int, default=2000)
-    parser.add_argument("--val-count", type=int, default=500)
-    parser.add_argument("--image-size", type=int, default=16)
     args = parser.parse_args(argv)
     runs = {
         side: trainer_run(load_tree(tree, f"affectmtl_ab_{side.lower()}"), args)

@@ -276,8 +276,6 @@ def overall_loss(
 
 def effective_lambdas(weights: LossWeights, mode: TrainMode) -> tuple[float, float, float]:
     """Coefficients actually applied to (sup, unsup, cons) under the mode."""
-    if not isinstance(mode, TrainMode):
-        mode = TrainMode(mode)
     if mode is TrainMode.SUPERVISED:
         return 1.0, 0.0, 0.0
     if mode is TrainMode.SEMI_NO_KL:

@@ -7,8 +7,6 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-TOY = ["--pairs", "2", "--epochs", "1", "--train-count", "40", "--val-count", "16",
-       "--image-size", "8", "--hidden-width", "8"]
 
 
 @pytest.fixture
@@ -19,8 +17,10 @@ def ab_train():
     return module
 
 
-def test_repo_against_itself(ab_train, capsys):
-    summary = ab_train.main([str(ROOT), str(ROOT), *TOY])
+def test_repo_against_itself(ab_train, monkeypatch, capsys):
+    monkeypatch.setattr(ab_train, "SYNTH_SIZES", {"train_count": 40, "val_count": 16, "image_size": 8})
+    monkeypatch.setattr(ab_train, "HIDDEN_WIDTH", 8)
+    summary = ab_train.main([str(ROOT), str(ROOT), "--pairs", "2", "--epochs", "1"])
     assert 0 <= summary["b_wins"] <= 2 and summary["median_ratio"] > 0
     assert summary["A"]["min_s"] <= summary["A"]["median_s"]
     out = capsys.readouterr().out
