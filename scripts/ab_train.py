@@ -5,9 +5,12 @@ two live side by side.  Their run_training calls alternate, and the order
 within a pair flips every pair, so a drift in machine speed lands on both
 sides alike.  Each side trains on data it generated and packed itself from
 the same synth config; the two epoch logs must be byte-equal, or the
-script stops.  It prints each side's median and minimum seconds, the pairs
-that side B won and the median of B's time over A's.  The run is `ss-mfar`
-on default-size `synth` data at the default hidden width.
+script stops.  It prints each side's median and minimum seconds, side A's
+quartiles, the pairs that side B won and the median of B's time over A's.
+It also says whether B meets the rule for claiming a gain: B faster in at
+least nine tenths of the pairs, ties counting for neither, and B's median
+below A's by more than A's interquartile range.  The run is `ss-mfar` on
+default-size `synth` data at the default hidden width.
 
     python3 scripts/ab_train.py PARENT_TREE CHANGED_TREE --pairs 30 --epochs 3
 """
@@ -21,6 +24,8 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 SYNTH_SIZES = {"train_count": 2000, "val_count": 500, "image_size": 16}
 HIDDEN_WIDTH = 64
@@ -81,14 +86,22 @@ def main(argv=None) -> dict:
     summary = {
         side: {"median_s": statistics.median(t), "min_s": min(t)} for side, t in times.items()
     }
+    summary["A"]["quartiles_s"] = [float(q) for q in np.percentile(times["A"], [25, 75])]
     summary["b_wins"] = sum(b < a for a, b in zip(times["A"], times["B"]))
     summary["median_ratio"] = statistics.median(b / a for a, b in zip(times["A"], times["B"]))
+    lower, upper = summary["A"]["quartiles_s"]
+    summary["claim_met"] = (
+        10 * summary["b_wins"] >= 9 * args.pairs
+        and summary["A"]["median_s"] - summary["B"]["median_s"] > upper - lower
+    )
     for side in ("A", "B"):
         print(f"{side}: median {summary[side]['median_s']:.4f} s, min {summary[side]['min_s']:.4f} s")
+    print(f"A quartiles {lower:.4f} s, {upper:.4f} s")
     print(
         f"B faster in {summary['b_wins']} of {args.pairs} pairs; "
         f"median B/A time ratio {summary['median_ratio']:.4f}"
     )
+    print(f"gain claim met: {'yes' if summary['claim_met'] else 'no'}")
     return summary
 
 

@@ -14,9 +14,9 @@ The weak view is one gather through crop maps cached per (height, width,
 padding), with the flip folded into the column maps; it moves pixels
 without changing them, so augment_views gathers the 8-bit levels and
 leaves their float pixels to the reader.  Every strong op acts
-on one row alone, so a batch rotates once: the ops each row picked before
-its rotation run slot by slot, then every rotating row turns in one call,
-then the ops picked after it run.
+on one row alone, so the strong view runs op slot by op slot: in each slot
+every op, rotation included, runs once on the rows that picked it there,
+and each row still sees its own ops in its own order.
 """
 
 from __future__ import annotations
@@ -176,58 +176,32 @@ def strong_op_order(draws: np.ndarray, config: AugConfig) -> np.ndarray:
 def strong_views(images: np.ndarray, draws: np.ndarray, config: AugConfig) -> np.ndarray:
     """Weak pipeline plus distinct distortions, clipped back to [0, 1].
 
-    Every op acts on each row alone, so the batch runs in three phases
-    that keep each row's own op order: the ops each row picked before its
-    rotation, slot by slot; one rotation of every row that picked it; then
-    the ops picked after it.  A row without a rotation runs all its ops in
-    the first phase.
+    Each row's brightness shift, contrast factor, rotation angle and cutout
+    box are computed once.  Then, op slot by op slot, each op runs on the
+    rows that picked it in that slot, rotation included: one rotate_bilinear
+    call per slot that has rotating rows.
     """
     out = weak_views(images, draws, config)
     _, height, width = images.shape
-    order = strong_op_order(draws, config)
-    slots = order.shape[1]
-    picked = order == ROTATION
-    rotation_slot = np.where(
-        np.logical_or.reduce(picked, axis=1), picked.argmax(axis=1), slots
-    )[:, None]
-    slot_index = np.arange(slots)
-    point_ops = (
-        (config.brightness_delta * (2.0 * draws[:, BRIGHTNESS_DRAW] - 1.0))[:, None, None],
-        (
-            config.contrast_low
-            + (config.contrast_high - config.contrast_low) * draws[:, CONTRAST_DRAW]
-        )[:, None, None],
-        cutout_boxes(draws[:, CUTOUT_DRAWS], height, width, config.cutout_max_frac),
-    )
-    _apply_point_ops(out, np.where(slot_index < rotation_slot, order, -1), *point_ops)
-    rotated = (rotation_slot[:, 0] < slots).nonzero()[0]
-    if len(rotated):
-        angle = config.rotation_max_deg * (2.0 * draws[rotated, ROTATION_DRAW] - 1.0)
-        out[rotated] = rotate_bilinear(out[rotated], angle)
-        # No op in slot 0 comes after a rotation.
-        after = np.where(slot_index > rotation_slot, order, -1)[:, 1:]
-        _apply_point_ops(out, after, *point_ops)
-    return np.clip(out, 0.0, 1.0, out=out)
-
-
-def _apply_point_ops(
-    out: np.ndarray, chosen: np.ndarray, delta: np.ndarray, factor: np.ndarray, box: np.ndarray
-) -> None:
-    """Run on out in place, slot by slot, the op chosen[row, slot] names on
-    each row; -1 leaves the row as it is for that slot.  delta and factor
-    are each row's (n, 1, 1) brightness shift and contrast factor, box its
-    (n, h, w) cutout mask."""
-    for column in chosen.T:
-        for op in (BRIGHTNESS, CONTRAST, CUTOUT):
-            rows = (column == op).nonzero()[0]
+    delta = config.brightness_delta * (2.0 * draws[:, BRIGHTNESS_DRAW] - 1.0)
+    span = config.contrast_high - config.contrast_low
+    factor = config.contrast_low + span * draws[:, CONTRAST_DRAW]
+    angle = config.rotation_max_deg * (2.0 * draws[:, ROTATION_DRAW] - 1.0)
+    box = cutout_boxes(draws[:, CUTOUT_DRAWS], height, width, config.cutout_max_frac)
+    for slot in strong_op_order(draws, config).T:
+        for op in range(len(STRONG_OP_NAMES)):
+            rows = (slot == op).nonzero()[0]
             if not len(rows):
                 continue
             if op == BRIGHTNESS:
-                out[rows] = out[rows] + delta[rows]
+                out[rows] = out[rows] + delta[rows, None, None]
             elif op == CONTRAST:
-                out[rows] = 0.5 + factor[rows] * (out[rows] - 0.5)
+                out[rows] = 0.5 + factor[rows, None, None] * (out[rows] - 0.5)
+            elif op == ROTATION:
+                out[rows] = rotate_bilinear(out[rows], angle[rows])
             else:
                 out[rows] = np.where(box[rows], 0.0, out[rows])
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def rotate_bilinear(images: np.ndarray, degrees: np.ndarray) -> np.ndarray:
@@ -299,10 +273,12 @@ def cutout_boxes(draws: np.ndarray, height: int, width: int, max_frac: float) ->
 
     draws is (n, 4): box height, width, top and left, as uniforms.
     """
-    # Capping each side at sqrt(max_frac) of its dimension bounds the area.
+    # Capping each side at sqrt(max_frac) of its dimension bounds the area;
+    # a cap below one pixel gives an empty box.
     side = math.sqrt(max_frac)
-    cut_h = 1 + _below(draws[:, 0], max(1, int(height * side)))
-    cut_w = 1 + _below(draws[:, 1], max(1, int(width * side)))
+    cap_h, cap_w = int(height * side), int(width * side)
+    cut_h = np.minimum(1 + _below(draws[:, 0], max(1, cap_h)), cap_h)
+    cut_w = np.minimum(1 + _below(draws[:, 1], max(1, cap_w)), cap_w)
     top = _below(draws[:, 2], height - cut_h + 1)
     left = _below(draws[:, 3], width - cut_w + 1)
     ys = np.arange(height)

@@ -27,6 +27,10 @@ view_uniforms hashes each draw in Python ints with _splitmix_int, the
 reference for the package's hash over uint64 arrays.  rotate_bilinear
 allocates a fresh array at every step, the reference for the package's
 rotation, which writes its passes into arrays it already holds.
+weak_view and strong_view build one image's views at a time: np.pad,
+crop and flip, then that image's ops in its own order with scalar
+parameters and its own cutout box, rotation through rotate_bilinear on
+that image alone.  The package's batch views must match them bit for bit.
 """
 
 import math
@@ -35,7 +39,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from affectmtl.augmentation import _GOLDEN, _MIX1, _MIX2, _U64_MASK
+from affectmtl.augmentation import (
+    _GOLDEN,
+    _MIX1,
+    _MIX2,
+    _U64_MASK,
+    BRIGHTNESS,
+    BRIGHTNESS_DRAW,
+    CONTRAST,
+    CONTRAST_DRAW,
+    CROP_LEFT,
+    CROP_TOP,
+    CUTOUT_DRAWS,
+    FLIP,
+    OP_ORDER,
+    ROTATION,
+    ROTATION_DRAW,
+    STRONG_OP_NAMES,
+)
 from affectmtl.data_model import (
     _AU_PATTERN,
     _VA_CENTERS,
@@ -560,3 +581,46 @@ def rotate_bilinear(images: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     upper = wx_left * bordered[corner] + wx * bordered[1:][corner]
     lower = wx_left * bordered[stride:][corner] + wx * bordered[stride + 1 :][corner]
     return (1 - wy) * upper + wy * lower
+
+
+def _below(u: float, count: int) -> int:
+    """An integer uniform on 0..count-1 from one uniform u."""
+    return min(int(u * count), count - 1)
+
+
+def weak_view(image: np.ndarray, draw: np.ndarray, config) -> np.ndarray:
+    """np.pad the image, crop it back to size at the drawn offsets, and flip
+    it left to right if drawn."""
+    height, width = image.shape
+    pad = config.crop_padding
+    top = _below(draw[CROP_TOP], 2 * pad + 1)
+    left = _below(draw[CROP_LEFT], 2 * pad + 1)
+    crop = np.pad(image, pad, mode="reflect")[top : top + height, left : left + width]
+    return crop[:, ::-1] if draw[FLIP] < config.flip_prob else crop
+
+
+def strong_view(image: np.ndarray, draw: np.ndarray, config) -> np.ndarray:
+    """The weak view, then the first strong_ops_per_image ops in the order
+    of their draws, then a clip to [0, 1]."""
+    height, width = image.shape
+    view = np.array(weak_view(image, draw, config), dtype=np.float64)
+    ops = sorted(range(len(STRONG_OP_NAMES)), key=lambda op: draw[OP_ORDER.start + op])
+    for op in ops[: config.strong_ops_per_image]:
+        if op == BRIGHTNESS:
+            view = view + config.brightness_delta * (2.0 * draw[BRIGHTNESS_DRAW] - 1.0)
+        elif op == CONTRAST:
+            span = config.contrast_high - config.contrast_low
+            view = 0.5 + (config.contrast_low + span * draw[CONTRAST_DRAW]) * (view - 0.5)
+        elif op == ROTATION:
+            angle = config.rotation_max_deg * (2.0 * draw[ROTATION_DRAW] - 1.0)
+            view = rotate_bilinear(view[None], [angle])[0]
+        else:
+            u_height, u_width, u_top, u_left = draw[CUTOUT_DRAWS]
+            side = math.sqrt(config.cutout_max_frac)
+            cap_h, cap_w = int(height * side), int(width * side)
+            cut_h = min(1 + _below(u_height, max(1, cap_h)), cap_h)
+            cut_w = min(1 + _below(u_width, max(1, cap_w)), cap_w)
+            top = _below(u_top, height - cut_h + 1)
+            left = _below(u_left, width - cut_w + 1)
+            view[top : top + cut_h, left : left + cut_w] = 0.0
+    return np.clip(view, 0.0, 1.0)

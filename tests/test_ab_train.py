@@ -34,24 +34,48 @@ def test_repo_against_itself(ab_train, monkeypatch, capsys):
 
 
 def fake_runs(logs, seconds):
-    """trainer_run stand-in: side A gets the first log and time, B the second."""
+    """trainer_run stand-in: side A gets the first log and list of times, B
+    the second; each run returns its side's next time."""
     sides = iter(zip(logs, seconds))
 
     def trainer_run(package, args):
-        log, time_s = next(sides)
-        return lambda: (time_s, log)
+        log, times = next(sides)
+        times = iter(times)
+        return lambda: (next(times), log)
 
     return trainer_run
 
 
 def test_counts_wins_and_ratio(ab_train, monkeypatch, capsys):
-    monkeypatch.setattr(ab_train, "trainer_run", fake_runs(["log", "log"], [2.0, 1.5]))
+    monkeypatch.setattr(ab_train, "trainer_run", fake_runs(["log", "log"], [[2.0] * 3, [1.5] * 3]))
     summary = ab_train.main([str(ROOT), str(ROOT), "--pairs", "3"])
     assert summary["b_wins"] == 3 and summary["median_ratio"] == 0.75
     assert "B faster in 3 of 3 pairs; median B/A time ratio 0.7500" in capsys.readouterr().out
 
 
+A_SECONDS = [1.0 + 0.02 * i for i in range(10)]  # median 1.09, quartiles 1.045 and 1.135
+
+
+@pytest.mark.parametrize(
+    "b_seconds, wins, met",
+    [
+        ([a - 0.2 for a in A_SECONDS[:9]] + [A_SECONDS[9] + 0.1], 9, True),
+        ([a - 0.2 for a in A_SECONDS[:8]] + [a + 0.1 for a in A_SECONDS[8:]], 8, False),
+        ([a - 0.01 for a in A_SECONDS], 10, False),  # median gap 0.01 inside A's IQR
+    ],
+)
+def test_gain_claim_rule(ab_train, monkeypatch, capsys, b_seconds, wins, met):
+    monkeypatch.setattr(ab_train, "trainer_run", fake_runs(["log", "log"], [A_SECONDS, b_seconds]))
+    summary = ab_train.main([str(ROOT), str(ROOT), "--pairs", "10"])
+    assert summary["A"]["quartiles_s"] == pytest.approx([1.045, 1.135])
+    assert summary["b_wins"] == wins and summary["claim_met"] is met
+    out = capsys.readouterr().out
+    assert "A quartiles 1.0450 s, 1.1350 s" in out
+    assert f"B faster in {wins} of 10 pairs" in out
+    assert f"gain claim met: {'yes' if met else 'no'}" in out
+
+
 def test_differing_logs_stop_the_comparison(ab_train, monkeypatch):
-    monkeypatch.setattr(ab_train, "trainer_run", fake_runs(["log", "other"], [1.0, 1.0]))
+    monkeypatch.setattr(ab_train, "trainer_run", fake_runs(["log", "other"], [[1.0], [1.0]]))
     with pytest.raises(SystemExit, match="epoch log differs"):
         ab_train.main([str(ROOT), str(ROOT), "--pairs", "1"])

@@ -8,14 +8,8 @@ from hypothesis import strategies as st
 
 from affectmtl import augmentation
 from affectmtl.augmentation import (
-    BRIGHTNESS,
-    BRIGHTNESS_DRAW,
-    CONTRAST,
-    CONTRAST_DRAW,
-    CROP_LEFT,
-    CROP_TOP,
+    CUTOUT,
     CUTOUT_DRAWS,
-    FLIP,
     ROTATION,
     ROTATION_DRAW,
     STRONG_DRAWS,
@@ -52,30 +46,6 @@ def weak_draws(n, seed=0, epoch=0):
 
 def strong_draws(n, seed=0, epoch=0):
     return view_uniforms(seed, epoch, np.arange(n), STRONG_VIEW, STRONG_DRAWS)
-
-
-def strong_views_slot_by_slot(imgs, draws, cfg):
-    """Reference order: op slot j applies, for each op, that op to the rows
-    that picked it in slot j, rotation included."""
-    out = weak_views(imgs, draws, cfg)
-    _, height, width = imgs.shape
-    order = strong_op_order(draws, cfg)
-    delta = cfg.brightness_delta * (2.0 * draws[:, BRIGHTNESS_DRAW] - 1.0)
-    factor = cfg.contrast_low + (cfg.contrast_high - cfg.contrast_low) * draws[:, CONTRAST_DRAW]
-    angle = cfg.rotation_max_deg * (2.0 * draws[:, ROTATION_DRAW] - 1.0)
-    box = cutout_boxes(draws[:, CUTOUT_DRAWS], height, width, cfg.cutout_max_frac)
-    for slot in range(order.shape[1]):
-        for op in range(len(STRONG_OP_NAMES)):
-            rows = np.flatnonzero(order[:, slot] == op)
-            if op == BRIGHTNESS:
-                out[rows] = out[rows] + delta[rows, None, None]
-            elif op == CONTRAST:
-                out[rows] = 0.5 + factor[rows, None, None] * (out[rows] - 0.5)
-            elif op == ROTATION:
-                out[rows] = rotate_bilinear(out[rows], angle[rows])
-            else:
-                out[rows] = np.where(box[rows], 0.0, out[rows])
-    return np.clip(out, 0.0, 1.0)
 
 
 def rotate_one(image, degrees):
@@ -186,6 +156,28 @@ def test_cutout_area_capped():
     assert removed.max() == 64  # the largest box, 8x8, does occur
 
 
+@pytest.mark.parametrize("height, width", [(16, 16), (4, 30), (30, 4)])
+@pytest.mark.parametrize("max_frac", [0.0, 0.001, 0.01])
+def test_cutout_cap_below_one_pixel_is_empty(height, width, max_frac):
+    """A side whose cap falls below one pixel gives an empty box, and a
+    strong view that picks only cutout then zeroes nothing."""
+    side = math.sqrt(max_frac)
+    draws = view_uniforms(0, 0, np.arange(500), STRONG_VIEW, STRONG_DRAWS)
+    boxes = cutout_boxes(draws[:, CUTOUT_DRAWS], height, width, max_frac)
+    if min(int(height * side), int(width * side)) == 0:
+        assert not boxes.any()
+    else:
+        assert np.all(boxes.any(axis=(1, 2)))
+    imgs = np.random.default_rng(5).uniform(0.1, 1.0, (500, height, width))
+    cfg = AugConfig(strong_ops_per_image=1, cutout_max_frac=max_frac)
+    got = strong_views(imgs, draws, cfg)
+    expected = np.stack([oracles.strong_view(i, d, cfg) for i, d in zip(imgs, draws)])
+    assert got.tobytes() == expected.tobytes()
+    cut = strong_op_order(draws, cfg)[:, 0] == CUTOUT
+    zeroed = np.count_nonzero(got[cut] == 0.0, axis=(1, 2))
+    assert cut.any() and np.array_equal(zeroed, boxes[cut].sum(axis=(1, 2)))
+
+
 def test_view_rngs_weak_strong_independent():
     weak = view_uniforms(0, 0, np.arange(5000), WEAK_VIEW, WEAK_DRAWS)
     strong = view_uniforms(0, 0, np.arange(5000), STRONG_VIEW, WEAK_DRAWS)
@@ -260,18 +252,6 @@ def test_view_uniforms_match_python_int_reference(seed, epoch, indices, view):
     assert u.tobytes() == oracles.view_uniforms(seed, epoch, indices, view, 4).tobytes()
 
 
-def weak_view_one(image, draw, config):
-    """Per-image reference for weak_views: np.pad the image, crop it back to
-    size at the drawn offsets, and flip it left to right if drawn."""
-    height, width = image.shape
-    pad = config.crop_padding
-    span = 2 * pad + 1
-    top = min(int(draw[CROP_TOP] * span), span - 1)
-    left = min(int(draw[CROP_LEFT] * span), span - 1)
-    crop = np.pad(image, pad, mode="reflect")[top : top + height, left : left + width]
-    return crop[:, ::-1] if draw[FLIP] < config.flip_prob else crop
-
-
 def test_weak_views_match_per_image_np_pad_reference():
     """Every height and width from 1 to 12, square or not, and every pad up
     to three times the longer side, where the reflection folds back and
@@ -284,7 +264,7 @@ def test_weak_views_match_per_image_np_pad_reference():
                 cfg = AugConfig(crop_padding=pad)
                 key = (pad, height * 13 + width, np.arange(4))
                 draws = view_uniforms(*key, WEAK_VIEW, WEAK_DRAWS)
-                expected = np.stack([weak_view_one(i, d, cfg) for i, d in zip(imgs, draws)])
+                expected = np.stack([oracles.weak_view(i, d, cfg) for i, d in zip(imgs, draws)])
                 got = weak_views(imgs, draws, cfg)
                 assert got.tobytes() == expected.tobytes(), (height, width, pad)
 
@@ -405,33 +385,42 @@ def test_rotate_bilinear_matches_allocating_reference(n, height, width, seed):
     st.integers(0, 2**32),
     st.integers(0, 50),
 )
-def test_strong_views_match_slot_by_slot_reference(n, ops, size, pad, seed, epoch):
-    """Rotating once per batch, between each row's earlier and later ops,
-    gives the bits of applying every op slot in turn."""
+def test_strong_views_match_per_image_reference(n, ops, size, pad, seed, epoch):
+    """Running the batch op slot by op slot gives the bits of building each
+    image's strong view alone, its ops in its own order."""
     imgs = np.random.default_rng(seed % 1000).random((n, size, size))
     cfg = AugConfig(crop_padding=pad, strong_ops_per_image=ops)
     draws = strong_draws(n, seed=seed, epoch=epoch)
-    got = strong_views(imgs, draws, cfg)
-    assert got.tobytes() == strong_views_slot_by_slot(imgs, draws, cfg).tobytes()
+    expected = np.stack([oracles.strong_view(i, d, cfg) for i, d in zip(imgs, draws)])
+    assert strong_views(imgs, draws, cfg).tobytes() == expected.tobytes()
 
 
-def test_strong_views_rotate_once_per_batch(rng, monkeypatch):
+def test_strong_views_rotate_slot_by_slot(rng, monkeypatch):
+    """Each rotate_bilinear call turns the rows that picked rotation in one
+    slot, in row order: one call per slot that has such rows."""
     calls = []
 
-    def counting(images, degrees):
-        calls.append(len(images))
+    def recording(images, degrees):
+        calls.append(degrees.tolist())
         return rotate_bilinear(images, degrees)
 
-    monkeypatch.setattr(augmentation, "rotate_bilinear", counting)
+    monkeypatch.setattr(augmentation, "rotate_bilinear", recording)
     imgs = images(rng, n=200)
     for k in range(1, len(STRONG_OP_NAMES) + 1):
         cfg = AugConfig(strong_ops_per_image=k)
         draws = strong_draws(200, seed=k)
-        rows, slots = np.nonzero(strong_op_order(draws, cfg) == ROTATION)
-        assert set(slots.tolist()) == set(range(k))  # rotations in every slot
-        calls.clear()
-        strong_views(imgs, draws, cfg)
-        assert calls == [len(rows)]
+        order = strong_op_order(draws, cfg)
+        # Rows that never rotate in slot 0 leave that slot without a call.
+        for keep in (np.ones(200, bool), order[:, 0] != ROTATION):
+            angle = cfg.rotation_max_deg * (2.0 * draws[keep, ROTATION_DRAW] - 1.0)
+            expected = [
+                angle[picked].tolist() for picked in (order[keep] == ROTATION).T if picked.any()
+            ]
+            assert len(expected) == k - (not keep.all())
+            calls.clear()
+            strong_views(imgs[keep], draws[keep], cfg)
+            assert calls == expected
+            assert all(len(call) > 1 for call in calls)
 
 
 def test_draw_distributions():
