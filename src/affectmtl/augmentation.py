@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 from .pgm import level_pixels
 
 STRONG_OP_NAMES = ("brightness", "contrast", "rotation", "cutout")
@@ -61,6 +61,9 @@ class AugConfig:
     cutout_max_frac: float = 0.25
 
     def __post_init__(self):
+        check_finite(
+            self, "brightness_delta", "contrast_low", "contrast_high", "rotation_max_deg"
+        )
         if self.crop_padding < 0:
             raise ConfigError("crop_padding must be >= 0")
         if not 0.0 <= self.flip_prob <= 1.0:

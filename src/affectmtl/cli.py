@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import operator
 import os
 import sys
 
@@ -146,6 +145,14 @@ CURVE_COLUMNS = [
 ]
 
 
+def _number(name: str, value, kinds=(int, float)):
+    """value if its type is one of kinds; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        expected = " or ".join(kind.__name__ for kind in kinds)
+        raise DataError(f"{name}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
 def _curve_row(record: dict) -> list[str]:
     """One CSV row: the record's LOG_FIELDS values, thresholds expanded."""
     thresholds = record["thresholds"]
@@ -154,11 +161,11 @@ def _curve_row(record: dict) -> list[str]:
     row = []
     for name in LOG_FIELDS:
         if name == "epoch":
-            row.append(str(operator.index(record[name])))
+            row.append(str(_number(name, record[name], (int,))))
         elif name == "thresholds":
-            row.extend(repr(float(t)) for t in thresholds)
+            row.extend(repr(float(_number(name, t))) for t in thresholds)
         else:
-            row.append(repr(float(record[name])))
+            row.append(repr(float(_number(name, record[name]))))
     return row
 
 

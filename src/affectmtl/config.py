@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 
 from .augmentation import AugConfig
 from .data_model import UNIFORM_PRIORS, SynthConfig, check_class_priors
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 from .losses import LossWeights, TrainMode
 from .pseudo_label import ThresholdConfig
 
@@ -40,6 +40,7 @@ class RunConfig:
     augment: AugConfig = AugConfig()
 
     def __post_init__(self):
+        check_finite(self, "lr_base", "lr_heads")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:

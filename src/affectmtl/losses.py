@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import N_EXPRESSION_CLASSES
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_finite
 
 PROB_FLOOR = 1e-8
 
@@ -57,6 +57,7 @@ class LossWeights:
     cons: float = 0.1
 
     def __post_init__(self):
+        check_finite(self, "sup", "unsup", "cons")
         if min(self.sup, self.unsup, self.cons) < 0:
             raise ConfigError("loss weights must be non-negative")
 

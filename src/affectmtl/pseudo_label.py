@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import N_EXPRESSION_CLASSES
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_finite
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class ThresholdConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
+        check_finite(self, "gamma")
         if not 0.0 < self.beta <= 1.0:
             raise ConfigError(f"beta must lie in (0, 1], got {self.beta}")
         if self.gamma <= 1.0:

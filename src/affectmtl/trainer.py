@@ -34,12 +34,11 @@ are flat arrays updated in place, block by block.  The backbone fields come
 first in the buffer, so the step applies lr_base to the slice before the
 backbone size and lr_heads to the rest.  Each step writes its new
 parameters over the gradient buffer it has consumed and never writes the
-old parameters, so a kept best-epoch Params never changes.  A step
-computes its gradients in a helper whose frame ends before Adam starts, so
-its views, forward caches and probabilities are freed by then: at Adam a
-run holds five parameter-sized buffers (params, best, m, v, and the
-gradients that become the new params).  Validation scores the heads of
-network.predict, which keeps no forward cache.
+old parameters, so a kept best-epoch Params never changes.  A step frees
+its float weak views, forward caches and probabilities before Adam
+starts: at Adam a run holds five parameter-sized buffers (params, best,
+m, v, and the gradients that become the new params).  Validation scores
+the heads of network.predict, which keeps no forward cache.
 
 The loss terms, the class statistics and the validation score take whole
 label columns, sentinels included, with each task's validity mask; the
@@ -375,47 +374,16 @@ def train_step(
     w_exp: np.ndarray,
     w_au: np.ndarray,
     epoch: int,
-    batch_number: int,
 ) -> tuple[TrainState, LossBreakdown, StepInfo]:
-    """One optimization step over one scheduled batch.
+    """One optimization step over one scheduled batch: forward the weak
+    views, refresh the class statistics and thresholds, partition the
+    strong rows, take the loss and its gradients, then step Adam.
 
     weak_levels and strong_images are the batch's rows of augment_views's
     output: the weak view of every sample as 8-bit levels, and the float
     strong view of each sample that wants_strong marks, in batch order.
-    The float weak views, forward caches and probabilities live in
-    _step_grads's frame, so they are freed before Adam runs.
+    A DivergenceError names no epoch or batch; run_training adds them.
     """
-    try:
-        breakdown, grads, mean_prob, info = _step_grads(
-            state, packed, batch_indices, weak_levels, strong_images, config, w_exp, w_au, epoch
-        )
-    except DivergenceError as exc:
-        raise DivergenceError(exc.args[0], epoch=epoch, batch=batch_number) from None
-    if not np.isfinite(breakdown.total):
-        raise DivergenceError(
-            f"non-finite loss {breakdown.total}", epoch=epoch, batch=batch_number
-        )
-    params, adam = adam_step(
-        state.params, grads, state.adam, config.lr_base, config.lr_heads
-    )
-    return TrainState(params=params, adam=adam, mean_prob=mean_prob), breakdown, info
-
-
-def _step_grads(
-    state: TrainState,
-    packed: PackedDataset,
-    batch_indices: np.ndarray,
-    weak_levels: np.ndarray,
-    strong_images: np.ndarray,
-    config: RunConfig,
-    w_exp: np.ndarray,
-    w_au: np.ndarray,
-    epoch: int,
-) -> tuple[LossBreakdown, Params, np.ndarray, StepInfo]:
-    """train_step's gradient half: forward the batch's weak views,
-    refresh the class statistics and thresholds, partition the strong rows,
-    and return the loss, its gradients, the new statistics and the step's
-    pseudo-label counts."""
     targets = slice_targets(packed, batch_indices)
     ss_rows = wants_strong(targets, config.mode).nonzero()[0]
     if len(strong_images) != len(ss_rows):
@@ -449,12 +417,20 @@ def _step_grads(
         cache_w=cache_probe,
         probs_w=probs_w,
     )
+    # Adam runs beside the parameter-sized buffers only: drop the float weak
+    # views, the probe's forward cache and its probabilities first.
+    del weak, cache_probe, probs_w
+    if not np.isfinite(breakdown.total):
+        raise DivergenceError(f"non-finite loss {breakdown.total}")
     info = StepInfo(
         n_unlabeled=int(len(ss_rows)),
         n_confident=int(np.count_nonzero(part.confident)),
         thresholds=tuple(float(t) for t in thresholds),
     )
-    return breakdown, grads, mean_prob, info
+    params, adam = adam_step(
+        state.params, grads, state.adam, config.lr_base, config.lr_heads
+    )
+    return TrainState(params=params, adam=adam, mean_prob=mean_prob), breakdown, info
 
 
 def evaluate_packed(params: Params, packed: PackedDataset) -> MtlScore:
@@ -510,6 +486,11 @@ def run_training(
     if len(val_packed) == 0:
         raise DataError("validation set is empty")
     height, width = train_packed.levels.shape[1:]
+    if val_packed.levels.shape[1:] != (height, width):
+        raise DataError(
+            f"validation images are {val_packed.levels.shape[1:]} but training images "
+            f"are {(height, width)}"
+        )
     model_config = ModelConfig(
         image_height=height, image_width=width, hidden_width=config.hidden_width
     )
@@ -564,18 +545,20 @@ def run_training(
                     config.augment,
                     want_strong=scheduled_strong[group:group_stop],
                 )
-            state, breakdown, info = train_step(
-                state,
-                train_packed,
-                schedule[start:stop],
-                weak_group[start - group : stop - group],
-                strong_group[strong_start[start] - strong_base : strong_start[stop] - strong_base],
-                config,
-                w_exp,
-                w_au,
-                epoch,
-                batch_number,
-            )
+            try:
+                state, breakdown, info = train_step(
+                    state,
+                    train_packed,
+                    schedule[start:stop],
+                    weak_group[start - group : stop - group],
+                    strong_group[strong_start[start] - strong_base : strong_start[stop] - strong_base],
+                    config,
+                    w_exp,
+                    w_au,
+                    epoch,
+                )
+            except DivergenceError as exc:
+                raise DivergenceError(exc.args[0], epoch=epoch, batch=batch_number) from None
             sums += [getattr(breakdown, name) for name in loss_names]
             n_batches += 1
             unlabeled_total += info.n_unlabeled

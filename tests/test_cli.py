@@ -479,8 +479,26 @@ class TestCorruptInputs:
 
     @pytest.mark.parametrize(
         "changes",
-        [{"l_va": "high"}, {"thresholds": 0.5}, {"val_p_au": 10**400}, {"epoch": "0,1"}],
-        ids=["non-numeric", "thresholds not a list", "overflowing number", "epoch not an int"],
+        [
+            {"l_va": "high"},
+            {"thresholds": 0.5},
+            {"val_p_au": 10**400},
+            {"epoch": "0,1"},
+            {"epoch": True},
+            {"l_total": False},
+            {"thresholds": [True] + [0.5] * 7},
+            {"l_va": "1.5"},
+        ],
+        ids=[
+            "non-numeric",
+            "thresholds not a list",
+            "overflowing number",
+            "epoch not an int",
+            "boolean epoch",
+            "boolean loss",
+            "boolean threshold",
+            "numeric string",
+        ],
     )
     def test_log_record(self, changes, run_dir, tmp_path, capsys):
         first = json.loads((run_dir / "log.jsonl").read_text().splitlines()[0])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affectmtl.augmentation import AugConfig
 from affectmtl.config import (
     RunConfig,
     SynthFileConfig,
@@ -17,7 +18,8 @@ from affectmtl.config import (
     parse_synth_config,
 )
 from affectmtl.errors import ConfigError
-from affectmtl.losses import TrainMode
+from affectmtl.losses import LossWeights, TrainMode
+from affectmtl.pseudo_label import ThresholdConfig
 
 
 class TestParseKv:
@@ -137,6 +139,28 @@ class TestRunConfig:
     def test_invalid_values_rejected(self, text):
         with pytest.raises(ConfigError):
             parse_run_config(text)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            (RunConfig, "lr_base"),
+            (RunConfig, "lr_heads"),
+            (LossWeights, "sup"),
+            (LossWeights, "unsup"),
+            (LossWeights, "cons"),
+            (ThresholdConfig, "gamma"),
+            (AugConfig, "brightness_delta"),
+            (AugConfig, "contrast_low"),
+            (AugConfig, "contrast_high"),
+            (AugConfig, "rotation_max_deg"),
+        ],
+    )
+    def test_built_config_rejects_non_finite(self, kind, field, value):
+        # The parser refuses these values first; a config built in Python
+        # must refuse them too, naming the field.
+        with pytest.raises(ConfigError, match=rf"^{field} must be finite, got {value}$"):
+            kind(**{field: value})
 
     def test_hash_stable_and_sensitive(self):
         a = config_hash(RunConfig())
