@@ -195,7 +195,14 @@ def _parse_row(line: str, seen) -> tuple[str, float, float, list[int]]:
         raise DataError("NUL byte in image path")
     if image_ref in seen:
         raise DataError(f"duplicate image path {image_ref!r}")
-    return image_ref, float(fields[1]), float(fields[2]), list(map(_parse_int, fields[3:]))
+    valence, arousal = float(fields[1]), float(fields[2])
+    try:
+        labels = list(map(int, fields[3:]))
+    except ValueError:
+        # A bad field, which _parse_int names, or one that int() takes only
+        # once stripped: it keeps ASCII \x1c-\x1f, which str.strip removes.
+        labels = list(map(_parse_int, fields[3:]))
+    return image_ref, valence, arousal, labels
 
 
 def _parse_int(field: str) -> int:
@@ -506,6 +513,7 @@ def load_images(dataset: Dataset, root) -> np.ndarray:
     """
     if len(dataset) == 0:
         return np.zeros((0, 0, 0), dtype=np.uint8)
+    root = os.fspath(root)
     images = None
     shapes = set()
     for i, image_ref in enumerate(dataset.image_refs):

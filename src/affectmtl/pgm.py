@@ -73,11 +73,46 @@ def write_pgm(path, image: np.ndarray) -> None:
         os.close(fd)
 
 
+# Raw reads ask for at most this many bytes at a time: a split's files are a
+# few hundred bytes, each read in one call, and the buffer a read allocates
+# stays small.
+_READ_SIZE = 1 << 16
+
+# The last header parsed: its bytes, up to and including the whitespace
+# byte before the pixels, and its height and width.  A split shares one
+# header, and a file that starts with exactly those bytes and holds
+# exactly height * width bytes after them parses to the same fields and
+# offset, so only a file that does not runs the header regex.
+_last_header = None
+
+
+def _read_file(path) -> bytes:
+    """The bytes of a file, read through a raw descriptor to EOF.  An error
+    names the path as open(path, "rb") does, a directory's EISDIR from the
+    first read included."""
+    fd = os.open(path, os.O_RDONLY | os.O_CLOEXEC)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_SIZE):
+            chunks.append(chunk)
+    except OSError as exc:
+        exc.filename = os.fspath(path)
+        raise
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM into a read-only (height, width) uint8 array of
     levels over the file's pixel bytes."""
-    with open(path, "rb", buffering=0) as fh:
-        data = fh.readall()
+    global _last_header
+    data = _read_file(path)
+    last = _last_header
+    if last is not None:
+        prefix, height, width = last
+        if len(data) == len(prefix) + height * width and data.startswith(prefix):
+            return np.frombuffer(data, dtype=np.uint8, offset=len(prefix)).reshape(height, width)
     header = _HEADER.match(data)
     magic = header[1]
     if magic is None:
@@ -102,5 +137,6 @@ def read_pgm(path) -> np.ndarray:
     size = max(len(data) - offset, 0)
     if size != width * height:
         raise DataError(f"{path}: expected {width * height} bytes of pixel data, got {size}")
+    _last_header = (data[:offset], height, width)
     levels = np.frombuffer(data, dtype=np.uint8, count=size, offset=offset)
     return levels.reshape(height, width)

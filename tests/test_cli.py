@@ -363,6 +363,18 @@ class TestEvaluate:
         assert "manifest val.csv has no samples" in err
         assert "expects" not in err and "Traceback" not in err
 
+    def test_manifest_naming_a_directory_exits_2_naming_it(self, data_dir, run_dir, tmp_path, capsys):
+        header, first, *rest = (data_dir / "val.csv").read_text().splitlines()
+        manifest = tmp_path / "dir.csv"
+        manifest.write_text("\n".join([header, "images" + first[first.index(","):], *rest]) + "\n")
+        assert run_cli("evaluate", "--data", data_dir, "--manifest", manifest,
+                       "--checkpoint", run_dir / "checkpoint.npz") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"affectmtl: error: [Errno 21] Is a directory: '{data_dir / 'images'}'\n"
+        )
+
     def test_missing_checkpoint_exits_2(self, data_dir, tmp_path):
         assert run_cli("evaluate", "--data", data_dir,
                        "--checkpoint", tmp_path / "nope.npz") == 2

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from affectmtl.data_model import (
     serialize_manifest,
     write_dataset,
 )
+from affectmtl import data_model, pgm
 from affectmtl.config import SynthFileConfig
 from affectmtl.errors import ConfigError, DataError
 from affectmtl.pgm import LEVEL_PIXELS
@@ -563,6 +565,22 @@ class TestDiskRoundTrip:
         merged = concat(ds1, ds2)
         with pytest.raises(DataError, match=r"disagree on dimensions: \[\(4, 4\), \(8, 8\)\]"):
             load_images(merged, tmp_path)
+
+    def test_split_with_one_header_parses_it_once(self, tmp_path, monkeypatch):
+        """Every file is read through data_model.read_pgm, the name the
+        benchmark's tracer binds, and only the first runs the header regex."""
+        dataset, images = generate_synthetic(SynthConfig(count=50, image_size=8), 0)
+        write_dataset(tmp_path, "m.csv", dataset, images)
+        loaded = load_manifest(tmp_path / "m.csv")
+        reads, matches = [], []
+        read, header = data_model.read_pgm, pgm._HEADER
+        monkeypatch.setattr(data_model, "read_pgm", lambda path: reads.append(path) or read(path))
+        monkeypatch.setattr(pgm, "_HEADER", SimpleNamespace(
+            match=lambda data: matches.append(data) or header.match(data)
+        ))
+        monkeypatch.setattr(pgm, "_last_header", None)
+        assert np.array_equal(load_images(loaded, tmp_path), images)
+        assert len(reads) == 50 and len(matches) == 1
 
 
 def test_dataset_rejects_duplicate_ids():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import oracles
+from affectmtl import pgm
 from affectmtl.errors import DataError
 from affectmtl.pgm import LEVEL_PIXELS, level_pixels, read_pgm, write_pgm
 
@@ -199,6 +200,58 @@ def test_reader_matches_token_reference(pgm_path, raw):
     the DataError messages, of the byte-at-a-time tokenizer it replaced."""
     pgm_path.write_bytes(raw)
     assert _outcome(_level_pixels_read, pgm_path) == _outcome(oracles.read_pgm, pgm_path)
+
+
+@st.composite
+def pgm_sequences(draw):
+    """Two or three files, each a fresh pgm_bytes() or the first bytes of an
+    earlier file with another tail, so that files often share a header and
+    differ in the length or the bytes that follow it."""
+    files = [draw(pgm_bytes())]
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            files.append(draw(pgm_bytes()))
+        else:
+            earlier = draw(st.sampled_from(files))
+            files.append(earlier[: draw(st.integers(0, len(earlier)))] + draw(st.binary(max_size=20)))
+    return files
+
+
+SHARED = b"P5\n3 2\n255\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(pgm_sequences())
+@example([SHARED + bytes(6), SHARED + bytes(5)])
+@example([SHARED + bytes(6), SHARED + bytes(7)])
+@example([SHARED + bytes(6), SHARED + b"#c\n" + bytes(3)])  # the comment is pixels
+@example([SHARED + bytes(6), SHARED + b"#c\n" + bytes(6)])
+@example([SHARED + bytes(6), b"P5\n3 2\n256\n" + bytes(6)])
+@example([SHARED + bytes(6), b"P5 2 2 255 " + bytes(4), SHARED + bytes(range(6))])
+def test_reader_in_sequence_matches_a_fresh_parse(pgm_dir, files):
+    """Each file of a sequence reads as the token reader reads it alone,
+    whatever header the file before it left cached."""
+    pgm._last_header = None  # so that a failing example replays on its own
+    for i, raw in enumerate(files):
+        path = pgm_dir / f"seq{i}.pgm"
+        path.write_bytes(raw)
+        assert _outcome(_level_pixels_read, path) == _outcome(oracles.read_pgm, path)
+
+
+@pytest.mark.parametrize("target", ["directory", "missing"])
+@pytest.mark.parametrize("as_str", [False, True])
+def test_unreadable_path_raises_as_open_does(tmp_path, target, as_str):
+    path = tmp_path / target
+    if target == "directory":
+        path.mkdir()
+    path = str(path) if as_str else path
+    with pytest.raises(OSError) as expected:
+        open(path, "rb")
+    with pytest.raises(OSError) as got:
+        read_pgm(path)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+    assert str(path) in str(got.value)
 
 
 @pytest.mark.parametrize("first, second", [((8, 6), (4, 3)), ((4, 3), (8, 6))])
