@@ -232,8 +232,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"affectmtl: divergence: {exc}", file=sys.stderr)
         return 3
-    except (DataError, OSError, MemoryError) as exc:
-        # NumPy's MemoryError names the allocation; a bare one is empty.
+    except (ValueError, OSError, MemoryError) as exc:
+        # DataError and NumPy's "array is too big" are ValueErrors.  NumPy's
+        # MemoryError names the allocation; a bare one is empty.
         print(f"affectmtl: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 

@@ -107,12 +107,12 @@ def _convert(key: str, value: str, default):
 _SECTIONS = {"loss_weights": "lambda_", "thresholds": "threshold_", "augment": ""}
 
 
-def _run_keys(config: RunConfig):
-    """(key, section, field name, value) per run config key, in dump order.
+def _keys(config):
+    """(key, section, field name, value) per key of config, in dump order.
 
-    section is None for RunConfig's own fields.
+    section is None for config's own fields.
     """
-    for f in fields(RunConfig):
+    for f in fields(config):
         value = getattr(config, f.name)
         if f.name in _SECTIONS:
             for sub in fields(value):
@@ -122,26 +122,31 @@ def _run_keys(config: RunConfig):
             yield f.name, None, f.name, value
 
 
-def parse_run_config(text: str) -> RunConfig:
-    defaults = RunConfig()
-    known = {key: (section, name, value) for key, section, name, value in _run_keys(defaults)}
-    updates: dict = {section: {} for section in (None, *_SECTIONS)}
+def _parse(text: str, defaults):
+    """defaults with the keys of text replaced; a nested section is
+    rebuilt only when text has a key of it."""
+    known = {key: (section, name, value) for key, section, name, value in _keys(defaults)}
+    updates: dict = {}
     for key, value in parse_kv(text).items():
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
         section, name, default = known[key]
-        updates[section][name] = _convert(key, value, default)
-    top = updates.pop(None)
+        updates.setdefault(section, {})[name] = _convert(key, value, default)
+    top = updates.pop(None, {})
     for section, changes in updates.items():
         top[section] = replace(getattr(defaults, section), **changes)
     return replace(defaults, **top)
+
+
+def parse_run_config(text: str) -> RunConfig:
+    return _parse(text, RunConfig())
 
 
 def dump_run_config(config: RunConfig) -> str:
     """Every key, defaults included, in field order; floats via repr."""
     return "".join(
         f"{key}={value.value if isinstance(value, enum.Enum) else value}\n"
-        for key, _, _, value in _run_keys(config)
+        for key, _, _, value in _keys(config)
     )
 
 
@@ -198,10 +203,4 @@ class SynthFileConfig:
 
 
 def parse_synth_config(text: str) -> SynthFileConfig:
-    known = {f.name: f.default for f in fields(SynthFileConfig)}
-    updates: dict = {}
-    for key, value in parse_kv(text).items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-        updates[key] = _convert(key, value, known[key])
-    return SynthFileConfig(**updates)
+    return _parse(text, SynthFileConfig())

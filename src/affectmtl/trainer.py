@@ -74,7 +74,6 @@ from .augmentation import (
 )
 from .config import RunConfig
 from .data_model import (
-    N_EXPRESSION_CLASSES,
     Dataset,
     LabelArrays,
     au_positive_weights,
@@ -111,6 +110,7 @@ from .network import (
 )
 from .pgm import level_pixels
 from .pseudo_label import (
+    ConfidencePartition,
     adaptive_thresholds,
     fresh_class_stats,
     partition_confident,
@@ -349,13 +349,6 @@ class TrainState:
     mean_prob: np.ndarray  # pseudo_label's per-class statistics
 
 
-@dataclass(frozen=True)
-class StepInfo:
-    n_unlabeled: int
-    n_confident: int
-    thresholds: tuple[float, ...]
-
-
 def wants_strong(labels: LabelArrays, mode: TrainMode) -> np.ndarray:
     """Rows that get a strong view: expression-unlabeled rows valid for some
     task, in the semi-supervised modes; none in supervised mode."""
@@ -374,10 +367,16 @@ def train_step(
     w_exp: np.ndarray,
     w_au: np.ndarray,
     epoch: int,
-) -> tuple[TrainState, LossBreakdown, StepInfo]:
+) -> tuple[TrainState, LossBreakdown, ConfidencePartition]:
     """One optimization step over one scheduled batch: forward the weak
     views, refresh the class statistics and thresholds, partition the
     strong rows, take the loss and its gradients, then step Adam.
+
+    Returns the new state, the batch's loss terms and the partition of its
+    strong rows (one entry per strong row, in batch order).  run_training
+    builds each epoch's log fields from these and its schedule: the
+    confident count sums the partitions, and the thresholds are recomputed
+    once from the state the epoch ends with.
 
     weak_levels and strong_images are the batch's rows of augment_views's
     output: the weak view of every sample as 8-bit levels, and the float
@@ -422,15 +421,10 @@ def train_step(
     del weak, cache_probe, probs_w
     if not np.isfinite(breakdown.total):
         raise DivergenceError(f"non-finite loss {breakdown.total}")
-    info = StepInfo(
-        n_unlabeled=int(len(ss_rows)),
-        n_confident=int(np.count_nonzero(part.confident)),
-        thresholds=tuple(float(t) for t in thresholds),
-    )
     params, adam = adam_step(
         state.params, grads, state.adam, config.lr_base, config.lr_heads
     )
-    return TrainState(params=params, adam=adam, mean_prob=mean_prob), breakdown, info
+    return TrainState(params=params, adam=adam, mean_prob=mean_prob), breakdown, part
 
 
 def evaluate_packed(params: Params, packed: PackedDataset) -> MtlScore:
@@ -529,11 +523,9 @@ def run_training(
         )
         strong_start = np.concatenate(([0], np.cumsum(scheduled_strong)))
         sums = np.zeros(len(loss_names))
-        n_batches = 0
-        unlabeled_total = 0
-        confident_total = 0
-        thresholds = tuple([0.0] * N_EXPRESSION_CLASSES)
-        for batch_number, start in enumerate(range(0, len(schedule), config.batch_size)):
+        confident = 0
+        starts = range(0, len(schedule), config.batch_size)
+        for batch_number, start in enumerate(starts):
             stop = min(start + config.batch_size, len(schedule))
             if start % group_rows == 0:
                 group, group_stop = start, min(start + group_rows, len(schedule))
@@ -546,7 +538,7 @@ def run_training(
                     want_strong=scheduled_strong[group:group_stop],
                 )
             try:
-                state, breakdown, info = train_step(
+                state, breakdown, part = train_step(
                     state,
                     train_packed,
                     schedule[start:stop],
@@ -560,22 +552,20 @@ def run_training(
             except DivergenceError as exc:
                 raise DivergenceError(exc.args[0], epoch=epoch, batch=batch_number) from None
             sums += [getattr(breakdown, name) for name in loss_names]
-            n_batches += 1
-            unlabeled_total += info.n_unlabeled
-            confident_total += info.n_confident
-            thresholds = info.thresholds
-        means = sums / n_batches
+            confident += int(np.count_nonzero(part.confident))
+        unlabeled = int(strong_start[-1])
+        # The thresholds of the epoch's last step: the same function of the
+        # same mean_prob.
+        thresholds = adaptive_thresholds(state.mean_prob, epoch, config.thresholds)
         try:
             val_score = evaluate_packed(state.params, val_packed)
         except DivergenceError as exc:
             raise DivergenceError(f"validation: {exc.args[0]}", epoch=epoch) from None
         report = EpochReport(
             epoch=epoch,
-            losses=LossBreakdown(*means),
-            confident_fraction=(
-                confident_total / unlabeled_total if unlabeled_total else 0.0
-            ),
-            thresholds=thresholds,
+            losses=LossBreakdown(*(sums / len(starts))),
+            confident_fraction=confident / unlabeled if unlabeled else 0.0,
+            thresholds=tuple(thresholds.tolist()),
             val_score=val_score,
         )
         reports.append(report)

@@ -296,6 +296,29 @@ class TestTrain:
         assert len(lines) == 1 and lines[0].startswith("affectmtl: error: Unable to allocate")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [("train", "hidden_width"), ("train", "crop_padding"),
+         ("synth", "train_count"), ("synth", "val_count")],
+    )
+    def test_size_past_numpys_largest_array_exits_2(
+        self, data_dir, tmp_path, capsys, command, key
+    ):
+        """NumPy refuses such a size with a ValueError before it allocates
+        anything; the CLI reports it in one line, with no traceback, and
+        writes nothing."""
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"epochs=1\n{key}=1000000000000000000\n" if command == "train"
+                       else f"{key}=1000000000000000000\n")
+        data = ("--data", data_dir) if command == "train" else ()
+        capsys.readouterr()
+        assert run_cli(command, *data, "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("affectmtl: error: "), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_data_dir_exits_2(self, tmp_path):
         assert run_cli("train", "--data", tmp_path / "nope", "--out", tmp_path / "out") == 2
 

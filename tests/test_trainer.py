@@ -40,7 +40,7 @@ from affectmtl.network import (
     softmax,
 )
 from affectmtl.pgm import LEVEL_PIXELS, level_pixels
-from affectmtl.pseudo_label import fresh_class_stats
+from affectmtl.pseudo_label import fresh_class_stats, partition_confident
 from affectmtl.trainer import (
     ADAM_BLOCK,
     AUGMENT_GROUP_ROWS,
@@ -835,6 +835,40 @@ class TestRunTraining:
         result = run_training(train, val, self.config(epochs=2))
         for report in result.reports:
             assert 0.0 <= report.confident_fraction <= 1.0
+
+    @pytest.mark.parametrize(
+        "mode, imbalance",
+        [(mode, "reweight") for mode in TrainMode] + [(TrainMode.SEMI, "resample")],
+    )
+    def test_epoch_summary_matches_the_steps_partitions(self, mode, imbalance, monkeypatch):
+        """Each report's thresholds are those its epoch's last step
+        partitioned with, and its confident fraction is the epoch's confident
+        rows over its partitioned rows (0.0 with none).  It compares values
+        with values, so it holds on any numeric platform.  50 rows in
+        batches of 8 leave a short last batch."""
+        calls = []
+
+        def recording(weak_probs, thresholds):
+            part = partition_confident(weak_probs, thresholds)
+            calls.append(
+                (tuple(np.asarray(thresholds).tolist()), len(weak_probs),
+                 int(np.count_nonzero(part.confident)))
+            )
+            return part
+
+        monkeypatch.setattr(affectmtl.trainer, "partition_confident", recording)
+        train = small_packed(count=50, seed=0)
+        val = small_packed(count=10, seed=1)
+        result = run_training(train, val, self.config(mode=mode, imbalance=imbalance))
+        steps = -(-50 // 8)
+        assert len(calls) == 2 * steps
+        for epoch, report in enumerate(result.reports):
+            epoch_calls = calls[epoch * steps : (epoch + 1) * steps]
+            rows = sum(n for _, n, _ in epoch_calls)
+            confident = sum(c for _, _, c in epoch_calls)
+            assert report.thresholds == epoch_calls[-1][0]
+            assert report.confident_fraction == (confident / rows if rows else 0.0)
+            assert (rows > 0) == (mode is not TrainMode.SUPERVISED)
 
     def test_resample_mode_runs(self):
         train = small_packed(count=24, seed=0)
