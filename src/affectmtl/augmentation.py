@@ -179,10 +179,10 @@ def strong_op_order(draws: np.ndarray, config: AugConfig) -> np.ndarray:
 def strong_views(images: np.ndarray, draws: np.ndarray, config: AugConfig) -> np.ndarray:
     """Weak pipeline plus distinct distortions, clipped back to [0, 1].
 
-    Each row's brightness shift, contrast factor and rotation angle are
-    computed once, its cutout box only where it picks cutout.  Then, op
-    slot by op slot, each op runs on the rows that picked it in that slot,
-    rotation included: one rotate_bilinear call per slot with rotating rows.
+    Each row's brightness shift, contrast factor, rotation angle and cutout
+    box are computed once.  Then, op slot by op slot, each op runs on the
+    rows that picked it in that slot, rotation included: one rotate_bilinear
+    call per slot that has rotating rows.
     """
     out = weak_views(images, draws, config)
     _, height, width = images.shape
@@ -190,6 +190,7 @@ def strong_views(images: np.ndarray, draws: np.ndarray, config: AugConfig) -> np
     span = config.contrast_high - config.contrast_low
     factor = config.contrast_low + span * draws[:, CONTRAST_DRAW]
     angle = config.rotation_max_deg * (2.0 * draws[:, ROTATION_DRAW] - 1.0)
+    box = cutout_boxes(draws[:, CUTOUT_DRAWS], height, width, config.cutout_max_frac)
     for slot in strong_op_order(draws, config).T:
         for op in range(len(STRONG_OP_NAMES)):
             rows = (slot == op).nonzero()[0]
@@ -202,8 +203,7 @@ def strong_views(images: np.ndarray, draws: np.ndarray, config: AugConfig) -> np
             elif op == ROTATION:
                 out[rows] = rotate_bilinear(out[rows], angle[rows])
             else:
-                box = cutout_boxes(draws[rows, CUTOUT_DRAWS], height, width, config.cutout_max_frac)
-                out[rows] = np.where(box, 0.0, out[rows])
+                out[rows] = np.where(box[rows], 0.0, out[rows])
     return np.clip(out, 0.0, 1.0, out=out)
 
 

@@ -4,10 +4,12 @@ Exit codes: 0 success, 1 usage error, 2 bad data or configuration (a
 size too large to allocate included), 3 training divergence.  `train`
 and `curves` write each output to a temporary file and rename it into
 place, so a failed command leaves no partial file at an output path.
-`synth` is not atomic: it overwrites existing images in place (see
-pgm.write_pgm, which avoids O_TRUNC because freeing each old block costs
-more than the write), so a failed run can leave a mix of old and new
-files.
+`synth` overwrites existing images in place (see pgm.write_pgm, which
+avoids O_TRUNC because freeing each old block costs more than the
+write), so a failed run can leave a mix of old and new images.  Only
+each split's manifest is atomic: it is removed before the split's first
+image is written and renamed into place after its last, so a split that
+a failed run left unfinished has no manifest and `train` exits 2.
 """
 
 from __future__ import annotations
@@ -113,8 +115,8 @@ def cmd_train(args) -> int:
         config_hash(run_config),
     )
     if result.reports:
-        best = result.reports[result.best_epoch].val_score
-        print(f"best_epoch={result.best_epoch} val_p_mtl={best.p_mtl!r}")
+        best = result.reports[result.best_epoch]["val_p_mtl"]
+        print(f"best_epoch={result.best_epoch} val_p_mtl={best!r}")
     else:
         print("best_epoch=-1 val_p_mtl=nan")
     return 0

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ConfigError, DataError
 from .pgm import read_pgm, write_pgm
 
@@ -472,9 +473,21 @@ def generate_synthetic(
 
 def write_dataset(root, manifest_name: str, dataset: Dataset, images: np.ndarray) -> None:
     """Write manifest + one PGM per sample under root, from images' (n, h, w)
-    uint8 levels, overwriting existing files in place (see write_pgm); not
-    atomic."""
+    uint8 levels.
+
+    The images overwrite existing files in place (see write_pgm), so a
+    failed write can leave a mix of old and new images.  The manifest is
+    what makes the split whole: any old one is removed before the first
+    image is written, and the new one is written last, atomically.  A
+    split whose write did not finish therefore has no manifest, and
+    loading it fails.
+    """
     os.makedirs(root, exist_ok=True)
+    manifest_path = os.path.join(root, manifest_name)
+    try:
+        os.remove(manifest_path)
+    except FileNotFoundError:
+        pass
     made = set()
     for image_ref, image in zip(dataset.image_refs, images):
         path = os.path.join(root, image_ref)
@@ -483,7 +496,7 @@ def write_dataset(root, manifest_name: str, dataset: Dataset, images: np.ndarray
             os.makedirs(directory, exist_ok=True)
             made.add(directory)
         write_pgm(path, image)
-    with open(os.path.join(root, manifest_name), "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(manifest_path, encoding="utf-8", newline="\n") as fh:
         fh.write(serialize_manifest(dataset))
 
 

@@ -444,13 +444,13 @@ def evaluate_packed(params: Params, packed: PackedDataset) -> MtlScore:
     )
 
 
-@dataclass(frozen=True)
-class EpochReport:
-    epoch: int
-    losses: LossBreakdown
-    confident_fraction: float
-    thresholds: tuple[float, ...]
-    val_score: MtlScore
+# The keys of an epoch's log record, in the order the run log writes them.
+LOG_FIELDS = (
+    "epoch",
+    "l_exp_sup", "l_exp_unsup", "l_exp_cons", "l_au", "l_va", "l_exp", "l_total",
+    "confident_fraction", "thresholds",
+    "val_p_va", "val_p_exp", "val_p_au", "val_p_mtl",
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,7 +458,7 @@ class TrainResult:
     final_params: Params
     best_params: Params
     best_epoch: int
-    reports: tuple[EpochReport, ...]
+    reports: tuple[dict, ...]  # one log record per epoch, keyed by LOG_FIELDS
     model_config: ModelConfig
 
 
@@ -470,10 +470,13 @@ def run_training(
 ) -> TrainResult:
     """Full training run; returns the best-validation-score parameters.
 
-    Deterministic given config.seed.  The best epoch maximizes the combined
-    validation score; ties keep the earliest epoch.  Divergence aborts with
-    epoch/batch context.  workers is accepted and ignored; it is kept
-    because the benchmark harness, perfbench/run.py, passes workers=1.
+    Deterministic given config.seed.  Each epoch's report is its run-log
+    record: the mean loss terms over its steps, its confident fraction,
+    the thresholds it ended with and its validation scores.  The best
+    epoch maximizes val_p_mtl; ties keep the earliest epoch.  Divergence
+    aborts with epoch/batch context.  workers is accepted and ignored; it
+    is kept because the benchmark harness, perfbench/run.py, passes
+    workers=1.
     """
     if len(train_packed) == 0:
         raise DataError("training set is empty")
@@ -500,7 +503,7 @@ def run_training(
     best_params = state.params
     best_epoch = -1
     best_score = -np.inf
-    reports: list[EpochReport] = []
+    reports = []
     loss_names = [f.name for f in fields(LossBreakdown)]
     strong_rows = wants_strong(train_packed, config.mode)
     group_rows = max(1, AUGMENT_GROUP_ROWS // config.batch_size) * config.batch_size
@@ -561,14 +564,14 @@ def run_training(
             val_score = evaluate_packed(state.params, val_packed)
         except DivergenceError as exc:
             raise DivergenceError(f"validation: {exc.args[0]}", epoch=epoch) from None
-        report = EpochReport(
-            epoch=epoch,
-            losses=LossBreakdown(*(sums / len(starts))),
-            confident_fraction=confident / unlabeled if unlabeled else 0.0,
-            thresholds=tuple(thresholds.tolist()),
-            val_score=val_score,
-        )
-        reports.append(report)
+        # LossBreakdown's fields in order are LOG_FIELDS[1:8].
+        reports.append(dict(zip(LOG_FIELDS, (
+            epoch,
+            *(sums / len(starts)).tolist(),
+            confident / unlabeled if unlabeled else 0.0,
+            thresholds.tolist(),
+            val_score.p_va, val_score.p_exp, val_score.p_au, val_score.p_mtl,
+        ))))
         if val_score.p_mtl > best_score:
             best_score = val_score.p_mtl
             best_params = state.params
@@ -582,37 +585,9 @@ def run_training(
     )
 
 
-LOG_FIELDS = (
-    "epoch",
-    "l_exp_sup", "l_exp_unsup", "l_exp_cons", "l_au", "l_va", "l_exp", "l_total",
-    "confident_fraction", "thresholds",
-    "val_p_va", "val_p_exp", "val_p_au", "val_p_mtl",
-)
-
-
-def epoch_record(report: EpochReport) -> dict:
-    """EpochReport as the flat dict written to the run log."""
-    return {
-        "epoch": report.epoch,
-        "l_exp_sup": report.losses.l_exp_sup,
-        "l_exp_unsup": report.losses.l_exp_unsup,
-        "l_exp_cons": report.losses.l_exp_cons,
-        "l_au": report.losses.l_au,
-        "l_va": report.losses.l_va,
-        "l_exp": report.losses.l_exp,
-        "l_total": report.losses.total,
-        "confident_fraction": report.confident_fraction,
-        "thresholds": list(report.thresholds),
-        "val_p_va": report.val_score.p_va,
-        "val_p_exp": report.val_score.p_exp,
-        "val_p_au": report.val_score.p_au,
-        "val_p_mtl": report.val_score.p_mtl,
-    }
-
-
 def format_epoch_log(reports) -> str:
     """One JSON object per line, key order fixed by LOG_FIELDS."""
-    return "".join(json.dumps(epoch_record(r)) + "\n" for r in reports)
+    return "".join(json.dumps(r) + "\n" for r in reports)
 
 
 def parse_epoch_log(text: str) -> list[dict]:

@@ -48,6 +48,7 @@ from affectmtl.pseudo_label import (
 )
 from affectmtl.trainer import (
     batch_loss_and_grads,
+    evaluate_packed,
     format_epoch_log,
     make_epoch_schedule,
     pack_dataset,
@@ -654,7 +655,8 @@ def bench_runs():
             t0 = time.perf_counter()
             result = run_training(train, val, RunConfig(mode=mode, seed=seed))
             seconds = time.perf_counter() - t0
-            score = result.reports[result.best_epoch].val_score
+            score = evaluate_packed(result.best_params, val)
+            assert score.p_mtl == result.reports[result.best_epoch]["val_p_mtl"]
             runs[(mode, seed)] = (score, seconds)
     return {"runs": runs, "prep_seconds": prep_seconds}
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -38,6 +39,14 @@ def run_dir(tmp_path_factory, data_dir):
     out = root / "out"
     assert run_cli("train", "--data", data_dir, "--config", cfg, "--out", out) == 0
     return out
+
+
+def _file_bytes(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {
+        path.relative_to(root): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
 
 
 class TestSynth:
@@ -132,13 +141,7 @@ class TestSynth:
         synth(tmp_path / "again", small)
         synth(tmp_path / "fresh", small)
 
-        def contents(root):
-            return {
-                path.relative_to(root): path.read_bytes()
-                for path in sorted(root.rglob("*")) if path.is_file()
-            }
-
-        again, fresh = contents(tmp_path / "again"), contents(tmp_path / "fresh")
+        again, fresh = _file_bytes(tmp_path / "again"), _file_bytes(tmp_path / "fresh")
         assert len(fresh) == 2 + 40
         assert again == fresh
 
@@ -158,6 +161,72 @@ class TestSynth:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("affectmtl: error: Unable to allocate")
         assert not (tmp_path / "d").exists()
+
+
+# Runs `affectmtl synth` with pgm writes counted: the process ends with
+# os._exit(9), as a kill would end it, when write_pgm is called after
+# sys.argv[1] images have been written.
+_KILLING_SYNTH = """
+import os, sys
+import affectmtl.data_model as data_model
+from affectmtl.cli import main
+
+limit, written, real = int(sys.argv[1]), 0, data_model.write_pgm
+
+def write_pgm(path, image):
+    global written
+    if written == limit:
+        os._exit(9)
+    real(path, image)
+    written += 1
+
+data_model.write_pgm = write_pgm
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+class TestKilledSynth:
+    """A synth killed while it rewrites a dataset leaves one that train
+    refuses, or, when no image write was cut short, one complete synth."""
+
+    TRAIN, VAL = 100, 40
+
+    @pytest.fixture(scope="class")
+    def synths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("killed")
+        cfg = root / "synth.cfg"
+        cfg.write_text(f"train_count={self.TRAIN}\nval_count={self.VAL}\nimage_size=8\n")
+        for seed in (0, 5):
+            assert run_cli("synth", "--out", root / f"seed{seed}", "--config", cfg,
+                           "--seed", seed) == 0
+        return root, cfg
+
+    @pytest.mark.parametrize("written", [0, 1, 60, 99, 100, 101, 120, 139, 140, 10**6])
+    def test_train_refuses_or_reads_a_whole_synth(self, synths, written, tmp_path, capsys):
+        root, cfg = synths
+        data = tmp_path / "data"
+        shutil.copytree(root / "seed0", data)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(affectmtl.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILLING_SYNTH, str(written), "synth", "--out", str(data),
+             "--config", str(cfg), "--seed", "5"],
+            env=env, capture_output=True, timeout=120,
+        )
+        killed = written < self.TRAIN + self.VAL
+        assert proc.returncode == (9 if killed else 0), proc.stderr
+        run_cfg = tmp_path / "run.cfg"
+        run_cfg.write_text("epochs=1\nbatch_size=16\nhidden_width=4\n")
+        capsys.readouterr()
+        code = run_cli("train", "--data", data, "--config", run_cfg, "--out", tmp_path / "out")
+        err = capsys.readouterr().err.splitlines()
+        if killed:
+            missing = data / ("train.csv" if written < self.TRAIN else "val.csv")
+            assert code == 2
+            assert len(err) == 1 and str(missing) in err[0], err
+            assert not missing.exists()
+        else:
+            assert code == 0 and err == []
+            assert _file_bytes(data) == _file_bytes(root / "seed5")
 
 
 class TestStats:

@@ -293,3 +293,14 @@ def test_readme_config_blocks_match_defaults():
     synth = _readme_block("Generator config keys")
     assert list(synth) == list(vars(SynthFileConfig()))
     assert parse_synth_config("\n".join(f"{k}={v}" for k, v in synth.items())) == SynthFileConfig()
+
+
+def test_readme_python_api_block_runs(capsys):
+    """The README's Python API example trains the default benchmark run and
+    prints the best epoch's four validation scores."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Python API\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 4
+    assert all(math.isfinite(float(value)) for value in printed)

@@ -50,7 +50,6 @@ from affectmtl.trainer import (
     adam_init,
     adam_step,
     batch_loss_and_grads,
-    epoch_record,
     evaluate_packed,
     format_epoch_log,
     make_epoch_schedule,
@@ -663,9 +662,9 @@ class TestRunTraining:
         )
         assert params_equal(sup.final_params, semi.final_params)
         for r_sup, r_semi in zip(sup.reports, semi.reports):
-            assert r_sup.losses.total == r_semi.losses.total
-            assert r_semi.losses.l_exp_unsup == 0.0
-            assert r_semi.losses.l_exp_cons == 0.0
+            assert r_sup["l_total"] == r_semi["l_total"]
+            assert r_semi["l_exp_unsup"] == 0.0
+            assert r_semi["l_exp_cons"] == 0.0
 
     @pytest.mark.parametrize("imbalance", ["reweight", "resample"])
     def test_whole_dataset_views_match_per_batch_views(self, imbalance):
@@ -768,7 +767,7 @@ class TestRunTraining:
         train = small_packed(count=24, seed=0)
         val = small_packed(count=10, seed=1)
         result = run_training(train, val, self.config(epochs=3))
-        scores = [r.val_score.p_mtl for r in result.reports]
+        scores = [r["val_p_mtl"] for r in result.reports]
         assert result.best_epoch == int(np.argmax(scores))
 
     def test_best_params_reproduce_logged_best_score(self):
@@ -777,7 +776,7 @@ class TestRunTraining:
         result = run_training(train, val, self.config(epochs=3))
         assert result.best_epoch < len(result.reports) - 1
         assert not params_equal(result.best_params, result.final_params)
-        best = result.reports[result.best_epoch].val_score.p_mtl
+        best = result.reports[result.best_epoch]["val_p_mtl"]
         assert evaluate_packed(result.best_params, val).p_mtl == best
 
     def test_divergence_carries_epoch_and_batch(self):
@@ -834,7 +833,7 @@ class TestRunTraining:
         val = small_packed(count=10, seed=5)
         result = run_training(train, val, self.config(epochs=2))
         for report in result.reports:
-            assert 0.0 <= report.confident_fraction <= 1.0
+            assert 0.0 <= report["confident_fraction"] <= 1.0
 
     @pytest.mark.parametrize(
         "mode, imbalance",
@@ -866,8 +865,8 @@ class TestRunTraining:
             epoch_calls = calls[epoch * steps : (epoch + 1) * steps]
             rows = sum(n for _, n, _ in epoch_calls)
             confident = sum(c for _, _, c in epoch_calls)
-            assert report.thresholds == epoch_calls[-1][0]
-            assert report.confident_fraction == (confident / rows if rows else 0.0)
+            assert tuple(report["thresholds"]) == epoch_calls[-1][0]
+            assert report["confident_fraction"] == (confident / rows if rows else 0.0)
             assert (rows > 0) == (mode is not TrainMode.SUPERVISED)
 
     def test_resample_mode_runs(self):
@@ -896,11 +895,40 @@ class TestEpochLog:
 
     def test_round_trip(self):
         reports = self.make_reports()
-        text = format_epoch_log(reports)
-        records = parse_epoch_log(text)
-        assert len(records) == len(reports)
-        for record, report in zip(records, reports):
-            assert record == epoch_record(report)
+        assert parse_epoch_log(format_epoch_log(reports)) == list(reports)
+
+    @pytest.mark.parametrize("mode", list(TrainMode))
+    def test_loss_fields_are_the_steps_means(self, mode, monkeypatch):
+        """Each record's loss fields are its epoch's LossBreakdown terms,
+        by name, summed in step order and divided by the step count.  It
+        compares values with values, so it holds on any numeric platform.
+        50 rows in batches of 8 leave a short last batch."""
+        breakdowns = []
+
+        def recording(*args):
+            state, breakdown, part = train_step(*args)
+            breakdowns.append(breakdown)
+            return state, breakdown, part
+
+        monkeypatch.setattr(affectmtl.trainer, "train_step", recording)
+        train = small_packed(count=50, seed=0)
+        val = small_packed(count=10, seed=1)
+        config = RunConfig(epochs=2, batch_size=8, hidden_width=4, seed=0, mode=mode)
+        result = run_training(train, val, config)
+        names = {
+            "l_exp_sup": "l_exp_sup", "l_exp_unsup": "l_exp_unsup",
+            "l_exp_cons": "l_exp_cons", "l_au": "l_au", "l_va": "l_va",
+            "l_exp": "l_exp", "l_total": "total",
+        }
+        steps = -(-50 // 8)
+        assert len(breakdowns) == 2 * steps
+        records = parse_epoch_log(format_epoch_log(result.reports))
+        for epoch, record in enumerate(records):
+            sums = np.zeros(len(names))
+            for breakdown in breakdowns[epoch * steps : (epoch + 1) * steps]:
+                sums += [getattr(breakdown, name) for name in names.values()]
+            for key, mean in zip(names, sums / steps):
+                assert record[key] == mean, key
 
     def test_field_order_matches_contract(self):
         reports = self.make_reports()
