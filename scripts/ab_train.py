@@ -9,10 +9,12 @@ script stops.  It prints each side's median and minimum seconds, side A's
 quartiles, the pairs that side B won and the median of B's time over A's.
 It also says whether B meets the rule for claiming a gain: B faster in at
 least nine tenths of the pairs, ties counting for neither, and B's median
-below A's by more than A's interquartile range.  The run is `ss-mfar` on
-default-size `synth` data at the default hidden width.
+below A's by more than A's interquartile range.  The run trains on
+default-size `synth` data in the mode and at the hidden width given
+(`ss-mfar` at 64 unless --mode and --hidden-width say otherwise).
 
     python3 scripts/ab_train.py PARENT_TREE CHANGED_TREE --pairs 30 --epochs 3
+    python3 scripts/ab_train.py PARENT_TREE CHANGED_TREE --mode mfar --hidden-width 256
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 SYNTH_SIZES = {"train_count": 2000, "val_count": 500, "image_size": 16}
-HIDDEN_WIDTH = 64
 
 
 def load_tree(root, name: str):
@@ -52,7 +53,10 @@ def trainer_run(package, args):
     train = trainer.pack_dataset(*data_model.generate_synthetic(synth.train_config(), 0))
     val = trainer.pack_dataset(*data_model.generate_synthetic(synth.val_config(), 1))
     run_config = config.RunConfig(
-        mode=part("losses").TrainMode.SEMI, seed=0, epochs=args.epochs, hidden_width=HIDDEN_WIDTH
+        mode=part("losses").TrainMode(args.mode),
+        seed=0,
+        epochs=args.epochs,
+        hidden_width=args.hidden_width,
     )
 
     def run():
@@ -69,6 +73,8 @@ def main(argv=None) -> dict:
     parser.add_argument("tree_b")
     parser.add_argument("--pairs", type=int, default=30)
     parser.add_argument("--epochs", type=int, default=3)
+    parser.add_argument("--mode", choices=("ss-mfar", "ss-mfar-no-kl", "mfar"), default="ss-mfar")
+    parser.add_argument("--hidden-width", type=int, default=64)
     args = parser.parse_args(argv)
     runs = {
         side: trainer_run(load_tree(tree, f"affectmtl_ab_{side.lower()}"), args)

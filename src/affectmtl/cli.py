@@ -10,12 +10,16 @@ write), so a failed run can leave a mix of old and new images.  Only
 each split's manifest is atomic: it is removed before the split's first
 image is written and renamed into place after its last, so a split that
 a failed run left unfinished has no manifest and `train` exits 2.
+`evaluate` exits 2 on a checkpoint whose stored config hash is not the
+hash of the config_resolved.txt beside it; a checkpoint with no such file
+beside it is scored as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -123,7 +127,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    params, model_config, _ = load_checkpoint(args.checkpoint)
+    params, model_config, stored_hash = load_checkpoint(args.checkpoint)
+    # train writes config_resolved.txt beside the checkpoint, and the
+    # checkpoint stores config_hash of it: the sha256 of that text.
+    resolved = os.path.join(os.path.dirname(args.checkpoint), "config_resolved.txt")
+    if os.path.exists(resolved):
+        resolved_hash = hashlib.sha256(read_text(resolved).encode("utf-8")).hexdigest()
+        if resolved_hash != stored_hash:
+            raise DataError(
+                f"{args.checkpoint}: config hash {stored_hash} differs from {resolved_hash}, "
+                f"the hash of {resolved}"
+            )
     packed = _load_split(args.data, args.manifest)
     if len(packed) == 0:
         raise DataError(f"manifest {args.manifest} has no samples")

@@ -105,10 +105,6 @@ def weighted_cross_entropy_grad(
     return value, d_logits
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
 def weighted_bce_grad(
     logits: np.ndarray, labels: np.ndarray, pos_weights: np.ndarray, mask: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -125,14 +121,22 @@ def weighted_bce_grad(
     y = np.asarray(labels)[idx].astype(np.float64)
     w = np.asarray(pos_weights, dtype=np.float64)
     denom = len(idx) * logits.shape[1]
-    # -[w*y*log s(z) + (1-y)*log(1-s(z))] = w*y*softplus(-z) + (1-y)*softplus(z)
+    # -[w*y*log s(z) + (1-y)*log(1-s(z))] = w*y*softplus(-z) + (1-y)*softplus(z),
+    # softplus(z) = max(z, 0) + log1p(exp(-|z|)); both softplus terms and the
+    # sigmoid share exp(-|z|), and the gradient's -w*y is -(w*y) exactly.
     # Summed over the batch-shaped array with masked-out pairs as 0.0.
+    wy = w * y
+    not_y = 1.0 - y
+    exp_neg = np.exp(-np.abs(z))
+    log_term = np.log1p(exp_neg)
     per_elem = np.zeros(logits.shape)
-    per_elem[idx] = w * y * _softplus(-z) + (1.0 - y) * _softplus(z)
+    per_elem[idx] = (
+        wy * (np.maximum(-z, 0.0) + log_term) + not_y * (np.maximum(z, 0.0) + log_term)
+    )
     value = float(np.add.reduce(per_elem, axis=None) / denom)
-    sig = 1.0 / (1.0 + np.exp(-np.abs(z)))
+    sig = 1.0 / (1.0 + exp_neg)
     sig = np.where(z >= 0, sig, 1.0 - sig)
-    d_logits[idx] = (-w * y * (1.0 - sig) + (1.0 - y) * sig) / denom
+    d_logits[idx] = (-wy * (1.0 - sig) + not_y * sig) / denom
     return value, d_logits
 
 

@@ -63,27 +63,35 @@ def update_class_stats(
         mean_prob[c] <- momentum * mean_prob[c] + (1 - momentum) * batch_mean
 
     Classes with no correct prediction this batch are untouched; the
-    mean_prob passed in is never written.
+    mean_prob passed in is never written.  The hit rows are sorted by class
+    with a stable sort, so each class's probabilities lie in one contiguous
+    run in row order, and each batch mean sums that run with np.add.reduce:
+    the pairwise sum a masked selection of the same values gets.
+    np.add.reduceat adds each run in sequence instead, which rounds
+    differently for many runs of three or more values.
     """
-    idx = mask.nonzero()[0]
-    if len(idx) == 0:
+    weak_probs = np.asarray(weak_probs)
+    gold_labels = np.asarray(gold_labels)
+    valid = gold_labels[mask]
+    if not valid.size:
         return mean_prob
-    gold_labels = np.asarray(gold_labels)[idx]
-    weak_probs = np.asarray(weak_probs)[idx]
     if (
-        np.minimum.reduce(gold_labels) < 0
-        or np.maximum.reduce(gold_labels) >= N_EXPRESSION_CLASSES
+        np.minimum.reduce(valid) < 0
+        or np.maximum.reduce(valid) >= N_EXPRESSION_CLASSES
     ):
         raise DataError(f"gold labels outside [0, {N_EXPRESSION_CLASSES})")
-    pred = weak_probs.argmax(axis=1)
+    hit_rows = ((weak_probs.argmax(axis=1) == gold_labels) & mask).nonzero()[0]
+    hit_rows = hit_rows[gold_labels[hit_rows].argsort(kind="stable")]
+    hit_labels = gold_labels[hit_rows]
+    hit_probs = weak_probs[hit_rows, hit_labels]
+    ends = np.bincount(hit_labels, minlength=N_EXPRESSION_CLASSES).cumsum().tolist()
     mean_prob = mean_prob.copy()
-    correct = pred == gold_labels
-    hit_counts = np.bincount(gold_labels[correct], minlength=N_EXPRESSION_CLASSES)
-    for c in hit_counts.nonzero()[0].tolist():
-        hits = correct & (gold_labels == c)
-        hit_probs = weak_probs[hits, c]
-        batch_mean = float(np.add.reduce(hit_probs) / len(hit_probs))
-        mean_prob[c] = momentum * mean_prob[c] + (1.0 - momentum) * batch_mean
+    start = 0
+    for c, end in enumerate(ends):
+        if end > start:
+            batch_mean = float(np.add.reduce(hit_probs[start:end]) / (end - start))
+            mean_prob[c] = momentum * mean_prob[c] + (1.0 - momentum) * batch_mean
+        start = end
     return mean_prob
 
 

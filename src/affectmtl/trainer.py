@@ -26,8 +26,11 @@ built once per group of scheduled batches, AUGMENT_GROUP_ROWS rows at
 most, from the group's 8-bit levels and its slices of the two tables:
 weak views as levels, strong views as float pixels of the rows that use
 them only.  A view depends on its key and pixels alone, so grouping moves
-no bit.  Each step takes its slices of the group's views and turns its
-weak levels into float pixels; no step augments anything.
+no bit.  Each group's label table is gathered once too, beside the
+epoch's marks of the rows that get a strong view.  Each step takes basic
+slices (views) of the group's labels and views and of the marks, and
+turns its weak levels into float pixels; no step augments anything or
+gathers labels.
 
 Adam runs over the flat parameter buffer (see network.Params): its moments
 are flat arrays updated in place, block by block.  The backbone fields come
@@ -164,9 +167,10 @@ def pack_dataset(dataset: Dataset, levels: np.ndarray) -> PackedDataset:
     return PackedDataset(**labels, levels=levels)
 
 
-def slice_targets(packed: PackedDataset, indices: np.ndarray) -> LabelArrays:
-    """The label table of the samples at indices, in that order."""
-    return LabelArrays(**{name: getattr(packed, name)[indices] for name in LABEL_FIELDS})
+def slice_targets(labels: LabelArrays, indices) -> LabelArrays:
+    """The label table of the samples at indices, in that order: copies for
+    an index array, views of labels for a slice."""
+    return LabelArrays(**{name: getattr(labels, name)[indices] for name in LABEL_FIELDS})
 
 
 def make_epoch_schedule(
@@ -315,30 +319,34 @@ def adam_step(
     flat = grads.flat
     scratch = np.empty(min(ADAM_BLOCK, flat.size))
     split = sum(getattr(params, name).size for name in BACKBONE_FIELDS)
-    for start, stop, lr in ((0, split, lr_base), (split, flat.size, lr_heads)):
-        for lo in range(start, stop, ADAM_BLOCK):
-            hi = min(lo + ADAM_BLOCK, stop)
-            g = flat[lo:hi]
-            m = state.m[lo:hi]
-            v = state.v[lo:hi]
-            s = scratch[: hi - lo]
-            # m' = beta1*m + (1-beta1)*g
-            np.multiply(m, ADAM_BETA1, out=m)
-            np.multiply(g, 1 - ADAM_BETA1, out=s)
-            np.add(m, s, out=m)
-            # v' = beta2*v + ((1-beta2)*g)*g
-            np.multiply(v, ADAM_BETA2, out=v)
-            np.multiply(g, 1 - ADAM_BETA2, out=s)
-            np.multiply(s, g, out=s)
-            np.add(v, s, out=v)
-            # p' = p - (lr*(m'/c1)) / (sqrt(v'/c2) + eps), written over g
-            np.divide(v, corr2, out=s)
-            np.sqrt(s, out=s)
-            np.add(s, ADAM_EPS, out=s)
-            np.divide(m, corr1, out=g)
-            np.multiply(g, lr, out=g)
-            np.divide(g, s, out=g)
-            np.subtract(params.flat[lo:hi], g, out=g)
+    for lo in range(0, flat.size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, flat.size)
+        g = flat[lo:hi]
+        m = state.m[lo:hi]
+        v = state.v[lo:hi]
+        s = scratch[: hi - lo]
+        # m' = beta1*m + (1-beta1)*g
+        np.multiply(m, ADAM_BETA1, out=m)
+        np.multiply(g, 1 - ADAM_BETA1, out=s)
+        np.add(m, s, out=m)
+        # v' = beta2*v + ((1-beta2)*g)*g
+        np.multiply(v, ADAM_BETA2, out=v)
+        np.multiply(g, 1 - ADAM_BETA2, out=s)
+        np.multiply(s, g, out=s)
+        np.add(v, s, out=v)
+        # p' = p - (lr*(m'/c1)) / (sqrt(v'/c2) + eps), written over g; lr is
+        # lr_base before the backbone boundary and lr_heads from it on.
+        np.divide(v, corr2, out=s)
+        np.sqrt(s, out=s)
+        np.add(s, ADAM_EPS, out=s)
+        np.divide(m, corr1, out=g)
+        if lo < split < hi:
+            np.multiply(g[: split - lo], lr_base, out=g[: split - lo])
+            np.multiply(g[split - lo :], lr_heads, out=g[split - lo :])
+        else:
+            np.multiply(g, lr_base if hi <= split else lr_heads, out=g)
+        np.divide(g, s, out=g)
+        np.subtract(params.flat[lo:hi], g, out=g)
     return grads, AdamState(m=state.m, v=state.v, t=t)
 
 
@@ -359,8 +367,8 @@ def wants_strong(labels: LabelArrays, mode: TrainMode) -> np.ndarray:
 
 def train_step(
     state: TrainState,
-    packed: PackedDataset,
-    batch_indices: np.ndarray,
+    targets: LabelArrays,
+    want_strong: np.ndarray,
     weak_levels: np.ndarray,
     strong_images: np.ndarray,
     config: RunConfig,
@@ -378,13 +386,14 @@ def train_step(
     confident count sums the partitions, and the thresholds are recomputed
     once from the state the epoch ends with.
 
-    weak_levels and strong_images are the batch's rows of augment_views's
-    output: the weak view of every sample as 8-bit levels, and the float
-    strong view of each sample that wants_strong marks, in batch order.
-    A DivergenceError names no epoch or batch; run_training adds them.
+    targets is the batch's label table and want_strong marks its rows that
+    get a strong view (wants_strong of its labels).  weak_levels and
+    strong_images are the batch's rows of augment_views's output: the weak
+    view of every sample as 8-bit levels, and the float strong view of each
+    sample that want_strong marks, in batch order.  A DivergenceError names
+    no epoch or batch; run_training adds them.
     """
-    targets = slice_targets(packed, batch_indices)
-    ss_rows = wants_strong(targets, config.mode).nonzero()[0]
+    ss_rows = want_strong.nonzero()[0]
     if len(strong_images) != len(ss_rows):
         raise ValueError(f"{len(strong_images)} strong views for {len(ss_rows)} strong rows")
     weak = level_pixels(weak_levels)
@@ -517,8 +526,9 @@ def run_training(
         # The epoch's draw tables, keyed by sample index: row i of weak_table
         # belongs to schedule[i]; strong_table holds the strong rows in
         # schedule order, and strong_start[i] counts those before position i.
-        # The views of one group of whole batches are built at a time; views
-        # and draws are sliced by position, the strong ones by strong_start.
+        # The labels and views of one group of whole batches are gathered
+        # and built at a time; labels, views and draws are sliced by
+        # position, the strong ones by strong_start.
         scheduled_strong = strong_rows[schedule]
         weak_table = view_uniforms(config.seed, epoch, schedule, WEAK_VIEW, WEAK_DRAWS)
         strong_table = view_uniforms(
@@ -532,6 +542,7 @@ def run_training(
             stop = min(start + config.batch_size, len(schedule))
             if start % group_rows == 0:
                 group, group_stop = start, min(start + group_rows, len(schedule))
+                group_targets = slice_targets(train_packed, schedule[group:group_stop])
                 strong_base = strong_start[group]
                 weak_group, strong_group = augment_views(
                     train_packed.levels[schedule[group:group_stop]],
@@ -543,8 +554,8 @@ def run_training(
             try:
                 state, breakdown, part = train_step(
                     state,
-                    train_packed,
-                    schedule[start:stop],
+                    slice_targets(group_targets, slice(start - group, stop - group)),
+                    scheduled_strong[start:stop],
                     weak_group[start - group : stop - group],
                     strong_group[strong_start[start] - strong_base : strong_start[stop] - strong_base],
                     config,

@@ -31,6 +31,10 @@ weak_view and strong_view build one image's views at a time: np.pad,
 crop and flip, then that image's ops in its own order with scalar
 parameters and its own cutout box, rotation through rotate_bilinear on
 that image alone.  The package's batch views must match them bit for bit.
+LEVEL_PIXELS is the table of the 256 levels' pixels, k / 255.0, that the
+package's level_pixels must match.  update_class_stats selects each class's
+hits with its own mask, the reference for the package's one sort of the
+hit rows by class.
 """
 
 import math
@@ -188,6 +192,11 @@ def ccc_loss_grad(
         d_pred[idx, dim] = -grad / 2.0
     return total / 2.0, d_pred
 
+
+# LEVEL_PIXELS[k] is level k's pixel value, k / 255.0; read-only.  The
+# package's level_pixels must read every level as this table does.
+LEVEL_PIXELS = np.arange(256) / 255.0
+LEVEL_PIXELS.flags.writeable = False
 
 _PGM_WHITESPACE = b" \t\r\n"
 
@@ -624,3 +633,25 @@ def strong_view(image: np.ndarray, draw: np.ndarray, config) -> np.ndarray:
             left = _below(u_left, width - cut_w + 1)
             view[top : top + cut_h, left : left + cut_w] = 0.0
     return np.clip(view, 0.0, 1.0)
+
+
+def update_class_stats(mean_prob, weak_probs, gold_labels, mask, momentum=0.9):
+    """The per-class statistics update as one masked selection per class:
+    the hits of class c are the masked-in rows whose gold label and argmax
+    are both c, and their batch mean is the sum of that selection."""
+    idx = mask.nonzero()[0]
+    if len(idx) == 0:
+        return mean_prob
+    gold_labels = np.asarray(gold_labels)[idx]
+    weak_probs = np.asarray(weak_probs)[idx]
+    if gold_labels.min() < 0 or gold_labels.max() >= N_EXPRESSION_CLASSES:
+        raise DataError(f"gold labels outside [0, {N_EXPRESSION_CLASSES})")
+    correct = weak_probs.argmax(axis=1) == gold_labels
+    mean_prob = mean_prob.copy()
+    for c in range(N_EXPRESSION_CLASSES):
+        hits = correct & (gold_labels == c)
+        if hits.any():
+            hit_probs = weak_probs[hits, c]
+            batch_mean = float(np.add.reduce(hit_probs) / len(hit_probs))
+            mean_prob[c] = momentum * mean_prob[c] + (1.0 - momentum) * batch_mean
+    return mean_prob

@@ -3,6 +3,7 @@ against itself, and the script's checks on fake runs."""
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,8 +20,9 @@ def ab_train():
 
 def test_repo_against_itself(ab_train, monkeypatch, capsys):
     monkeypatch.setattr(ab_train, "SYNTH_SIZES", {"train_count": 40, "val_count": 16, "image_size": 8})
-    monkeypatch.setattr(ab_train, "HIDDEN_WIDTH", 8)
-    summary = ab_train.main([str(ROOT), str(ROOT), "--pairs", "2", "--epochs", "1"])
+    summary = ab_train.main(
+        [str(ROOT), str(ROOT), "--pairs", "2", "--epochs", "1", "--hidden-width", "8"]
+    )
     assert 0 <= summary["b_wins"] <= 2 and summary["median_ratio"] > 0
     assert summary["A"]["min_s"] <= summary["A"]["median_s"]
     out = capsys.readouterr().out
@@ -31,6 +33,39 @@ def test_repo_against_itself(ab_train, monkeypatch, capsys):
     import affectmtl_ab_b
 
     assert len({affectmtl.trainer, affectmtl_ab_a.trainer, affectmtl_ab_b.trainer}) == 3
+
+
+def test_mode_and_width_default_to_ss_mfar_at_64(ab_train, monkeypatch):
+    seen = []
+
+    def trainer_run(package, args):
+        seen.append((args.mode, args.hidden_width))
+        return lambda: (1.0, "log")
+
+    monkeypatch.setattr(ab_train, "trainer_run", trainer_run)
+    ab_train.main([str(ROOT), str(ROOT), "--pairs", "1"])
+    ab_train.main([str(ROOT), str(ROOT), "--pairs", "1", "--mode", "mfar", "--hidden-width", "256"])
+    assert seen == [("ss-mfar", 64)] * 2 + [("mfar", 256)] * 2
+
+
+@pytest.mark.parametrize("mode", ["mfar", "ss-mfar-no-kl"])
+def test_mode_and_width_reach_the_run(ab_train, monkeypatch, mode):
+    """A side trains in the mode and at the width its flags give."""
+    monkeypatch.setattr(ab_train, "SYNTH_SIZES", {"train_count": 40, "val_count": 16, "image_size": 8})
+    package = ab_train.load_tree(ROOT, "affectmtl_ab_" + mode.replace("-", "_"))
+    trainer = package.trainer
+    run_training = trainer.run_training
+    runs = []
+
+    def recording(train, val, config):
+        result = run_training(train, val, config)
+        runs.append((config.mode.value, result.model_config.hidden_width))
+        return result
+
+    monkeypatch.setattr(trainer, "run_training", recording)
+    args = SimpleNamespace(epochs=1, mode=mode, hidden_width=6)
+    ab_train.trainer_run(package, args)()
+    assert runs == [(mode, 6)]
 
 
 def fake_runs(logs, seconds):

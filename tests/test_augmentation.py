@@ -269,6 +269,19 @@ def test_weak_views_match_per_image_np_pad_reference():
                 assert got.tobytes() == expected.tobytes(), (height, width, pad)
 
 
+@pytest.mark.parametrize("pad", [0, 2, 20], ids=["pad 0", "pad 2", "pad wider than the image"])
+def test_weak_views_of_a_group_match_per_image_reference(pad):
+    """A 128-row group of 16x16 levels, the size run_training gathers, gets
+    the per-image np.pad views byte for byte: crop offsets up to 2 * pad
+    read the table of distinct crops modulo the reflection's period."""
+    rng = np.random.default_rng(pad)
+    imgs = rng.integers(0, 256, (128, 16, 16), dtype=np.uint8)
+    cfg = AugConfig(crop_padding=pad)
+    draws = view_uniforms(pad, 0, np.arange(128), WEAK_VIEW, WEAK_DRAWS)
+    expected = np.stack([oracles.weak_view(i, d, cfg) for i, d in zip(imgs, draws)])
+    assert weak_views(imgs, draws, cfg).tobytes() == expected.tobytes()
+
+
 def test_augment_views_order_independent(rng):
     """A sample's views depend on its dataset index, not its batch slot."""
     imgs = levels(rng, n=4)

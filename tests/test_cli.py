@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -436,6 +437,34 @@ class TestEvaluate:
         # below a trained model, concordance near zero.
         assert record["p_exp"] < 0.5
         assert abs(record["p_va"]) < 0.5
+
+    def test_config_hash_mismatch_exits_2(self, data_dir, run_dir, tmp_path, capsys):
+        """A checkpoint beside a config_resolved.txt of another run config
+        is refused with one line that names both hashes."""
+        out = tmp_path / "out"
+        shutil.copytree(run_dir, out)
+        _, _, stored = load_checkpoint(out / "checkpoint.npz")
+        text = (out / "config_resolved.txt").read_text(encoding="utf-8")
+        edited = text.replace("seed=0\n", "seed=1\n")
+        assert edited != text
+        (out / "config_resolved.txt").write_text(edited, encoding="utf-8", newline="\n")
+        other = hashlib.sha256(edited.encode("utf-8")).hexdigest()
+        assert run_cli("evaluate", "--data", data_dir,
+                       "--checkpoint", out / "checkpoint.npz") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert stored in captured.err and other in captured.err
+
+    def test_checkpoint_without_resolved_config_is_scored(self, data_dir, run_dir, tmp_path,
+                                                          capsys):
+        shutil.copy(run_dir / "checkpoint.npz", tmp_path / "checkpoint.npz")
+        assert run_cli("evaluate", "--data", data_dir,
+                       "--checkpoint", run_dir / "checkpoint.npz") == 0
+        beside = capsys.readouterr().out
+        assert run_cli("evaluate", "--data", data_dir,
+                       "--checkpoint", tmp_path / "checkpoint.npz") == 0
+        assert capsys.readouterr().out == beside
 
     def test_image_size_mismatch_exits_2(self, run_dir, tmp_path):
         cfg = tmp_path / "synth.cfg"

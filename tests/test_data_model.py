@@ -32,7 +32,6 @@ from affectmtl.data_model import (
 from affectmtl import data_model, pgm
 from affectmtl.config import SynthFileConfig
 from affectmtl.errors import ConfigError, DataError
-from affectmtl.pgm import LEVEL_PIXELS
 
 import oracles
 from conftest import columns, datasets, label_rows, make_dataset
@@ -513,7 +512,7 @@ class TestSynthetic:
         assert columns(dataset) == oracles.record_columns(records)
         assert serialize_manifest(dataset) == oracles.serialize_manifest(records)
         assert images.dtype == np.uint8 and images.shape == ref_images.shape
-        assert LEVEL_PIXELS[images].tobytes() == ref_images.tobytes()
+        assert oracles.LEVEL_PIXELS[images].tobytes() == ref_images.tobytes()
 
     def test_transient_memory_bounded(self):
         """At the default train size, the peak of what generate_synthetic

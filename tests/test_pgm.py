@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import oracles
 from affectmtl import pgm
 from affectmtl.errors import DataError
-from affectmtl.pgm import LEVEL_PIXELS, level_pixels, read_pgm, write_pgm
+from affectmtl.pgm import level_pixels, read_pgm, write_pgm
+from conftest import traced_peak
 
 
 def test_round_trip_quantized(tmp_path, rng):
@@ -24,22 +25,40 @@ def test_round_trip_quantized(tmp_path, rng):
 
 
 def test_level_table_is_what_read_returns(tmp_path):
-    assert not LEVEL_PIXELS.flags.writeable
-    assert [float(x).hex() for x in LEVEL_PIXELS] == [(k / 255).hex() for k in range(256)]
+    assert not oracles.LEVEL_PIXELS.flags.writeable
+    assert [float(x).hex() for x in oracles.LEVEL_PIXELS] == [(k / 255).hex() for k in range(256)]
     path = tmp_path / "levels.pgm"
     path.write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
     assert read_pgm(path).tobytes() == bytes(range(256))
-    assert level_pixels(read_pgm(path)).tobytes() == LEVEL_PIXELS.tobytes()
+    assert level_pixels(read_pgm(path)).tobytes() == oracles.LEVEL_PIXELS.tobytes()
+
+
+def test_every_level_reads_as_k_over_255():
+    """Each of the 256 levels reads as Python's k / 255.0, bit for bit."""
+    pixels = level_pixels(np.arange(256, dtype=np.uint8))
+    assert pixels.dtype == np.float64
+    assert [float(x).hex() for x in pixels] == [(k / 255.0).hex() for k in range(256)]
+
+
+def test_level_pixels_allocates_its_output_only():
+    """The float pixels of a 500-row 16x16 split, 1,024,000 bytes, and the
+    cast's buffer are all that level_pixels allocates.  Measured:
+    1,090,888; a take from the level table allocated 2,048,192, an 8-byte
+    index per pixel first."""
+    levels = np.random.default_rng(0).integers(0, 256, (500, 16, 16), dtype=np.uint8)
+    level_pixels(levels)
+    peak = traced_peak(lambda: level_pixels(levels))
+    assert peak <= 1.1 * levels.size * 8, peak
 
 
 def test_write_quantizes_to_8bit(tmp_path, rng):
     """A pixel is one byte of the file, its level as given, which the
-    float reference reader reads as LEVEL_PIXELS[level]."""
+    float reference reader reads as oracles.LEVEL_PIXELS[level]."""
     image = rng.integers(0, 256, (4, 6), dtype=np.uint8)
     path = tmp_path / "img.pgm"
     write_pgm(path, image)
     assert path.read_bytes() == b"P5\n6 4\n255\n" + image.tobytes()
-    assert oracles.read_pgm(path).tobytes() == LEVEL_PIXELS[image].tobytes()
+    assert oracles.read_pgm(path).tobytes() == oracles.LEVEL_PIXELS[image].tobytes()
 
 
 def test_header_comments_tolerated(tmp_path):
@@ -125,7 +144,7 @@ def test_writer_matches_clip_and_fileio_reference(pgm_dir, levels, target):
             path.write_bytes(bytes(range(256)) * 2)  # longer than any file written here
     inode = got.stat().st_ino if got.exists() else None
     write_pgm(got, levels)
-    oracles.write_pgm(want, LEVEL_PIXELS[levels])
+    oracles.write_pgm(want, oracles.LEVEL_PIXELS[levels])
     assert got.read_bytes() == want.read_bytes()
     if inode is not None:
         assert got.stat().st_ino == inode
@@ -144,7 +163,7 @@ def _level_pixels_read(path):
     """read_pgm's levels as the float pixels the reference reader returns."""
     levels = read_pgm(path)
     assert levels.dtype == np.uint8
-    return LEVEL_PIXELS[levels]
+    return oracles.LEVEL_PIXELS[levels]
 
 
 HEADER_SEPARATORS = st.lists(

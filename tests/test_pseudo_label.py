@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from affectmtl.data_model import LABEL_SENTINEL
 from affectmtl.errors import ConfigError, DataError
 from affectmtl.pseudo_label import (
     ThresholdConfig,
@@ -95,6 +97,37 @@ class TestClassStats:
             stats = update_class_stats(stats, probs, gold, every(n))
         assert np.all(stats >= 0.0)
         assert np.all(stats <= 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 7),
+        st.integers(9, 40),
+        st.integers(0, 60),
+        st.floats(0.0, 0.99),
+    )
+    def test_matches_per_class_mask_reference(self, seed, hit_class, hits, others, momentum):
+        """Bit for bit the per-class masked selections of the reference, on
+        batches where hit_class has at least 9 hits (more than the 8 terms
+        NumPy's pairwise sum adds in one run), spread among other rows in a
+        random order, with masked-out rows holding the sentinel."""
+        rng = np.random.default_rng(seed)
+        n = hits + others
+        probs = rng.dirichlet(np.ones(8), size=n)
+        gold = rng.integers(0, 8, n)
+        gold[:hits] = hit_class
+        probs[:hits, hit_class] += 1.0
+        probs[:hits] /= probs[:hits].sum(axis=1, keepdims=True)
+        mask = rng.random(n) < 0.8
+        mask[:hits] = True
+        gold[~mask] = LABEL_SENTINEL
+        order = rng.permutation(n)
+        probs, gold, mask = probs[order], gold[order], mask[order]
+        stats = rng.random(8)
+        got = update_class_stats(stats, probs, gold, mask, momentum=momentum)
+        want = oracles.update_class_stats(stats, probs, gold, mask, momentum=momentum)
+        assert got.tobytes() == want.tobytes()
+        assert got[hit_class] != stats[hit_class]
 
 
 class TestAdaptiveThresholds:

@@ -39,11 +39,12 @@ from affectmtl.network import (
     init_params,
     softmax,
 )
-from affectmtl.pgm import LEVEL_PIXELS, level_pixels
+from affectmtl.pgm import level_pixels
 from affectmtl.pseudo_label import fresh_class_stats, partition_confident
 from affectmtl.trainer import (
     ADAM_BLOCK,
     AUGMENT_GROUP_ROWS,
+    LABEL_FIELDS,
     LOG_FIELDS,
     AdamState,
     TrainState,
@@ -61,6 +62,7 @@ from affectmtl.trainer import (
     wants_strong,
 )
 from conftest import keyed_views, make_dataset, map_fields, traced_peak
+from oracles import LEVEL_PIXELS
 
 
 def small_packed(count=24, size=8, seed=0, exp_mask=0.4, va_mask=0.2, au_mask=0.2):
@@ -172,6 +174,11 @@ class TestPackDataset:
         assert np.array_equal(targets.gold_exp, packed.gold_exp[idx])
         assert np.array_equal(targets.any_valid,
                               (packed.exp_valid | packed.au_valid | packed.va_valid)[idx])
+        # A slice gives views of the table it slices, as each step gets.
+        window = slice_targets(targets, slice(1, 3))
+        for name in LABEL_FIELDS:
+            assert np.shares_memory(getattr(window, name), getattr(targets, name))
+            assert np.array_equal(getattr(window, name), getattr(targets, name)[1:3])
 
 
 class TestSchedule:
@@ -409,13 +416,23 @@ class TestAdam:
     def test_matches_per_field_reference_bitwise_equal_rates(self):
         self._check_per_field_reference(lr_base=0.001, lr_heads=0.001)
 
+    @pytest.mark.parametrize(
+        "block", [131_584, 1 << 20, 1000], ids=["edge", "one block", "small blocks"]
+    )
+    def test_backbone_boundary_anywhere_in_the_blocks(self, block, monkeypatch):
+        """The rates switch at the backbone boundary wherever it falls: on a
+        block edge, inside the one block of the whole buffer, or inside the
+        132nd of many small blocks (the default ADAM_BLOCK puts it 512
+        entries into the fifth block)."""
+        monkeypatch.setattr(affectmtl.trainer, "ADAM_BLOCK", block)
+        self._check_per_field_reference(lr_base=0.001, lr_heads=0.01)
+
     def _check_per_field_reference(self, lr_base, lr_heads):
-        # Width 256 on 16x16 images: both rate runs span several blocks and
-        # end on a partial one.
+        # Width 256 on 16x16 images: 268,822 entries, of which 131,584 =
+        # 4 * 2**15 + 512 are the backbone's.
         params = init_params(ModelConfig(16, 16, hidden_width=256), 0)
         backbone_size = sum(getattr(params, f).size for f in BACKBONE_FIELDS)
-        assert backbone_size > ADAM_BLOCK and backbone_size % ADAM_BLOCK
-        assert (params.flat.size - backbone_size) % ADAM_BLOCK
+        assert backbone_size == 4 * ADAM_BLOCK + 512
         rates = {
             f: lr_base if f in ("w1", "b1", "w2", "b2") else lr_heads
             for f in PARAM_FIELDS
@@ -484,7 +501,7 @@ def wide_semi_step():
     want = wants_strong(packed, config.mode)
     assert np.count_nonzero(want) > 0
     views = keyed_views(packed.levels, batch, config.seed, 0, config.augment, want)
-    args = (packed, batch, *views, config, w_exp, w_au, 0)
+    args = (slice_targets(packed, batch), want, *views, config, w_exp, w_au, 0)
     state, _, _ = train_step(state, *args)
     return (lambda: train_step(state, *args)), params.flat.nbytes
 
@@ -543,6 +560,7 @@ def test_step_numpy_python_calls(mode, bound):
     w_exp = expression_class_weights(stats)
     w_au = au_positive_weights(stats)
     group = np.arange(AUGMENT_GROUP_ROWS)
+    targets = slice_targets(packed, group)
     want = wants_strong(packed, mode)
     assert (np.count_nonzero(want) > 0) == (mode is not TrainMode.SUPERVISED)
     half = config.batch_size
@@ -551,11 +569,12 @@ def test_step_numpy_python_calls(mode, bound):
     def group_steps(state):
         weak, strong = keyed_views(packed.levels, group, config.seed, 1, config.augment, want)
         for batch, weak_rows, strong_rows in (
-            (group[:half], weak[:half], strong[:strong_half]),
-            (group[half:], weak[half:], strong[strong_half:]),
+            (slice(0, half), weak[:half], strong[:strong_half]),
+            (slice(half, None), weak[half:], strong[strong_half:]),
         ):
             state, _, _ = train_step(
-                state, packed, batch, weak_rows, strong_rows, config, w_exp, w_au, 1
+                state, slice_targets(targets, batch), want[batch], weak_rows, strong_rows,
+                config, w_exp, w_au, 1,
             )
         return state
 
@@ -700,21 +719,27 @@ class TestRunTraining:
     @pytest.mark.parametrize("group_rows", [8, 16, 20, 24, 128])
     @pytest.mark.parametrize("imbalance", ["reweight", "resample"])
     def test_steps_get_their_batch_views_from_groups(self, imbalance, group_rows, monkeypatch):
-        """Every step gets the views a call on its batch alone would build,
-        in groups of 1, 2, 2, 3 and all 7 batches of 8 rows (50 rows leave
-        a ragged last batch); one augment_views call per group."""
-        calls, steps = [], []
+        """Every step gets the labels, strong-row marks and views that its
+        batch alone would give, in groups of 1, 2, 2, 3 and all 7 batches of
+        8 rows (50 rows leave a ragged last batch); one augment_views call
+        per group."""
+        calls, schedules, steps = [], [], []
 
         def augmenting(levels, *args, **kwargs):
             calls.append(len(levels))
             return augment_views(levels, *args, **kwargs)
 
-        def stepping(state, packed, batch, weak, strong, *args):
-            steps.append((batch, weak, strong))
-            return train_step(state, packed, batch, weak, strong, *args)
+        def scheduling(*args):
+            schedules.append(make_epoch_schedule(*args))
+            return schedules[-1]
+
+        def stepping(state, targets, want_strong, weak, strong, *args):
+            steps.append((targets, want_strong, weak, strong))
+            return train_step(state, targets, want_strong, weak, strong, *args)
 
         monkeypatch.setattr(affectmtl.trainer, "AUGMENT_GROUP_ROWS", group_rows)
         monkeypatch.setattr(affectmtl.trainer, "augment_views", augmenting)
+        monkeypatch.setattr(affectmtl.trainer, "make_epoch_schedule", scheduling)
         monkeypatch.setattr(affectmtl.trainer, "train_step", stepping)
         train = small_packed(count=50, seed=0)
         config = self.config(imbalance=imbalance, epochs=1)
@@ -722,14 +747,20 @@ class TestRunTraining:
         batches_per_group = max(1, group_rows // config.batch_size)
         group = batches_per_group * config.batch_size
         assert calls == [min(group, 50 - start) for start in range(0, 50, group)]
-        assert [len(batch) for batch, _, _ in steps] == [8] * 6 + [2]
+        assert [len(want_strong) for _, want_strong, _, _ in steps] == [8] * 6 + [2]
+        (schedule,) = schedules
         want = wants_strong(train, config.mode)
-        for batch, weak, strong in steps:
-            alone = keyed_views(
+        for start, (targets, want_strong, weak, strong) in zip(range(0, 50, 8), steps):
+            batch = schedule[start : start + 8]
+            alone = slice_targets(train, batch)
+            for name in LABEL_FIELDS:
+                assert getattr(targets, name).tobytes() == getattr(alone, name).tobytes()
+            assert want_strong.tobytes() == want[batch].tobytes()
+            views = keyed_views(
                 train.levels[batch], batch, config.seed, 0, config.augment, want[batch]
             )
-            assert weak.tobytes() == alone[0].tobytes()
-            assert strong.tobytes() == alone[1].tobytes()
+            assert weak.tobytes() == views[0].tobytes()
+            assert strong.tobytes() == views[1].tobytes()
 
     @pytest.mark.parametrize("mode", list(TrainMode))
     def test_one_epoch_draws_two_tables(self, mode, monkeypatch):
