@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 bad data or configuration (a
 size too large to allocate included), 3 training divergence.  `train`
 and `curves` write each output to a temporary file and rename it into
 place, so a failed command leaves no partial file at an output path.
+`train` removes an existing checkpoint.npz before its first write and
+writes it last, so the checkpoint marks a finished run: a run directory
+without one holds none, and `evaluate` exits 2 naming the missing file.
 `synth` overwrites existing images in place (see pgm.write_pgm, which
 avoids O_TRUNC because freeing each old block costs more than the
 write), so a failed run can leave a mix of old and new images.  Only
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -32,6 +34,7 @@ from .config import (
     dump_run_config,
     parse_run_config,
     parse_synth_config,
+    text_hash,
 )
 from .data_model import (
     N_EXPRESSION_CLASSES,
@@ -106,18 +109,16 @@ def cmd_train(args) -> int:
     val_packed = _load_split(args.data, "val.csv")
     result = run_training(train_packed, val_packed, run_config, workers=_workers())
     os.makedirs(args.out, exist_ok=True)
+    checkpoint = os.path.join(args.out, "checkpoint.npz")
+    if os.path.lexists(checkpoint):
+        os.remove(checkpoint)
     for name, text in (
         ("log.jsonl", format_epoch_log(result.reports)),
         ("config_resolved.txt", dump_run_config(run_config)),
     ):
         with atomic_open(os.path.join(args.out, name), encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    save_checkpoint(
-        os.path.join(args.out, "checkpoint.npz"),
-        result.best_params,
-        result.model_config,
-        config_hash(run_config),
-    )
+    save_checkpoint(checkpoint, result.best_params, result.model_config, config_hash(run_config))
     if result.reports:
         best = result.reports[result.best_epoch]["val_p_mtl"]
         print(f"best_epoch={result.best_epoch} val_p_mtl={best!r}")
@@ -128,11 +129,10 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     params, model_config, stored_hash = load_checkpoint(args.checkpoint)
-    # train writes config_resolved.txt beside the checkpoint, and the
-    # checkpoint stores config_hash of it: the sha256 of that text.
+    # The checkpoint stores the text_hash of the config train wrote beside it.
     resolved = os.path.join(os.path.dirname(args.checkpoint), "config_resolved.txt")
     if os.path.exists(resolved):
-        resolved_hash = hashlib.sha256(read_text(resolved).encode("utf-8")).hexdigest()
+        resolved_hash = text_hash(read_text(resolved))
         if resolved_hash != stored_hash:
             raise DataError(
                 f"{args.checkpoint}: config hash {stored_hash} differs from {resolved_hash}, "

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .augmentation import AugConfig
-from .data_model import UNIFORM_PRIORS, SynthConfig, check_class_priors
+from .data_model import UNIFORM_PRIORS, SynthConfig, SynthKnobs, check_class_priors
 from .errors import ConfigError, check_finite
 from .losses import LossWeights, TrainMode
 from .pseudo_label import ThresholdConfig
@@ -150,8 +150,13 @@ def dump_run_config(config: RunConfig) -> str:
     )
 
 
+def text_hash(text: str) -> str:
+    """The hex sha256 of config text: a checkpoint's config hash."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def config_hash(config: RunConfig) -> str:
-    return hashlib.sha256(dump_run_config(config).encode("utf-8")).hexdigest()
+    return text_hash(dump_run_config(config))
 
 
 # Default benchmark: a long-tailed training set (rare classes get few
@@ -161,19 +166,11 @@ LONG_TAIL_PRIORS = (0.30, 0.22, 0.15, 0.10, 0.07, 0.06, 0.05, 0.05)
 
 
 @dataclass(frozen=True)
-class SynthFileConfig:
-    """Knobs of the `synth` command: one train set and one val set."""
+class SynthFileConfig(SynthKnobs):
+    """Knobs of the `synth` command: the shared knobs, and each split's count and priors."""
 
     train_count: int = 2000
     val_count: int = 500
-    image_size: int = 16
-    exp_mask_rate: float = 0.4
-    va_mask_rate: float = 0.2
-    au_mask_rate: float = 0.2
-    pixel_noise: float = 0.35
-    va_noise: float = 0.05
-    template_contrast: float = 0.3
-    au_flip_prob: float = 0.05
     class_priors: tuple[float, ...] = LONG_TAIL_PRIORS
     val_class_priors: tuple[float, ...] = UNIFORM_PRIORS
 
@@ -188,12 +185,8 @@ class SynthFileConfig:
         self.val_config()
 
     def _split_config(self, count: int, priors: tuple[float, ...]) -> SynthConfig:
-        shared = {
-            f.name: getattr(self, f.name)
-            for f in fields(SynthConfig)
-            if f.name not in ("count", "class_priors")
-        }
-        return SynthConfig(count=count, class_priors=priors, **shared)
+        knobs = {f.name: getattr(self, f.name) for f in fields(SynthKnobs)}
+        return SynthConfig(count=count, class_priors=priors, **knobs)
 
     def train_config(self) -> SynthConfig:
         return self._split_config(self.train_count, self.class_priors)

@@ -324,12 +324,10 @@ _CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
-class SynthConfig:
-    """Knobs for one synthetic dataset (one manifest's worth of samples)."""
+class SynthKnobs:
+    """The knobs SynthConfig and config.SynthFileConfig share, and their checks."""
 
-    count: int = 2000
     image_size: int = 16
-    class_priors: tuple[float, ...] = UNIFORM_PRIORS
     exp_mask_rate: float = 0.4
     va_mask_rate: float = 0.2
     au_mask_rate: float = 0.2
@@ -339,11 +337,8 @@ class SynthConfig:
     au_flip_prob: float = 0.05
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ConfigError(f"count must be >= 0, got {self.count}")
         if self.image_size < 4:
             raise ConfigError(f"image_size must be >= 4, got {self.image_size}")
-        check_class_priors("class_priors", self.class_priors)
         for name in ("exp_mask_rate", "va_mask_rate", "au_mask_rate", "au_flip_prob"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -353,6 +348,20 @@ class SynthConfig:
             # signbit also rejects -0.0, which numpy refuses as a noise scale.
             if np.signbit(value) or not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+
+
+@dataclass(frozen=True)
+class SynthConfig(SynthKnobs):
+    """Knobs for one synthetic dataset (one manifest's worth of samples)."""
+
+    count: int = 2000
+    class_priors: tuple[float, ...] = UNIFORM_PRIORS
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ConfigError(f"count must be >= 0, got {self.count}")
+        super().__post_init__()
+        check_class_priors("class_priors", self.class_priors)
 
 
 def check_class_priors(key: str, priors: tuple[float, ...]) -> None:

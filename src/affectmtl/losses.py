@@ -64,13 +64,15 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class LossBreakdown:
+    """A batch's loss terms; the field names are the run log's loss keys."""
+
     l_exp_sup: float
     l_exp_unsup: float
     l_exp_cons: float
     l_au: float
     l_va: float
     l_exp: float
-    total: float
+    l_total: float
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -275,7 +277,7 @@ def overall_loss(
         l_au=l_au,
         l_va=l_va,
         l_exp=l_exp,
-        total=l_exp + l_au + l_va,
+        l_total=l_exp + l_au + l_va,
     )
 
 

@@ -114,7 +114,7 @@ class Params:
 
 
 PARAM_FIELDS = tuple(f.name for f in fields(Params) if f.init)
-BACKBONE_FIELDS = ("w1", "b1", "w2", "b2")
+BACKBONE_FIELDS = PARAM_FIELDS[:4]
 _EXP_FIELDS = ("w_exp1", "b_exp1", "w_exp2", "b_exp2")
 _AU_FIELDS = ("w_au", "b_au")
 _VA_FIELDS = ("w_va1", "b_va1", "w_va2", "b_va2")

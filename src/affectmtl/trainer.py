@@ -55,6 +55,8 @@ one numeric platform: one NumPy build, one OpenBLAS core kernel and one
 SIMD dispatch of float64 exp, tanh and log.  Another kernel or dispatch
 (OPENBLAS_CORETYPE=Haswell, or NPY_DISABLE_CPU_FEATURES=X86_V4 on an
 AVX-512 machine) rounds differently in the last bits and changes them.
+The number of BLAS threads (OPENBLAS_NUM_THREADS) is not part of the
+platform: one thread gives the bits of the default thread count.
 The golden digests in tests/test_golden.py were recorded with AVX-512
 kernels; the portable gate is the acceptance suite's criteria 7 and 8,
 which pass under the Haswell kernel too.
@@ -203,38 +205,31 @@ def make_epoch_schedule(
 
 def batch_loss_and_grads(
     params: Params,
-    weak_images: np.ndarray,
+    cache_w: ForwardCache,
+    probs_w: np.ndarray,
     targets: LabelArrays,
     w_exp: np.ndarray,
     w_au: np.ndarray,
     weights: LossWeights,
     mode: TrainMode,
-    strong_images: np.ndarray | None = None,
-    ss_rows: np.ndarray | None = None,
-    confident: np.ndarray | None = None,
-    pseudo_labels: np.ndarray | None = None,
-    cache_w: ForwardCache | None = None,
-    probs_w: np.ndarray | None = None,
+    strong_images: np.ndarray,
+    ss_rows: np.ndarray,
+    part: ConfidencePartition,
 ) -> tuple[LossBreakdown, Params]:
     """Loss value and exact parameter gradients for one batch.
 
-    The confidence partition (ss_rows / confident / pseudo_labels, all
-    relative to the batch) is an input, not recomputed here, so the
-    function is a plain differentiable map from params to the total loss;
-    strong_images carries one image per ss_row.  Supervised terms average
-    over each task's valid subset; a task with nothing valid contributes 0.
-    cache_w, when given, must be forward_with_cache(params, weak_images);
-    passing it saves the weak forward pass a caller has already run.
-    probs_w, when given, must be softmax(cache_w.exp_logits), which the
-    function otherwise computes itself; the consistency term reads its
-    ss_rows.  The strong views are forwarded through the expression head
-    only.
+    cache_w is forward_with_cache(params, weak views of the batch) and
+    probs_w is softmax(cache_w.exp_logits): the probe train_step runs to
+    refresh the thresholds, reused here; the consistency term reads its
+    ss_rows.  The confidence partition part of the strong rows ss_rows
+    (relative to the batch) is an input, not recomputed here, so the loss
+    is a plain differentiable function of params once cache_w and probs_w
+    are built from them; strong_images carries one image per ss_row.
+    Supervised terms average over each task's valid subset; a task with
+    nothing valid contributes 0.  The strong views are forwarded through
+    the expression head only.
     """
     lam_sup, lam_unsup, lam_cons = effective_lambdas(weights, mode)
-    if cache_w is None:
-        cache_w = forward_with_cache(params, weak_images)
-    if probs_w is None:
-        probs_w = softmax(cache_w.exp_logits)
 
     l_sup, d_sup = weighted_cross_entropy_grad(
         cache_w.exp_logits, targets.gold_exp, w_exp, targets.exp_valid
@@ -246,18 +241,17 @@ def batch_loss_and_grads(
     l_unsup = 0.0
     l_cons = 0.0
     cache_s = None
-    d_exp_s = None
-    if mode is not TrainMode.SUPERVISED and ss_rows is not None and len(ss_rows):
+    if mode is not TrainMode.SUPERVISED and len(ss_rows):
         cache_s = forward_with_cache(params, strong_images, expression_only=True)
         l_unsup, d_unsup = unsupervised_ce_grad(
-            cache_s.exp_logits, pseudo_labels, confident
+            cache_s.exp_logits, part.pseudo_labels, part.confident
         )
         d_exp_s = lam_unsup * d_unsup
         if lam_cons > 0.0:
             probs_ss = probs_w[ss_rows]
             probs_s = softmax(cache_s.exp_logits)
             l_cons, d_probs_w, d_probs_s = consistency_loss_grad(
-                probs_ss, probs_s, ~confident
+                probs_ss, probs_s, ~part.confident
             )
             d_exp_w[ss_rows] += lam_cons * softmax_backward(probs_ss, d_probs_w)
             d_exp_s += lam_cons * softmax_backward(probs_s, d_probs_s)
@@ -412,24 +406,22 @@ def train_step(
     part = partition_confident(probs_w[ss_rows], thresholds)
     breakdown, grads = batch_loss_and_grads(
         state.params,
-        weak,
+        cache_probe,
+        probs_w,
         targets,
         w_exp,
         w_au,
         config.loss_weights,
         config.mode,
-        strong_images=strong_images,
-        ss_rows=ss_rows,
-        confident=part.confident,
-        pseudo_labels=part.pseudo_labels,
-        cache_w=cache_probe,
-        probs_w=probs_w,
+        strong_images,
+        ss_rows,
+        part,
     )
     # Adam runs beside the parameter-sized buffers only: drop the float weak
     # views, the probe's forward cache and its probabilities first.
     del weak, cache_probe, probs_w
-    if not np.isfinite(breakdown.total):
-        raise DivergenceError(f"non-finite loss {breakdown.total}")
+    if not np.isfinite(breakdown.l_total):
+        raise DivergenceError(f"non-finite loss {breakdown.l_total}")
     params, adam = adam_step(
         state.params, grads, state.adam, config.lr_base, config.lr_heads
     )
@@ -454,9 +446,11 @@ def evaluate_packed(params: Params, packed: PackedDataset) -> MtlScore:
 
 
 # The keys of an epoch's log record, in the order the run log writes them.
+# Its loss keys are LossBreakdown's fields, each its term's mean over the steps.
+LOSS_FIELDS = tuple(f.name for f in fields(LossBreakdown))
 LOG_FIELDS = (
     "epoch",
-    "l_exp_sup", "l_exp_unsup", "l_exp_cons", "l_au", "l_va", "l_exp", "l_total",
+    *LOSS_FIELDS,
     "confident_fraction", "thresholds",
     "val_p_va", "val_p_exp", "val_p_au", "val_p_mtl",
 )
@@ -513,7 +507,6 @@ def run_training(
     best_epoch = -1
     best_score = -np.inf
     reports = []
-    loss_names = [f.name for f in fields(LossBreakdown)]
     strong_rows = wants_strong(train_packed, config.mode)
     group_rows = max(1, AUGMENT_GROUP_ROWS // config.batch_size) * config.batch_size
     for epoch in range(config.epochs):
@@ -535,7 +528,7 @@ def run_training(
             config.seed, epoch, schedule[scheduled_strong], STRONG_VIEW, STRONG_DRAWS
         )
         strong_start = np.concatenate(([0], np.cumsum(scheduled_strong)))
-        sums = np.zeros(len(loss_names))
+        sums = np.zeros(len(LOSS_FIELDS))
         confident = 0
         starts = range(0, len(schedule), config.batch_size)
         for batch_number, start in enumerate(starts):
@@ -565,7 +558,7 @@ def run_training(
                 )
             except DivergenceError as exc:
                 raise DivergenceError(exc.args[0], epoch=epoch, batch=batch_number) from None
-            sums += [getattr(breakdown, name) for name in loss_names]
+            sums += [getattr(breakdown, name) for name in LOSS_FIELDS]
             confident += int(np.count_nonzero(part.confident))
         unlabeled = int(strong_start[-1])
         # The thresholds of the epoch's last step: the same function of the
@@ -575,14 +568,13 @@ def run_training(
             val_score = evaluate_packed(state.params, val_packed)
         except DivergenceError as exc:
             raise DivergenceError(f"validation: {exc.args[0]}", epoch=epoch) from None
-        # LossBreakdown's fields in order are LOG_FIELDS[1:8].
         reports.append(dict(zip(LOG_FIELDS, (
             epoch,
             *(sums / len(starts)).tolist(),
             confident / unlabeled if unlabeled else 0.0,
             thresholds.tolist(),
             val_score.p_va, val_score.p_exp, val_score.p_au, val_score.p_mtl,
-        ))))
+        ), strict=True)))
         if val_score.p_mtl > best_score:
             best_score = val_score.p_mtl
             best_params = state.params

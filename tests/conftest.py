@@ -22,7 +22,8 @@ from affectmtl.data_model import (
     Dataset,
     LabelArrays,
 )
-from affectmtl.network import PARAM_FIELDS, Params
+from affectmtl.network import PARAM_FIELDS, Params, forward_with_cache, softmax
+from affectmtl.trainer import batch_loss_and_grads
 
 finite_va = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -77,6 +78,14 @@ def columns(dataset: Dataset) -> dict:
 def map_fields(fn, params: Params) -> Params:
     """Params whose every field is fn(that field), built in PARAM_FIELDS order."""
     return Params(**{name: fn(getattr(params, name)) for name in PARAM_FIELDS})
+
+
+def probed_loss_and_grads(params, weak, targets, *args):
+    """batch_loss_and_grads of params on the weak views, with the forward
+    cache and probabilities of the probe built from params as train_step
+    builds them; args are the arguments after targets."""
+    cache = forward_with_cache(params, weak)
+    return batch_loss_and_grads(params, cache, softmax(cache.exp_logits), targets, *args)
 
 
 def keyed_views(levels, indices, seed, epoch, config, want):

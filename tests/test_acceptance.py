@@ -47,14 +47,13 @@ from affectmtl.pseudo_label import (
     partition_confident,
 )
 from affectmtl.trainer import (
-    batch_loss_and_grads,
     evaluate_packed,
     format_epoch_log,
     make_epoch_schedule,
     pack_dataset,
     run_training,
 )
-from conftest import keyed_views, map_fields
+from conftest import keyed_views, map_fields, probed_loss_and_grads
 from oracles import symmetric_kl
 
 LN2 = math.log(2.0)
@@ -142,35 +141,15 @@ def test_criterion_1_gradients(capsys):
         n_confident += int(np.sum(part.confident))
         n_nonconfident += int(np.sum(~part.confident))
 
-        def total_at(p):
-            breakdown, _ = batch_loss_and_grads(
-                p,
-                weak,
-                targets,
-                w_exp,
-                w_au,
-                weights,
-                TrainMode.SEMI,
-                strong_images=strong,
-                ss_rows=ss_rows,
-                confident=part.confident,
-                pseudo_labels=part.pseudo_labels,
+        def loss_at(p):
+            return probed_loss_and_grads(
+                p, weak, targets, w_exp, w_au, weights, TrainMode.SEMI, strong, ss_rows, part
             )
-            return breakdown.total
 
-        _, grads = batch_loss_and_grads(
-            params,
-            weak,
-            targets,
-            w_exp,
-            w_au,
-            weights,
-            TrainMode.SEMI,
-            strong_images=strong,
-            ss_rows=ss_rows,
-            confident=part.confident,
-            pseudo_labels=part.pseudo_labels,
-        )
+        def total_at(p):
+            return loss_at(p)[0].l_total
+
+        _, grads = loss_at(params)
         for name in PARAM_FIELDS:
             arr = getattr(params, name)
             analytic = getattr(grads, name).ravel()
@@ -329,12 +308,12 @@ def test_criterion_2_loss_values(capsys):
     ]
     unit = overall_loss(1.0, 1.0, 1.0, 1.0, 1.0, LossWeights(), TrainMode.SEMI)
     cases.append(("combined semi, unit terms: expression part", unit.l_exp, 1.6))
-    cases.append(("combined semi, unit terms: total", unit.total, 3.6))
+    cases.append(("combined semi, unit terms: total", unit.l_total, 3.6))
     sup = overall_loss(1.0, 1.0, 1.0, 1.0, 1.0, LossWeights(), TrainMode.SUPERVISED)
     cases.append(("combined supervised, unit terms: expression part", sup.l_exp, 1.0))
-    cases.append(("combined supervised, unit terms: total", sup.total, 3.0))
+    cases.append(("combined supervised, unit terms: total", sup.l_total, 3.0))
     zero = overall_loss(0.0, 0.0, 0.0, 0.0, 0.0, LossWeights(), TrainMode.SEMI)
-    cases.append(("combined all-zero terms -> 0", zero.total, 0.0))
+    cases.append(("combined all-zero terms -> 0", zero.l_total, 0.0))
 
     failures = []
     worst = 0.0
@@ -521,18 +500,8 @@ def test_criterion_5_masking(capsys):
         strong = imgs[ss_rows] * 0.9 + 0.05
         probs = softmax(forward_with_cache(params, imgs).exp_logits[ss_rows])
         part = partition_confident(probs, thresholds)
-        return batch_loss_and_grads(
-            params,
-            imgs,
-            tgt,
-            w_exp,
-            w_au,
-            weights,
-            TrainMode.SEMI,
-            strong_images=strong,
-            ss_rows=ss_rows,
-            confident=part.confident,
-            pseudo_labels=part.pseudo_labels,
+        return probed_loss_and_grads(
+            params, imgs, tgt, w_exp, w_au, weights, TrainMode.SEMI, strong, ss_rows, part
         )
 
     full_losses, full_grads = run(images, targets)
@@ -544,7 +513,7 @@ def test_criterion_5_masking(capsys):
         "l_au",
         "l_va",
         "l_exp",
-        "total",
+        "l_total",
     ):
         diff = abs(getattr(full_losses, field) - getattr(sub_losses, field))
         if diff > 1e-12:
@@ -563,8 +532,8 @@ def test_criterion_5_masking(capsys):
         [r[0] for r in dead_rows], [r[1] for r in dead_rows], [r[2] for r in dead_rows]
     )
     dead_losses, dead_grads = run(rng.uniform(0.0, 1.0, (3, 6, 6)), dead)
-    if dead_losses.total != 0.0:
-        failures.append(f"all-invalid batch produced loss {dead_losses.total!r}")
+    if dead_losses.l_total != 0.0:
+        failures.append(f"all-invalid batch produced loss {dead_losses.l_total!r}")
     for name in PARAM_FIELDS:
         if np.any(getattr(dead_grads, name) != 0.0):
             failures.append(f"all-invalid batch produced nonzero gradient in {name}")

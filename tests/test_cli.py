@@ -230,6 +230,67 @@ class TestKilledSynth:
             assert _file_bytes(data) == _file_bytes(root / "seed5")
 
 
+# Run the CLI with the arguments after sys.argv[1], ending it with
+# os._exit(9), as a kill would end it, in place of its os.replace call
+# number sys.argv[1] + 1.
+_KILLING_REPLACE = """
+import os, sys
+from affectmtl.cli import main
+
+limit, replaced, real = int(sys.argv[1]), 0, os.replace
+
+def replace(src, dst):
+    global replaced
+    if replaced == limit:
+        os._exit(9)
+    real(src, dst)
+    replaced += 1
+
+os.replace = replace
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+class TestKilledTrain:
+    """A train killed while it rewrites a run directory leaves one without
+    a checkpoint, which evaluate refuses, or one complete run."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, data_dir, tmp_path_factory):
+        root = tmp_path_factory.mktemp("killed_train")
+        for seed in (0, 1):
+            cfg = root / f"seed{seed}.cfg"
+            cfg.write_text(f"{SMALL_RUN}seed={seed}\n")
+            assert run_cli("train", "--data", data_dir, "--config", cfg,
+                           "--out", root / f"seed{seed}") == 0
+        return root
+
+    # train renames three files into place: log, config, checkpoint.
+    @pytest.mark.parametrize("replaced", [0, 1, 2, 3, 10**6])
+    def test_evaluate_refuses_or_reads_a_whole_run(
+        self, data_dir, runs, replaced, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(runs / "seed0", out)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(affectmtl.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILLING_REPLACE, str(replaced), "train", "--data",
+             str(data_dir), "--config", str(runs / "seed1.cfg"), "--out", str(out)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == (9 if replaced < 3 else 0), proc.stderr
+        capsys.readouterr()
+        checkpoint = out / "checkpoint.npz"
+        code = run_cli("evaluate", "--data", data_dir, "--checkpoint", checkpoint)
+        err = capsys.readouterr().err.splitlines()
+        if code == 2:
+            assert len(err) == 1 and str(checkpoint) in err[0], err
+            assert not checkpoint.exists()
+        else:
+            assert code == 0 and err == []
+            assert _file_bytes(out) in (_file_bytes(runs / "seed0"), _file_bytes(runs / "seed1"))
+
+
 class TestStats:
     def test_prints_summary(self, data_dir, capsys):
         assert run_cli("stats", "--manifest", data_dir / "train.csv") == 0

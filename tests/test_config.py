@@ -16,7 +16,9 @@ from affectmtl.config import (
     parse_kv,
     parse_run_config,
     parse_synth_config,
+    text_hash,
 )
+from affectmtl.data_model import SynthConfig, SynthKnobs
 from affectmtl.errors import ConfigError
 from affectmtl.losses import LossWeights, TrainMode
 from affectmtl.pseudo_label import ThresholdConfig
@@ -168,6 +170,18 @@ class TestRunConfig:
         assert len(a) == 64 and set(a) <= set("0123456789abcdef")
         assert a != config_hash(RunConfig(seed=1))
 
+    def test_one_function_hashes_config_text(self):
+        """config_hash is text_hash of the dump, and text_hash is the
+        package's one sha256 call."""
+        config = RunConfig(seed=3)
+        assert config_hash(config) == text_hash(dump_run_config(config))
+        package = Path(__file__).parents[1] / "src" / "affectmtl"
+        calls = {
+            path.name: path.read_text(encoding="utf-8").count("sha256(")
+            for path in package.glob("*.py")
+        }
+        assert {name: n for name, n in calls.items() if n} == {"config.py": 1}
+
 
 def construct_synth_config(text: str) -> SynthFileConfig:
     """SynthFileConfig built directly from key=value text: each value goes
@@ -188,6 +202,32 @@ SYNTH_BUILDERS = (parse_synth_config, construct_synth_config)
 
 
 class TestSynthFileConfig:
+    def test_shared_knobs_are_declared_once(self):
+        """The file config declares only what a file adds; the knobs both
+        configs take are SynthKnobs' fields, the same declarations."""
+        knobs = fields(SynthKnobs)
+        own = [f.name for f in fields(SynthFileConfig) if f not in knobs]
+        assert own == ["train_count", "val_count", "class_priors", "val_class_priors"]
+        for config in (SynthConfig, SynthFileConfig):
+            assert all(a is b for a, b in zip(fields(config), knobs))
+        assert len(knobs) == 8
+
+    def test_split_configs_are_built_from_its_fields(self):
+        default = SynthFileConfig()
+        assert default.train_config() == SynthConfig(
+            count=default.train_count, class_priors=default.class_priors
+        )
+        knobs = dict(
+            image_size=8, exp_mask_rate=0.1, va_mask_rate=0.3, au_mask_rate=0.4,
+            pixel_noise=0.2, va_noise=0.01, template_contrast=0.5, au_flip_prob=0.0,
+        )
+        priors = (0.5,) + (1.0,) * 7
+        config = SynthFileConfig(train_count=30, val_count=10, class_priors=priors, **knobs)
+        assert config.train_config() == SynthConfig(count=30, class_priors=priors, **knobs)
+        assert config.val_config() == SynthConfig(
+            count=10, class_priors=config.val_class_priors, **knobs
+        )
+
     def test_defaults(self):
         config = parse_synth_config("")
         assert config == SynthFileConfig()

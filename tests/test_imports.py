@@ -1,13 +1,17 @@
-"""Every name a package module imports is used in that module, every
-module-level definition of the package is read somewhere in the package,
-and every parameter of a package function is read in its body."""
+"""Every name a package module or script imports is used in that file,
+every module-level definition of the package is read somewhere in the
+package, and every parameter of a package or script function is read in
+its body.  The definition check stays package-only: a script's main is
+read by its `__main__` block, and nothing else imports a script."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "affectmtl"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "affectmtl"
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,6 +48,11 @@ def test_detector_finds_dead_imports():
     "path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name
 )
 def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.name)
+def test_script_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
@@ -170,3 +179,8 @@ def test_package_reads_every_parameter():
         for name in unread_parameters(path.read_text(encoding="utf-8"))
     )
     assert found == sorted(UNREAD_PARAMETERS)
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.name)
+def test_script_reads_every_parameter(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []

@@ -435,11 +435,11 @@ class TestOverallLoss:
     def test_semi_hand_value(self):
         bd = overall_loss(1, 1, 1, 1, 1, LossWeights(), TrainMode.SEMI)
         assert bd.l_exp == pytest.approx(1.6, abs=1e-12)
-        assert bd.total == pytest.approx(3.6, abs=1e-12)
+        assert bd.l_total == pytest.approx(3.6, abs=1e-12)
 
     def test_supervised_ignores_ss_terms(self):
         bd = overall_loss(1, 1, 1, 1, 1, LossWeights(), TrainMode.SUPERVISED)
-        assert bd.l_exp == 1.0 and bd.total == 3.0
+        assert bd.l_exp == 1.0 and bd.l_total == 3.0
 
     def test_no_kl_drops_consistency(self):
         bd = overall_loss(1, 1, 1, 1, 1, LossWeights(), TrainMode.SEMI_NO_KL)
@@ -447,13 +447,13 @@ class TestOverallLoss:
 
     def test_all_zero(self):
         bd = overall_loss(0, 0, 0, 0, 0, LossWeights(), TrainMode.SEMI)
-        assert bd.total == 0.0
+        assert bd.l_total == 0.0
 
     def test_breakdown_composition(self):
         w = LossWeights(sup=0.3, unsup=0.7, cons=0.2)
         bd = overall_loss(2.0, 3.0, 5.0, 1.0, 0.5, w, TrainMode.SEMI)
         assert bd.l_exp == pytest.approx(0.3 * 2 + 0.7 * 3 + 0.2 * 5, abs=1e-12)
-        assert bd.total == pytest.approx(bd.l_exp + bd.l_au + bd.l_va, abs=1e-12)
+        assert bd.l_total == pytest.approx(bd.l_exp + bd.l_au + bd.l_va, abs=1e-12)
 
     def test_effective_lambdas(self):
         w = LossWeights()

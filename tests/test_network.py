@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from affectmtl.errors import ConfigError, DataError, DivergenceError
 from affectmtl.network import (
+    BACKBONE_FIELDS,
     FEATURE_NORM_EPS,
     PARAM_FIELDS,
     ModelConfig,
@@ -371,6 +372,15 @@ class TestFlatParams:
             assert arr.ctypes.data == params.flat.ctypes.data + offset * 8
             offset += arr.size
         assert offset == params.flat.size
+
+    def test_backbone_fields_lead_the_buffer(self):
+        """The backbone boundary is PARAM_FIELDS' leading slice, so Adam's
+        split at the backbone size is the heads' first offset."""
+        assert BACKBONE_FIELDS == PARAM_FIELDS[: len(BACKBONE_FIELDS)] == ("w1", "b1", "w2", "b2")
+        params = init_params(MC, 0)
+        backbone = sum(getattr(params, name).size for name in BACKBONE_FIELDS)
+        head = getattr(params, PARAM_FIELDS[len(BACKBONE_FIELDS)])
+        assert head.ctypes.data == params.flat.ctypes.data + backbone * 8
 
     def test_constructor_and_replace_build_fresh_buffers(self):
         params = init_params(MC, 0)

@@ -1,6 +1,11 @@
+import ast
+import inspect
 import os
+import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +34,7 @@ from affectmtl.data_model import (
     write_dataset,
 )
 from affectmtl.errors import DataError, DivergenceError
-from affectmtl.losses import LossWeights, TrainMode
+from affectmtl.losses import LossBreakdown, LossWeights, TrainMode
 from affectmtl.network import (
     BACKBONE_FIELDS,
     PARAM_FIELDS,
@@ -40,7 +45,7 @@ from affectmtl.network import (
     softmax,
 )
 from affectmtl.pgm import level_pixels
-from affectmtl.pseudo_label import fresh_class_stats, partition_confident
+from affectmtl.pseudo_label import ConfidencePartition, fresh_class_stats, partition_confident
 from affectmtl.trainer import (
     ADAM_BLOCK,
     AUGMENT_GROUP_ROWS,
@@ -61,7 +66,7 @@ from affectmtl.trainer import (
     train_step,
     wants_strong,
 )
-from conftest import keyed_views, make_dataset, map_fields, traced_peak
+from conftest import keyed_views, make_dataset, map_fields, probed_loss_and_grads, traced_peak
 from oracles import LEVEL_PIXELS
 
 
@@ -257,50 +262,53 @@ class TestBatchLossAndGrads:
             au_valid=np.concatenate([targets_small.au_valid, [False]]),
             va_valid=np.concatenate([targets_small.va_valid, [False]]),
         )
-        kwargs = dict(
-            w_exp=self.w_exp, w_au=self.w_au,
-            weights=LossWeights(), mode=TrainMode.SEMI,
-            ss_rows=np.array([], int), confident=np.array([], bool),
-            pseudo_labels=np.array([], int),
+        args = (
+            self.w_exp, self.w_au, LossWeights(), TrainMode.SEMI,
+            np.empty((0, 6, 6)), np.array([], int),
+            ConfidencePartition(confident=np.array([], bool), pseudo_labels=np.array([], int)),
         )
-        loss_small, grads_small = batch_loss_and_grads(
-            self.params, images, targets_small, **kwargs
+        loss_small, grads_small = probed_loss_and_grads(
+            self.params, images, targets_small, *args
         )
-        loss_big, grads_big = batch_loss_and_grads(
-            self.params, extra, targets_big, **kwargs
+        loss_big, grads_big = probed_loss_and_grads(
+            self.params, extra, targets_big, *args
         )
-        assert loss_big.total == pytest.approx(loss_small.total, abs=1e-12)
+        assert loss_big.l_total == pytest.approx(loss_small.l_total, abs=1e-12)
         for f in PARAM_FIELDS:
             assert np.allclose(
                 getattr(grads_big, f), getattr(grads_small, f), atol=1e-12, rtol=0
             ), f
 
-    def test_supervised_mode_ignores_partition(self):
-        idx = np.arange(6)
+    def semi_batch(self, confident):
+        """The first 12 rows' weak pixels, targets and strong rows, random
+        strong views of those rows, and a partition of them: confident
+        where the given function of the row number is true."""
+        idx = np.arange(12)
         targets = slice_targets(self.packed, idx)
-        images = level_pixels(self.packed.levels[idx])
-        loss, _ = batch_loss_and_grads(
-            self.params, images, targets, self.w_exp, self.w_au,
-            LossWeights(), TrainMode.SUPERVISED,
+        ss_rows = np.flatnonzero(~targets.exp_valid & targets.any_valid)
+        assert len(ss_rows) >= 3
+        part = ConfidencePartition(
+            confident=confident(np.arange(len(ss_rows))),
+            pseudo_labels=np.arange(len(ss_rows)) % 8,
+        )
+        strong = np.random.default_rng(3).random((len(ss_rows), 6, 6))
+        return level_pixels(self.packed.levels[idx]), targets, strong, ss_rows, part
+
+    def test_supervised_mode_ignores_partition(self):
+        weak, targets, strong, ss_rows, part = self.semi_batch(lambda i: i % 2 == 0)
+        loss, _ = probed_loss_and_grads(
+            self.params, weak, targets, self.w_exp, self.w_au,
+            LossWeights(), TrainMode.SUPERVISED, strong, ss_rows, part,
         )
         assert loss.l_exp_unsup == 0.0
         assert loss.l_exp_cons == 0.0
         assert loss.l_exp == loss.l_exp_sup
 
     def test_no_kl_mode_zeroes_consistency(self):
-        idx = np.arange(12)
-        targets = slice_targets(self.packed, idx)
-        ss_rows = np.flatnonzero(~targets.exp_valid & targets.any_valid)
-        if not len(ss_rows):
-            pytest.skip("seed produced no unlabeled rows")
-        images = level_pixels(self.packed.levels[idx])
-        loss, _ = batch_loss_and_grads(
-            self.params, images, targets, self.w_exp, self.w_au,
-            LossWeights(), TrainMode.SEMI_NO_KL,
-            strong_images=images[ss_rows],
-            ss_rows=ss_rows,
-            confident=np.ones(len(ss_rows), bool),
-            pseudo_labels=np.zeros(len(ss_rows), int),
+        weak, targets, strong, ss_rows, part = self.semi_batch(lambda i: i >= 0)
+        loss, _ = probed_loss_and_grads(
+            self.params, weak, targets, self.w_exp, self.w_au,
+            LossWeights(), TrainMode.SEMI_NO_KL, strong, ss_rows, part,
         )
         assert loss.l_exp_cons == 0.0
         assert loss.l_exp_unsup > 0.0
@@ -316,49 +324,47 @@ class TestBatchLossAndGrads:
             return grads
 
         monkeypatch.setattr(affectmtl.trainer, "backward", recording_backward)
-        idx = np.arange(12)
-        targets = slice_targets(self.packed, idx)
-        ss_rows = np.flatnonzero(~targets.exp_valid & targets.any_valid)
-        assert len(ss_rows) >= 2
-        rng = np.random.default_rng(3)
-        _, grads = batch_loss_and_grads(
-            self.params, level_pixels(self.packed.levels[idx]), targets, self.w_exp, self.w_au,
-            LossWeights(), TrainMode.SEMI,
-            strong_images=rng.random((len(ss_rows), 6, 6)),
-            ss_rows=ss_rows,
-            confident=np.arange(len(ss_rows)) % 2 == 0,
-            pseudo_labels=np.arange(len(ss_rows)) % 8,
+        weak, targets, strong, ss_rows, part = self.semi_batch(lambda i: i % 2 == 0)
+        _, grads = probed_loss_and_grads(
+            self.params, weak, targets, self.w_exp, self.w_au,
+            LossWeights(), TrainMode.SEMI, strong, ss_rows, part,
         )
         assert len(returned) == 2
         assert not np.array_equal(returned[1], np.zeros_like(returned[1]))
         assert grads.flat.tobytes() == (returned[0] + returned[1]).tobytes()
 
-    def test_probe_probabilities_give_the_same_bits(self):
-        """Without cache_w and probs_w (as the finite-difference checks call
-        it) the function gives the loss and gradient bytes of a call with
-        the probe's cache and softmax (as a training step calls it); the
-        consistency term is active (some rows are not confident)."""
-        idx = np.arange(12)
-        targets = slice_targets(self.packed, idx)
-        weak = level_pixels(self.packed.levels[idx])
-        ss_rows = np.flatnonzero(~targets.exp_valid & targets.any_valid)
-        assert len(ss_rows) >= 3
-        kwargs = dict(
-            strong_images=np.random.default_rng(3).random((len(ss_rows), 6, 6)),
-            ss_rows=ss_rows,
-            confident=np.arange(len(ss_rows)) % 2 == 1,
-            pseudo_labels=np.arange(len(ss_rows)) % 8,
-        )
-        args = (self.params, weak, targets, self.w_exp, self.w_au, LossWeights(), TrainMode.SEMI)
-        alone, alone_grads = batch_loss_and_grads(*args, **kwargs)
+    def test_every_input_is_required(self):
+        parameters = inspect.signature(batch_loss_and_grads).parameters.values()
+        assert [p.name for p in parameters if p.default is not p.empty] == []
+
+    @pytest.mark.parametrize("mode", list(TrainMode))
+    def test_forwards_and_normalizes_the_strong_views_only(self, mode, monkeypatch):
+        """The weak forward cache and probabilities are the caller's: the
+        function forwards the strong views alone, and takes their softmax
+        only for the consistency term, which some rows here reach."""
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, kwargs.get("expression_only", False)))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(affectmtl.trainer, name, wrapper)
+
+        weak, targets, strong, ss_rows, part = self.semi_batch(lambda i: i % 2 == 1)
         cache = forward_with_cache(self.params, weak)
         probs = softmax(cache.exp_logits)
-        probed, probed_grads = batch_loss_and_grads(
-            *args, **kwargs, cache_w=cache, probs_w=probs
+        counting("forward_with_cache", forward_with_cache)
+        counting("softmax", softmax)
+        batch_loss_and_grads(
+            self.params, cache, probs, targets, self.w_exp, self.w_au,
+            LossWeights(), mode, strong, ss_rows, part,
         )
-        assert repr(probed) == repr(alone)
-        assert alone.l_exp_cons > 0.0
-        assert probed_grads.flat.tobytes() == alone_grads.flat.tobytes()
+        expected = {
+            TrainMode.SUPERVISED: [],
+            TrainMode.SEMI_NO_KL: [("forward_with_cache", True)],
+            TrainMode.SEMI: [("forward_with_cache", True), ("softmax", False)],
+        }
+        assert calls == expected[mode]
 
 
 class TestAdam:
@@ -643,6 +649,43 @@ def test_evaluate_packed_peak_allocation():
     evaluate_packed(params, val)
     peak = traced_peak(lambda: evaluate_packed(params, val))
     assert peak <= 1.25 * params.flat.nbytes, peak / params.flat.nbytes
+
+
+# Two epochs of ss-mfar at the default sizes (16x16 images, width 64,
+# batch 64: first-layer GEMMs that OpenBLAS splits across its threads) on
+# the default synthetic benchmark; prints the log, then the sha256 of the
+# best parameters' bytes.
+_DEFAULT_SIZE_RUN = """
+import hashlib, sys
+from affectmtl.config import RunConfig, SynthFileConfig
+from affectmtl.data_model import generate_synthetic
+from affectmtl.trainer import format_epoch_log, pack_dataset, run_training
+
+synth = SynthFileConfig()
+train = pack_dataset(*generate_synthetic(synth.train_config(), 0, prefix="train"))
+val = pack_dataset(*generate_synthetic(synth.val_config(), 1, prefix="val"))
+result = run_training(train, val, RunConfig(epochs=2))
+sys.stdout.write(format_epoch_log(result.reports))
+print(hashlib.sha256(result.best_params.flat.tobytes()).hexdigest())
+"""
+
+
+def test_one_blas_thread_gives_the_same_bits(capsys):
+    """The BLAS thread count is not part of the numeric platform: a run
+    with one OpenBLAS thread has the bits of the same run in this process,
+    both on this machine."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.path.dirname(os.path.dirname(affectmtl.trainer.__file__)),
+        OPENBLAS_NUM_THREADS="1",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEFAULT_SIZE_RUN],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    exec(_DEFAULT_SIZE_RUN, {})
+    assert capsys.readouterr().out == proc.stdout
 
 
 class TestRunTraining:
@@ -946,20 +989,31 @@ class TestEpochLog:
         val = small_packed(count=10, seed=1)
         config = RunConfig(epochs=2, batch_size=8, hidden_width=4, seed=0, mode=mode)
         result = run_training(train, val, config)
-        names = {
-            "l_exp_sup": "l_exp_sup", "l_exp_unsup": "l_exp_unsup",
-            "l_exp_cons": "l_exp_cons", "l_au": "l_au", "l_va": "l_va",
-            "l_exp": "l_exp", "l_total": "total",
-        }
+        names = ("l_exp_sup", "l_exp_unsup", "l_exp_cons", "l_au", "l_va", "l_exp", "l_total")
         steps = -(-50 // 8)
         assert len(breakdowns) == 2 * steps
         records = parse_epoch_log(format_epoch_log(result.reports))
         for epoch, record in enumerate(records):
             sums = np.zeros(len(names))
             for breakdown in breakdowns[epoch * steps : (epoch + 1) * steps]:
-                sums += [getattr(breakdown, name) for name in names.values()]
+                sums += [getattr(breakdown, name) for name in names]
             for key, mean in zip(names, sums / steps):
                 assert record[key] == mean, key
+
+    def test_loss_keys_are_loss_breakdown_fields(self):
+        """The log's loss keys are declared once, as LossBreakdown's fields,
+        and the benchmark's LOSS_FIELDS (perfbench/run.py, read without
+        importing it) names the same keys."""
+        loss_keys = tuple(f.name for f in fields(LossBreakdown))
+        assert LOG_FIELDS[1 : 1 + len(loss_keys)] == loss_keys
+        assert LOG_FIELDS.count("l_total") == 1
+        bench = Path(__file__).parents[1] / "perfbench" / "run.py"
+        assigned = {
+            node.targets[0].id: node.value
+            for node in ast.parse(bench.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        }
+        assert ast.literal_eval(assigned["LOSS_FIELDS"]) == loss_keys
 
     def test_field_order_matches_contract(self):
         reports = self.make_reports()
