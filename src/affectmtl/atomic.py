@@ -8,15 +8,16 @@ from contextlib import contextmanager
 
 @contextmanager
 def atomic_open(path, mode: str = "w", **kwargs):
-    """Open a temporary file beside path; replace path with it on success.
+    """Open the temporary file path + ".tmp"; replace path with it on success.
 
     The temporary file lives in the same directory, so os.replace is a
     rename within one filesystem: readers see the old file or the whole new
     one.  If the body raises, the temporary file is removed and path is
-    left as it was.
+    left as it was.  Each path has one writer at a time, so a killed writer
+    leaves at most one temporary, which the next write of path replaces.
     """
     path = os.fspath(path)
-    tmp = f"{path}.tmp-{os.getpid()}"
+    tmp = f"{path}.tmp"
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh

@@ -3,7 +3,8 @@
 One `key=value` pair per line; blank lines and `#` comments are ignored.
 Unknown or duplicate keys are rejected so a typo cannot silently fall back
 to a default.  The keys are the config dataclasses' fields in declaration
-order, and each value parses as the type of its field's default.
+order; each value parses as the type of its field's default, and only the
+dataclasses check it, so a file and a Python call pass the same checks.
 dump_run_config materializes every default with repr floats, and
 parse(dump(config)) == config holds exactly; the sha256 of that dump
 identifies the configuration inside checkpoints.
@@ -11,9 +12,7 @@ identifies the configuration inside checkpoints.
 
 from __future__ import annotations
 
-import enum
 import hashlib
-import math
 from dataclasses import dataclass, fields, replace
 
 from .augmentation import AugConfig
@@ -47,6 +46,10 @@ class RunConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr_base <= 0 or self.lr_heads <= 0:
             raise ConfigError("learning rates must be positive")
+        modes = tuple(m.value for m in TrainMode)
+        if self.mode not in modes:
+            raise ConfigError(f"mode must be one of {modes}, got {self.mode!r}")
+        object.__setattr__(self, "mode", TrainMode(self.mode))
         if self.imbalance not in IMBALANCE_MODES:
             raise ConfigError(
                 f"imbalance must be one of {IMBALANCE_MODES}, got {self.imbalance!r}"
@@ -77,30 +80,20 @@ def parse_kv(text: str) -> dict[str, str]:
 
 
 def _convert(key: str, value: str, default):
-    """Parse value as the type of the field's default: an enum or str
-    (both lower-cased), a tuple of floats, an int, or a finite float."""
-    kind = type(default)
-    if isinstance(default, enum.Enum):
-        try:
-            return kind(value.lower())
-        except ValueError:
-            raise ConfigError(
-                f"key {key!r}: {value!r} is not one of {[m.value for m in kind]}"
-            ) from None
-    if kind is str:
+    """Parse value as the type of the field's default: a str (lower-cased;
+    TrainMode's members are strs), a tuple of floats, an int or a float."""
+    if isinstance(default, str):
         return value.lower()
+    kind = type(default)
     if kind is tuple:
         parts = value.split(",")
         if len(parts) != len(default):
             raise ConfigError(f"{key} needs {len(default)} comma-separated values")
         return tuple(_convert(key, p.strip(), default[0]) for p in parts)
     try:
-        parsed = kind(value)
+        return kind(value)
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse {value!r} as {kind.__name__}") from None
-    if kind is float and not math.isfinite(parsed):
-        raise ConfigError(f"key {key!r}: {value!r} is not a finite number")
-    return parsed
 
 
 # Key prefix of each nested config's fields in a run config file.
@@ -145,7 +138,7 @@ def parse_run_config(text: str) -> RunConfig:
 def dump_run_config(config: RunConfig) -> str:
     """Every key, defaults included, in field order; floats via repr."""
     return "".join(
-        f"{key}={value.value if isinstance(value, enum.Enum) else value}\n"
+        f"{key}={value.value if isinstance(value, TrainMode) else value}\n"
         for key, _, _, value in _keys(config)
     )
 

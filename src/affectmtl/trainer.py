@@ -79,6 +79,7 @@ from .augmentation import (
 )
 from .config import RunConfig
 from .data_model import (
+    N_EXPRESSION_CLASSES,
     Dataset,
     LabelArrays,
     au_positive_weights,
@@ -445,14 +446,15 @@ def evaluate_packed(params: Params, packed: PackedDataset) -> MtlScore:
     )
 
 
-# The keys of an epoch's log record, in the order the run log writes them.
-# Its loss keys are LossBreakdown's fields, each its term's mean over the steps.
+# The keys of an epoch's log record, in the run log's order: the loss keys are
+# LossBreakdown's fields (term means over the steps), the val_ keys MtlScore's.
 LOSS_FIELDS = tuple(f.name for f in fields(LossBreakdown))
+SCORE_FIELDS = ("p_va", "p_exp", "p_au", "p_mtl")
 LOG_FIELDS = (
     "epoch",
     *LOSS_FIELDS,
     "confident_fraction", "thresholds",
-    "val_p_va", "val_p_exp", "val_p_au", "val_p_mtl",
+    *(f"val_{name}" for name in SCORE_FIELDS),
 )
 
 
@@ -573,7 +575,7 @@ def run_training(
             *(sums / len(starts)).tolist(),
             confident / unlabeled if unlabeled else 0.0,
             thresholds.tolist(),
-            val_score.p_va, val_score.p_exp, val_score.p_au, val_score.p_mtl,
+            *(getattr(val_score, name) for name in SCORE_FIELDS),
         ), strict=True)))
         if val_score.p_mtl > best_score:
             best_score = val_score.p_mtl
@@ -593,7 +595,23 @@ def format_epoch_log(reports) -> str:
     return "".join(json.dumps(r) + "\n" for r in reports)
 
 
+def _check_log_value(name: str, value) -> None:
+    """DataError unless value has its LOG_FIELDS kind: epoch an int, thresholds
+    a list of N_EXPRESSION_CLASSES numbers, any other an int or float, never a
+    bool; OverflowError for an int that float() refuses."""
+    if name == "thresholds" and (type(value) is not list or len(value) != N_EXPRESSION_CLASSES):
+        raise DataError(f"expected a list of {N_EXPRESSION_CLASSES} numbers")
+    kinds = (int,) if name == "epoch" else (int, float)
+    for item in value if name == "thresholds" else [value]:
+        if type(item) not in kinds:
+            expected = " or ".join(kind.__name__ for kind in kinds)
+            raise DataError(f"expected {expected}, got {type(item).__name__}")
+        float(item)
+
+
 def parse_epoch_log(text: str) -> list[dict]:
+    """A run log's records, one JSON object per non-blank line, each holding
+    every LOG_FIELDS key with a value of its kind, else DataError("log line n: ...")."""
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -607,5 +625,10 @@ def parse_epoch_log(text: str) -> list[dict]:
         missing = [f for f in LOG_FIELDS if f not in record]
         if missing:
             raise DataError(f"log line {lineno}: missing fields {missing}")
+        for name in LOG_FIELDS:
+            try:
+                _check_log_value(name, record[name])
+            except (ValueError, OverflowError) as exc:
+                raise DataError(f"log line {lineno}: {name}: {exc}") from None
         records.append(record)
     return records

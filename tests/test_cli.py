@@ -12,7 +12,7 @@ import affectmtl
 from affectmtl.cli import CURVE_COLUMNS, main
 from affectmtl.config import parse_run_config
 from affectmtl.data_model import load_manifest
-from affectmtl.network import PARAM_FIELDS, load_checkpoint
+from affectmtl.network import load_checkpoint
 from affectmtl.trainer import parse_epoch_log
 
 SMALL_SYNTH = "train_count=60\nval_count=24\nimage_size=8\n"
@@ -253,7 +253,8 @@ sys.exit(main(sys.argv[2:]))
 
 class TestKilledTrain:
     """A train killed while it rewrites a run directory leaves one without
-    a checkpoint, which evaluate refuses, or one complete run."""
+    a checkpoint, which evaluate refuses, or one complete run; a complete
+    rerun then leaves that run's files and no temporary."""
 
     @pytest.fixture(scope="class")
     def runs(self, data_dir, tmp_path_factory):
@@ -289,6 +290,9 @@ class TestKilledTrain:
         else:
             assert code == 0 and err == []
             assert _file_bytes(out) in (_file_bytes(runs / "seed0"), _file_bytes(runs / "seed1"))
+        assert run_cli("train", "--data", data_dir, "--config", runs / "seed1.cfg",
+                       "--out", out) == 0
+        assert _file_bytes(out) == _file_bytes(runs / "seed1")
 
 
 class TestStats:
@@ -593,7 +597,8 @@ class TestCurves:
         log = tmp_path / "log.jsonl"
         log.write_text("garbage\n")
         assert run_cli("curves", "--log", log, "--out", tmp_path / "c.csv") == 2
-        assert "line 1" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"affectmtl: error: {log}: log line 1: "), err
 
     def test_missing_log_exits_2(self, tmp_path):
         assert run_cli("curves", "--log", tmp_path / "nope.jsonl",
@@ -698,7 +703,9 @@ class TestCorruptInputs:
         first = json.loads((run_dir / "log.jsonl").read_text().splitlines()[0])
         log = tmp_path / "log.jsonl"
         log.write_text(json.dumps({**first, **changes}) + "\n")
-        _exits_2_naming(["curves", "--log", log, "--out", tmp_path / "c.csv"], log, capsys)
+        [field] = changes
+        named = f"{log}: log line 1: {field}: "
+        _exits_2_naming(["curves", "--log", log, "--out", tmp_path / "c.csv"], named, capsys)
 
     @pytest.mark.parametrize(
         "text, named",

@@ -48,6 +48,25 @@ class TestParseKv:
         assert parse_kv("a=x=y\n") == {"a": "x=y"}
 
 
+# (config class, field) for every float field and every tuple-of-float
+# prior of the config dataclasses, and the parser and key prefix of each
+# class's fields in a config file.
+FILE_KEYS = {
+    RunConfig: (parse_run_config, ""),
+    LossWeights: (parse_run_config, "lambda_"),
+    ThresholdConfig: (parse_run_config, "threshold_"),
+    AugConfig: (parse_run_config, ""),
+    SynthConfig: (parse_synth_config, ""),
+    SynthFileConfig: (parse_synth_config, ""),
+}
+FLOAT_FIELDS = [
+    (kind, f.name)
+    for kind in FILE_KEYS
+    for f in fields(kind)
+    if isinstance(f.default, (float, tuple))
+]
+
+
 class TestRunConfig:
     def test_empty_text_gives_defaults(self):
         assert parse_run_config("") == RunConfig()
@@ -143,26 +162,33 @@ class TestRunConfig:
             parse_run_config(text)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize(
-        "kind, field",
-        [
-            (RunConfig, "lr_base"),
-            (RunConfig, "lr_heads"),
-            (LossWeights, "sup"),
-            (LossWeights, "unsup"),
-            (LossWeights, "cons"),
-            (ThresholdConfig, "gamma"),
-            (AugConfig, "brightness_delta"),
-            (AugConfig, "contrast_low"),
-            (AugConfig, "contrast_high"),
-            (AugConfig, "rotation_max_deg"),
-        ],
-    )
+    @pytest.mark.parametrize("kind, field", FLOAT_FIELDS)
     def test_built_config_rejects_non_finite(self, kind, field, value):
-        # The parser refuses these values first; a config built in Python
-        # must refuse them too, naming the field.
-        with pytest.raises(ConfigError, match=rf"^{field} must be finite, got {value}$"):
-            kind(**{field: value})
+        """Every float field and every prior, built in Python or parsed from
+        a file, refuses NaN and +-inf with a ConfigError naming the field
+        (a prior's field is its key).  The parser checks no value itself,
+        so a float field its dataclass leaves unchecked fails here."""
+        default = getattr(kind(), field)
+        bad = (value, *default[1:]) if isinstance(default, tuple) else value
+        with pytest.raises(ConfigError, match=rf"^{field} "):
+            kind(**{field: bad})
+        parse, prefix = FILE_KEYS[kind]
+        text = ",".join(map(repr, bad)) if isinstance(bad, tuple) else repr(bad)
+        with pytest.raises(ConfigError, match=rf"^{field} "):
+            parse(f"{prefix}{field}={text}\n")
+
+    def test_mode_is_taken_by_value(self):
+        for mode in TrainMode:
+            assert RunConfig(mode=mode.value) == RunConfig(mode=mode)
+            assert RunConfig(mode=mode.value).mode is mode
+            assert parse_run_config(f"mode={mode.value.upper()}\n").mode is mode
+
+    def test_unknown_mode_names_the_field_and_the_modes(self):
+        message = "mode must be one of ('mfar', 'ss-mfar', 'ss-mfar-no-kl'), got 'fixmatch'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(mode="fixmatch")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_run_config("mode=fixmatch\n")
 
     def test_hash_stable_and_sensitive(self):
         a = config_hash(RunConfig())

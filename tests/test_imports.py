@@ -1,8 +1,8 @@
-"""Every name a package module or script imports is used in that file,
-every module-level definition of the package is read somewhere in the
-package, and every parameter of a package or script function is read in
-its body.  The definition check stays package-only: a script's main is
-read by its `__main__` block, and nothing else imports a script."""
+"""Every name a package module, script or test module imports is used in
+that file, every module-level definition of the package is read somewhere
+in the package, and every parameter of a package or script function is
+read in its body.  The definition check stays package-only: a script's
+main is read by its `__main__` block, and nothing else imports a script."""
 
 import ast
 from pathlib import Path
@@ -12,6 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "affectmtl"
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -53,6 +54,11 @@ def test_module_uses_every_import(path):
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.name)
 def test_script_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda path: path.name)
+def test_test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -35,6 +36,7 @@ from affectmtl.data_model import (
 )
 from affectmtl.errors import DataError, DivergenceError
 from affectmtl.losses import LossBreakdown, LossWeights, TrainMode
+from affectmtl.metrics import MtlScore
 from affectmtl.network import (
     BACKBONE_FIELDS,
     PARAM_FIELDS,
@@ -51,7 +53,6 @@ from affectmtl.trainer import (
     AUGMENT_GROUP_ROWS,
     LABEL_FIELDS,
     LOG_FIELDS,
-    AdamState,
     TrainState,
     adam_init,
     adam_step,
@@ -702,6 +703,20 @@ class TestRunTraining:
         assert params_equal(a.final_params, b.final_params)
         assert format_epoch_log(a.reports) == format_epoch_log(b.reports)
 
+    def test_mode_by_value_trains_as_its_member(self):
+        """A mode given by value, as a config file gives it, is its member
+        and trains its member's log; the three modes log differently here."""
+        train = small_packed(count=24, seed=0)
+        val = small_packed(count=10, seed=1)
+        logs = []
+        for mode in TrainMode:
+            by_value, by_member = self.config(mode=mode.value), self.config(mode=mode)
+            log = format_epoch_log(run_training(train, val, by_value).reports)
+            assert log == format_epoch_log(run_training(train, val, by_member).reports), mode
+            assert by_value == by_member and by_value.mode is mode
+            logs.append(log)
+        assert len(set(logs)) == len(TrainMode)
+
     def test_seed_changes_trajectory(self):
         train = small_packed(count=24, seed=0)
         val = small_packed(count=10, seed=1)
@@ -1018,14 +1033,53 @@ class TestEpochLog:
     def test_field_order_matches_contract(self):
         reports = self.make_reports()
         first = format_epoch_log(reports).splitlines()[0]
-        import json
-
         assert tuple(json.loads(first).keys()) == LOG_FIELDS
 
     def test_thresholds_are_eight_floats(self):
         records = parse_epoch_log(format_epoch_log(self.make_reports()))
         for record in records:
             assert len(record["thresholds"]) == 8
+
+    def test_score_keys_are_mtl_score_fields(self):
+        """Each val_ key of the log is val_ and the name of an MtlScore field."""
+        names = {f.name for f in fields(MtlScore)}
+        val_keys = [key for key in LOG_FIELDS if key.startswith("val_")]
+        assert len(val_keys) == 4
+        assert all(key.removeprefix("val_") in names for key in val_keys)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epoch", 1.0),
+            ("epoch", True),
+            ("epoch", "0"),
+            ("l_total", False),
+            ("l_total", "1.5"),
+            ("l_total", None),
+            ("val_p_au", 10**400),
+            ("thresholds", 0.5),
+            ("thresholds", [0.5] * 7),
+            ("thresholds", [True] + [0.5] * 7),
+            ("thresholds", [0.5] * 7 + [10**400]),
+        ],
+        ids=[
+            "float epoch", "bool epoch", "str epoch", "bool loss", "str loss", "null loss",
+            "overflowing score", "thresholds not a list", "seven thresholds",
+            "bool threshold", "overflowing threshold",
+        ],
+    )
+    def test_bad_value_names_its_line_and_field(self, field, value):
+        record = json.loads(format_epoch_log(self.make_reports()).splitlines()[0])
+        text = "\n" + json.dumps({**record, field: value}) + "\n"
+        with pytest.raises(DataError, match=rf"^log line 2: {field}: "):
+            parse_epoch_log(text)
+
+    def test_numbers_may_be_ints_or_non_finite(self):
+        record = json.loads(format_epoch_log(self.make_reports()).splitlines()[0])
+        record.update(l_total=3, val_p_mtl=float("nan"), thresholds=[1] * 8)
+        [parsed] = parse_epoch_log(json.dumps(record) + "\n")
+        assert parsed.keys() == record.keys()
+        assert parsed["l_total"] == 3 and np.isnan(parsed["val_p_mtl"])
 
     def test_corrupt_line_is_named(self):
         with pytest.raises(DataError, match="line 2"):
