@@ -165,12 +165,8 @@ def _curve_row(record: dict) -> list[str]:
     """One CSV row of a record parse_epoch_log checked, thresholds expanded."""
     row = []
     for name in LOG_FIELDS:
-        if name == "epoch":
-            row.append(str(record[name]))
-        elif name == "thresholds":
-            row.extend(repr(float(t)) for t in record[name])
-        else:
-            row.append(repr(float(record[name])))
+        values = record[name] if name == "thresholds" else [record[name]]
+        row.extend(str(v) if name == "epoch" else repr(float(v)) for v in values)
     return row
 
 

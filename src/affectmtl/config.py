@@ -46,14 +46,11 @@ class RunConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr_base <= 0 or self.lr_heads <= 0:
             raise ConfigError("learning rates must be positive")
-        modes = tuple(m.value for m in TrainMode)
-        if self.mode not in modes:
-            raise ConfigError(f"mode must be one of {modes}, got {self.mode!r}")
+        choices = {"mode": tuple(m.value for m in TrainMode), "imbalance": IMBALANCE_MODES}
+        for name, allowed in choices.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         object.__setattr__(self, "mode", TrainMode(self.mode))
-        if self.imbalance not in IMBALANCE_MODES:
-            raise ConfigError(
-                f"imbalance must be one of {IMBALANCE_MODES}, got {self.imbalance!r}"
-            )
         if self.hidden_width < 1:
             raise ConfigError(f"hidden_width must be >= 1, got {self.hidden_width}")
         if self.seed < 0:
