@@ -83,7 +83,7 @@ def _load_split(data_dir, manifest_name):
 
 
 def cmd_synth(args) -> int:
-    config = parse_synth_config(read_text(args.config) if args.config else "")
+    config = read_text(args.config, parse_synth_config) if args.config else parse_synth_config("")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     train_ds, train_images = generate_synthetic(config.train_config(), args.seed, prefix="train")
@@ -104,7 +104,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
-    run_config = parse_run_config(read_text(args.config) if args.config else "")
+    run_config = read_text(args.config, parse_run_config) if args.config else parse_run_config("")
     train_packed = _load_split(args.data, "train.csv")
     val_packed = _load_split(args.data, "val.csv")
     result = run_training(train_packed, val_packed, run_config, workers=_workers())
@@ -132,7 +132,7 @@ def cmd_evaluate(args) -> int:
     # The checkpoint stores the text_hash of the config train wrote beside it.
     resolved = os.path.join(os.path.dirname(args.checkpoint), "config_resolved.txt")
     if os.path.exists(resolved):
-        resolved_hash = text_hash(read_text(resolved))
+        resolved_hash = read_text(resolved, text_hash)
         if resolved_hash != stored_hash:
             raise DataError(
                 f"{args.checkpoint}: config hash {stored_hash} differs from {resolved_hash}, "
@@ -171,11 +171,7 @@ def _curve_row(record: dict) -> list[str]:
 
 
 def cmd_curves(args) -> int:
-    text = read_text(args.log)
-    try:
-        records = parse_epoch_log(text)
-    except DataError as exc:
-        raise DataError(f"{args.log}: {exc}") from None
+    records = read_text(args.log, parse_epoch_log)
     lines = [",".join(CURVE_COLUMNS), *(",".join(_curve_row(r)) for r in records)]
     with atomic_open(args.out, encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -509,21 +509,23 @@ def write_dataset(root, manifest_name: str, dataset: Dataset, images: np.ndarray
         fh.write(serialize_manifest(dataset))
 
 
-def read_text(path) -> str:
-    """The UTF-8 text of a file; other bytes raise DataError naming it."""
+def read_text(path, parse):
+    """parse applied to the UTF-8 text of the file at path.  Bytes that are
+    not UTF-8 raise DataError, and each DataError that parse raises comes
+    back as the same class; both messages start with "<path>: "."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return fh.read()
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    try:
+        return parse(text)
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_manifest(path) -> Dataset:
-    text = read_text(path)
-    try:
-        return parse_manifest(text)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return read_text(path, parse_manifest)
 
 
 def load_images(dataset: Dataset, root) -> np.ndarray:
@@ -531,22 +533,22 @@ def load_images(dataset: Dataset, root) -> np.ndarray:
 
     Each image is copied into the array as soon as it is read, so that no
     list of n small arrays outlives the loop: it fragments the heap, and
-    peak RSS creeps up over repeated loads in one process.
+    peak RSS creeps up over repeated loads in one process.  The first image
+    whose size differs from the first image's raises DataError naming both.
     """
     if len(dataset) == 0:
         return np.zeros((0, 0, 0), dtype=np.uint8)
     root = os.fspath(root)
     images = None
-    shapes = set()
     for i, image_ref in enumerate(dataset.image_refs):
-        image = read_pgm(os.path.join(root, image_ref))
+        path = os.path.join(root, image_ref)
+        image = read_pgm(path)
         if images is None:
             images = np.empty((len(dataset),) + image.shape, dtype=np.uint8)
-        shapes.add(image.shape)
-        if len(shapes) == 1:
-            images[i] = image
-    if len(shapes) != 1:
-        raise DataError(f"images disagree on dimensions: {sorted(shapes)}")
+        elif image.shape != images.shape[1:]:
+            first = os.path.join(root, dataset.image_refs[0])
+            raise DataError(f"{path}: image is {image.shape} but {first} is {images.shape[1:]}")
+        images[i] = image
     return images
 
 

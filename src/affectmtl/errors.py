@@ -22,11 +22,3 @@ def check_finite(config, *names: str) -> None:
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or forward output."""
-
-    def __init__(self, message: str, epoch: int | None = None, batch: int | None = None):
-        where = ""
-        if epoch is not None:
-            where = f" (epoch {epoch}" + (f", batch {batch}" if batch is not None else "") + ")"
-        super().__init__(message + where)
-        self.epoch = epoch
-        self.batch = batch

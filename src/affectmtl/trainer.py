@@ -559,7 +559,7 @@ def run_training(
                     epoch,
                 )
             except DivergenceError as exc:
-                raise DivergenceError(exc.args[0], epoch=epoch, batch=batch_number) from None
+                raise DivergenceError(f"{exc} (epoch {epoch}, batch {batch_number})") from None
             sums += [getattr(breakdown, name) for name in LOSS_FIELDS]
             confident += int(np.count_nonzero(part.confident))
         unlabeled = int(strong_start[-1])
@@ -569,7 +569,7 @@ def run_training(
         try:
             val_score = evaluate_packed(state.params, val_packed)
         except DivergenceError as exc:
-            raise DivergenceError(f"validation: {exc.args[0]}", epoch=epoch) from None
+            raise DivergenceError(f"validation: {exc} (epoch {epoch})") from None
         reports.append(dict(zip(LOG_FIELDS, (
             epoch,
             *(sums / len(starts)).tolist(),
@@ -611,24 +611,27 @@ def _check_log_value(name: str, value) -> None:
 
 def parse_epoch_log(text: str) -> list[dict]:
     """A run log's records, one JSON object per non-blank line, each holding
-    every LOG_FIELDS key with a value of its kind, else DataError("log line n: ...")."""
+    every LOG_FIELDS key with a value of its kind, their epochs 0, 1, 2, ...
+    in order, else DataError("log line n: ...")."""
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except ValueError as exc:  # also an integer too long to convert
+            record = json.loads(line)  # ValueError also for an integer too long to convert
+            if not isinstance(record, dict):
+                raise DataError("expected a JSON object")
+            missing = [f for f in LOG_FIELDS if f not in record]
+            if missing:
+                raise DataError(f"missing fields {missing}")
+            for name in LOG_FIELDS:
+                try:
+                    _check_log_value(name, record[name])
+                except (ValueError, OverflowError) as exc:
+                    raise DataError(f"{name}: {exc}") from None
+            if record["epoch"] != len(records):
+                raise DataError(f"epoch: expected {len(records)}, got {record['epoch']}")
+        except ValueError as exc:  # DataError included
             raise DataError(f"log line {lineno}: {exc}") from None
-        if not isinstance(record, dict):
-            raise DataError(f"log line {lineno}: expected a JSON object")
-        missing = [f for f in LOG_FIELDS if f not in record]
-        if missing:
-            raise DataError(f"log line {lineno}: missing fields {missing}")
-        for name in LOG_FIELDS:
-            try:
-                _check_log_value(name, record[name])
-            except (ValueError, OverflowError) as exc:
-                raise DataError(f"log line {lineno}: {name}: {exc}") from None
         records.append(record)
     return records

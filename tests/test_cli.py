@@ -114,7 +114,7 @@ class TestSynth:
         assert run_cli("synth", "--out", tmp_path / "d", "--config", cfg) == 2
         err = capsys.readouterr().err
         assert err.startswith(
-            f"affectmtl: error: {key} must be non-negative with a finite sum > 0, got "
+            f"affectmtl: error: {cfg}: {key} must be non-negative with a finite sum > 0, got "
         )
         assert not (tmp_path / "d").exists()
 
@@ -164,26 +164,37 @@ class TestSynth:
         assert not (tmp_path / "d").exists()
 
 
-# Runs `affectmtl synth` with pgm writes counted: the process ends with
-# os._exit(9), as a kill would end it, when write_pgm is called after
-# sys.argv[1] images have been written.
-_KILLING_SYNTH = """
-import os, sys
-import affectmtl.data_model as data_model
+# Runs the CLI with the arguments after sys.argv[3], with the attribute
+# sys.argv[2] of module sys.argv[1] wrapped to count its completed calls:
+# once sys.argv[3] have completed, the next call ends the process with
+# os._exit(9), as a kill would end it.
+_KILLING_CLI = """
+import importlib, os, sys
 from affectmtl.cli import main
 
-limit, written, real = int(sys.argv[1]), 0, data_model.write_pgm
+module, name, limit = importlib.import_module(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+real, calls = getattr(module, name), 0
 
-def write_pgm(path, image):
-    global written
-    if written == limit:
+def killing(*args):
+    global calls
+    if calls == limit:
         os._exit(9)
-    real(path, image)
-    written += 1
+    real(*args)
+    calls += 1
 
-data_model.write_pgm = write_pgm
-sys.exit(main(sys.argv[2:]))
+setattr(module, name, killing)
+sys.exit(main(sys.argv[4:]))
 """
+
+
+def _run_killing(module, name, limit, *argv):
+    """Run `affectmtl argv` under _KILLING_CLI, killed at call limit + 1 of
+    module.name, and return the finished process."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(affectmtl.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", _KILLING_CLI, module, name, str(limit), *map(str, argv)],
+        env=env, capture_output=True, timeout=120,
+    )
 
 
 class TestKilledSynth:
@@ -207,12 +218,8 @@ class TestKilledSynth:
         root, cfg = synths
         data = tmp_path / "data"
         shutil.copytree(root / "seed0", data)
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(affectmtl.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-c", _KILLING_SYNTH, str(written), "synth", "--out", str(data),
-             "--config", str(cfg), "--seed", "5"],
-            env=env, capture_output=True, timeout=120,
-        )
+        proc = _run_killing("affectmtl.data_model", "write_pgm", written,
+                            "synth", "--out", data, "--config", cfg, "--seed", 5)
         killed = written < self.TRAIN + self.VAL
         assert proc.returncode == (9 if killed else 0), proc.stderr
         run_cfg = tmp_path / "run.cfg"
@@ -228,27 +235,6 @@ class TestKilledSynth:
         else:
             assert code == 0 and err == []
             assert _file_bytes(data) == _file_bytes(root / "seed5")
-
-
-# Run the CLI with the arguments after sys.argv[1], ending it with
-# os._exit(9), as a kill would end it, in place of its os.replace call
-# number sys.argv[1] + 1.
-_KILLING_REPLACE = """
-import os, sys
-from affectmtl.cli import main
-
-limit, replaced, real = int(sys.argv[1]), 0, os.replace
-
-def replace(src, dst):
-    global replaced
-    if replaced == limit:
-        os._exit(9)
-    real(src, dst)
-    replaced += 1
-
-os.replace = replace
-sys.exit(main(sys.argv[2:]))
-"""
 
 
 class TestKilledTrain:
@@ -273,12 +259,8 @@ class TestKilledTrain:
     ):
         out = tmp_path / "out"
         shutil.copytree(runs / "seed0", out)
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(affectmtl.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-c", _KILLING_REPLACE, str(replaced), "train", "--data",
-             str(data_dir), "--config", str(runs / "seed1.cfg"), "--out", str(out)],
-            env=env, capture_output=True, timeout=120,
-        )
+        proc = _run_killing("os", "replace", replaced, "train", "--data", data_dir,
+                            "--config", runs / "seed1.cfg", "--out", out)
         assert proc.returncode == (9 if replaced < 3 else 0), proc.stderr
         capsys.readouterr()
         checkpoint = out / "checkpoint.npz"
@@ -600,6 +582,25 @@ class TestCurves:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"affectmtl: error: {log}: log line 1: "), err
 
+    @pytest.mark.parametrize(
+        "order, lineno, expected, got",
+        [([0, 0], 2, 1, 0), ([1], 1, 0, 1), ([1, 0], 1, 0, 1)],
+        ids=["repeated", "dropped", "swapped"],
+    )
+    def test_log_epochs_out_of_order_exit_2(
+        self, order, lineno, expected, got, run_dir, tmp_path, capsys
+    ):
+        lines = (run_dir / "log.jsonl").read_text().splitlines()
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(lines[i] + "\n" for i in order))
+        out = tmp_path / "c.csv"
+        capsys.readouterr()
+        assert run_cli("curves", "--log", log, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"affectmtl: error: {log}: log line {lineno}: epoch: expected {expected}, got {got}"
+        ]
+        assert not out.exists()
+
     def test_missing_log_exits_2(self, tmp_path):
         assert run_cli("curves", "--log", tmp_path / "nope.jsonl",
                        "--out", tmp_path / "c.csv") == 2
@@ -720,6 +721,35 @@ class TestCorruptInputs:
         cfg.write_bytes(SMALL_RUN.encode() + text)
         argv = ["train", "--data", data_dir, "--config", cfg, "--out", tmp_path / "out"]
         _exits_2_naming(argv, named, capsys)
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("train", b"lamda_cons=1\n", "unknown config key 'lamda_cons'"),
+            ("train", b"epochs=x\n", "key 'epochs': cannot parse 'x' as int"),
+            ("train", b"threshold_momentum=1\n", "momentum must lie in [0, 1), got 1.0"),
+            ("train", b"epochs=2\xff\n", "not UTF-8 text (invalid start byte)"),
+            ("synth", b"lamda_cons=1\n", "unknown config key 'lamda_cons'"),
+            ("synth", b"train_count=x\n", "key 'train_count': cannot parse 'x' as int"),
+            ("synth", b"au_flip_prob=2\n", "au_flip_prob must lie in [0, 1], got 2.0"),
+            ("synth", b"\xfe\n", "not UTF-8 text (invalid start byte)"),
+        ],
+        ids=[
+            f"{command}-{case}" for command in ("train", "synth")
+            for case in ("unknown key", "unparsable value", "nested range", "non-UTF-8")
+        ],
+    )
+    def test_config_file_error_starts_with_its_path(
+        self, command, text, message, data_dir, tmp_path, capsys
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(text)
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg, "--out", out]
+        capsys.readouterr()
+        assert run_cli(*argv, *(["--data", data_dir] if command == "train" else [])) == 2
+        assert capsys.readouterr().err.splitlines() == [f"affectmtl: error: {cfg}: {message}"]
+        assert not out.exists()
 
     def test_synth_priors_with_an_infinite_sum(self, tmp_path, capsys):
         cfg = tmp_path / "synth.cfg"

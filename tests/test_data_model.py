@@ -26,6 +26,7 @@ from affectmtl.data_model import (
     load_images,
     load_manifest,
     parse_manifest,
+    read_text,
     serialize_manifest,
     write_dataset,
 )
@@ -562,8 +563,30 @@ class TestDiskRoundTrip:
         write_dataset(tmp_path, "a.csv", ds1, imgs1)
         write_dataset(tmp_path, "b.csv", ds2, imgs2)
         merged = concat(ds1, ds2)
-        with pytest.raises(DataError, match=r"disagree on dimensions: \[\(4, 4\), \(8, 8\)\]"):
+        first, second = (os.path.join(tmp_path, ref) for ref in merged.image_refs)
+        with pytest.raises(DataError) as excinfo:
             load_images(merged, tmp_path)
+        assert str(excinfo.value) == f"{second}: image is (4, 4) but {first} is (8, 8)"
+
+    @pytest.mark.parametrize("error", [DataError, ConfigError])
+    def test_read_text_prefixes_the_path_and_keeps_the_class(self, tmp_path, error):
+        path = tmp_path / "in.txt"
+        path.write_text("text")
+
+        def parse(text):
+            raise error(f"bad {text}")
+
+        with pytest.raises(error) as excinfo:
+            read_text(path, parse)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == f"{path}: bad text"
+
+    def test_read_text_names_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"ok\xff")
+        with pytest.raises(DataError) as excinfo:
+            read_text(path, str.upper)
+        assert str(excinfo.value) == f"{path}: not UTF-8 text (invalid start byte)"
 
     def test_split_with_one_header_parses_it_once(self, tmp_path, monkeypatch):
         """Every file is read through data_model.read_pgm, the name the

@@ -1,8 +1,10 @@
 """Every name a package module, script or test module imports is used in
 that file, every module-level definition of the package is read somewhere
-in the package, and every parameter of a package or script function is
-read in its body.  The definition check stays package-only: a script's
-main is read by its `__main__` block, and nothing else imports a script."""
+in the package, every one of the tests somewhere in the tests (but for what
+pytest itself reads: tests and fixtures), and every parameter of a package
+or script function is read in its body.  Scripts get no definition check:
+a script's main is read by its `__main__` block, and nothing else imports a
+script."""
 
 import ast
 from pathlib import Path
@@ -62,12 +64,14 @@ def test_test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def defined_names(source: str) -> list[str]:
-    """Module-level functions, classes and constants that source defines."""
+def defined_names(source: str, skip=lambda node: False) -> list[str]:
+    """Module-level functions, classes and constants that source defines,
+    but for the functions and classes that skip accepts."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(node.name)
+            if not skip(node):
+                names.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.extend(t.id for t in targets if isinstance(t, ast.Name))
@@ -92,8 +96,9 @@ def referenced_names(source: str) -> set[str]:
     return used
 
 
-def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """module.name for each module-level definition no module reads.
+def unreferenced_definitions(sources: dict[str, str], skip=lambda node: False) -> list[str]:
+    """module.name for each module-level definition no module reads, but for
+    the functions and classes that skip accepts.
 
     Reads are matched by name across the whole package, so a definition
     that only tests (or only outside tooling) call is reported.
@@ -102,7 +107,7 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     return sorted(
         f"{module}.{name}"
         for module, source in sources.items()
-        for name in defined_names(source)
+        for name in defined_names(source, skip)
         if name not in used
     )
 
@@ -124,6 +129,32 @@ def test_detector_finds_unreferenced_definitions():
 def test_package_defines_nothing_only_tests_use():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert unreferenced_definitions(sources) == []
+
+
+def read_by_pytest(node) -> bool:
+    """Whether pytest itself reads a definition: a test_ function, a Test
+    class or a function decorated with @pytest.fixture."""
+    if isinstance(node, ast.ClassDef):
+        return node.name.startswith("Test")
+    return node.name.startswith("test_") or any(
+        ast.unparse(getattr(d, "func", d)) == "pytest.fixture" for d in node.decorator_list
+    )
+
+
+def test_detector_skips_what_pytest_reads():
+    source = (
+        "import pytest\n@pytest.fixture(autouse=True)\ndef auto(): pass\n"
+        "@pytest.fixture\ndef plain(): pass\ndef test_x(): pass\nclass TestY: pass\n"
+        "def helper(): pass\nclass Helper: pass\n"
+    )
+    assert unreferenced_definitions({"t": source}, skip=read_by_pytest) == [
+        "t.Helper", "t.helper",
+    ]
+
+
+def test_tests_define_nothing_unread():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in TESTS}
+    assert unreferenced_definitions(sources, skip=read_by_pytest) == []
 
 
 def unread_parameters(source: str) -> list[str]:
