@@ -1,9 +1,9 @@
 """Every name a package module, script or test module imports is used in
 that file, every module-level definition of the package is read somewhere
-in the package, every one of the tests somewhere in the tests (but for what
-pytest itself reads: tests and fixtures), and every parameter of a package
-or script function is read in its body.  Scripts get no definition check:
-a script's main is read by its `__main__` block, and nothing else imports a
+in the package and every one of a test module somewhere in the tests (tests
+and fixtures aside: pytest reads those), and every parameter of a package or
+script function is read in its body.  Scripts get no definition check: a
+script's main is read by its `__main__` block, and nothing else imports a
 script."""
 
 import ast
@@ -100,7 +100,7 @@ def unreferenced_definitions(sources: dict[str, str], skip=lambda node: False) -
     """module.name for each module-level definition no module reads, but for
     the functions and classes that skip accepts.
 
-    Reads are matched by name across the whole package, so a definition
+    Reads are matched by name across all of sources, so a package definition
     that only tests (or only outside tooling) call is reported.
     """
     used = set().union(*(referenced_names(s) for s in sources.values()))
